@@ -120,12 +120,18 @@ class FrontComponent:
     ``interval`` spans the run; wrap-around components (live across the
     theta = 0 seam of a full-circle arc) use theta_hi > 2*pi.  ``segments``
     are index ranges into the front's global sample arrays (two ranges for
-    a wrap-around component, otherwise one).
+    a wrap-around component, otherwise one).  ``theta_first`` and
+    ``theta_last`` are the directions of its first and last live samples
+    (None on a component that no assembly step has produced, such as the
+    initial one); the next step compares them with its children's edges to
+    tell new boundaries from inherited ones.
     """
 
     interval: ArcInterval
     split_time: float
     segments: tuple
+    theta_first: float | None = field(default=None, repr=False, compare=False)
+    theta_last: float | None = field(default=None, repr=False, compare=False)
     _front: "Front" = field(default=None, repr=False, compare=False)
 
     @property
@@ -424,79 +430,104 @@ def _assemble_components(
                 right = float(batch.death_time[run_stop])
         return left, right
 
-    comps = []
+    children = []  # keyword arguments of _child_component, one per run
     enumerated = list(range(len(runs)))
     if wrapped:
         enumerated = enumerated[1:-1]
     for k in enumerated:
         s, e = runs[k]
         left, right = boundary_time(s, e)
-        comps.append(
-            _child_component(
-                tt, parents,
-                theta_first=float(thetas[s]),
-                theta_last=float(thetas[e - 1]),
-                interval=ArcInterval(float(thetas[s]), float(thetas[e - 1])),
-                segments=((s, e),),
-                left_time=left,
-                right_time=right,
-            )
-        )
+        children.append(dict(
+            theta_first=float(thetas[s]),
+            theta_last=float(thetas[e - 1]),
+            interval=ArcInterval(float(thetas[s]), float(thetas[e - 1])),
+            segments=((s, e),),
+            left_time=left,
+            right_time=right,
+        ))
     if wrapped:
         s2, e2 = runs[-1]
         s1, e1 = runs[0]
         left, _ = boundary_time(s2, e2)
         _, right = boundary_time(s1, e1)
-        comps.append(
-            _child_component(
-                tt, parents,
-                theta_first=float(thetas[s2]),
-                theta_last=float(thetas[e1 - 1]),
-                interval=ArcInterval(float(thetas[s2]), float(thetas[e1 - 1]) + TWO_PI),
-                segments=((s2, e2), (s1, e1)),
-                left_time=left,
-                right_time=right,
-            )
-        )
+        children.append(dict(
+            theta_first=float(thetas[s2]),
+            theta_last=float(thetas[e1 - 1]),
+            interval=ArcInterval(float(thetas[s2]), float(thetas[e1 - 1]) + TWO_PI),
+            segments=((s2, e2), (s1, e1)),
+            left_time=left,
+            right_time=right,
+        ))
+    found = _find_parents(parents, [c["theta_first"] for c in children])
+    comps = [_child_component(p, **c) for p, c in zip(found, children)]
     comps.sort(key=lambda c: c.interval.theta_lo)
     return comps
 
 
 def _child_component(
-    tt, parents, theta_first, theta_last, interval, segments, left_time, right_time
+    parent, theta_first, theta_last, interval, segments, left_time, right_time
 ):
-    parent = _find_parent(parents, theta_first)
     split = parent.split_time if parent is not None else 0.0
     if parent is not None:
-        old_lo = getattr(parent, "_theta_first", None)
-        old_hi = getattr(parent, "_theta_last", None)
         for flank_time, old_edge, own_edge in (
-            (left_time, old_lo, theta_first),
-            (right_time, old_hi, theta_last),
+            (left_time, parent.theta_first, theta_first),
+            (right_time, parent.theta_last, theta_last),
         ):
             if flank_time is None or own_edge == old_edge:
                 continue  # arc endpoint, or the boundary predates this step
             split = max(split, flank_time)
-    comp = FrontComponent(interval=interval, split_time=split, segments=segments)
-    comp._theta_first = theta_first
-    comp._theta_last = theta_last
-    return comp
+    return FrontComponent(
+        interval=interval,
+        split_time=split,
+        segments=segments,
+        theta_first=theta_first,
+        theta_last=theta_last,
+    )
 
 
-def _find_parent(parents, theta):
+_SHIFTS = np.array([0.0, TWO_PI, -TWO_PI])
+
+
+def _find_parents(parents, thetas) -> list:
+    """The parent component of each child direction in ``thetas``.
+
+    A direction belongs to the first parent, in list order, whose interval
+    holds it under one of the shifts 0, +2*pi or -2*pi; failing that, to
+    the first parent with the smallest gap between a shifted direction and
+    either interval end.  Assembled parents are sorted and disjoint, so a
+    binary search over the interval starts finds the one candidate per
+    shift.  Parents read from a snapshot follow document order and may
+    overlap; directions the search cannot settle take ``_nearest_parent``.
+    """
     if not parents:
-        return None
-    best, best_gap = None, math.inf
-    for p in parents:
-        lo, hi = p.interval.theta_lo, p.interval.theta_hi
-        for shift in (0.0, TWO_PI, -TWO_PI):
-            th = theta + shift
-            if lo <= th <= hi:
-                return p
-            gap = min(abs(th - lo), abs(th - hi))
-            if gap < best_gap:
-                best, best_gap = p, gap
-    return best
+        return [None] * len(thetas)
+    n = len(parents)
+    lo = np.array([p.interval.theta_lo for p in parents])
+    hi = np.array([p.interval.theta_hi for p in parents])
+    shifted = np.asarray(thetas, dtype=float)[:, None] + _SHIFTS
+    first = np.full(shifted.shape[0], n)
+    order = np.argsort(lo, kind="stable")
+    slo, shi = lo[order], hi[order]
+    if np.all(shi[:-1] < slo[1:]):
+        k = np.searchsorted(slo, shifted, side="right") - 1
+        kc = np.maximum(k, 0)
+        inside = (k >= 0) & (shifted <= shi[kc])
+        first = np.where(inside, order[kc], n).min(axis=1)
+    return [
+        parents[j if j < n else _nearest_parent(lo, hi, row)]
+        for j, row in zip(first.tolist(), shifted)
+    ]
+
+
+def _nearest_parent(lo, hi, shifted) -> int:
+    """Index of the parent for one direction's three shifted copies, by a
+    scan vectorised over the parents (same rule as ``_find_parents``)."""
+    lo, hi = lo[:, None], hi[:, None]
+    inside = ((lo <= shifted) & (shifted <= hi)).any(axis=1)
+    if inside.any():
+        return int(np.argmax(inside))
+    gap = np.minimum(np.abs(shifted - lo), np.abs(shifted - hi)).min(axis=1)
+    return int(np.argmin(gap))
 
 
 def propagate(front: Front, t_target: float) -> Front:

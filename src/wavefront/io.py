@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .surfaces import (
     CubeSurface,
     DiskBilliard,
     KleinBottle,
+    PreconditionError,
     RectBilliard,
     Torus,
     format_point,
@@ -51,26 +53,22 @@ class SnapshotError(ValueError):
 # snapshots
 
 
-def _sample_entry(front: Front, i: int):
-    if isinstance(front.surface, CubeSurface):
-        coords = [
-            FACE_NAMES[int(front.face[i])],
-            float(front.pos[i, 0]),
-            float(front.pos[i, 1]),
-        ]
-    else:
-        coords = [float(front.pos[i, 0]), float(front.pos[i, 1])]
-    return [float(front.thetas[i]), coords, bool(front.alive[i])]
-
-
 def emit_snapshot(front: Front) -> bytes:
     """Serialize a front to JSON bytes (schema version 1)."""
     front.ensure_evaluated()
+    # plain Python columns; json writes their tuples as arrays
+    thetas = front.thetas.tolist()
+    alive = front.alive.tolist()
+    xy = (front.pos[:, 0].tolist(), front.pos[:, 1].tolist())
+    if isinstance(front.surface, CubeSurface):
+        coords = list(zip(map(FACE_NAMES.__getitem__, front.face.tolist()), *xy))
+    else:
+        coords = list(zip(*xy))
     comps = []
     for comp in sorted(front.components, key=lambda c: c.interval.theta_lo):
         samples = []
         for start, stop in comp.segments:
-            samples.extend(_sample_entry(front, i) for i in range(start, stop))
+            samples += zip(thetas[start:stop], coords[start:stop], alive[start:stop])
         comps.append(
             {
                 "interval": [comp.interval.theta_lo, comp.interval.theta_hi],
@@ -96,7 +94,9 @@ def emit_snapshot(front: Front) -> bytes:
     return json.dumps(doc, separators=(",", ":")).encode("utf-8")
 
 
-def _require_keys(obj: dict, keys: tuple, where: str):
+def _require_keys(obj, keys: tuple, where: str):
+    if not isinstance(obj, dict):
+        raise SnapshotError(f"{where} must be a JSON object")
     unknown = set(obj) - set(keys)
     if unknown:
         raise SnapshotError(f"unknown key {sorted(unknown)[0]!r} in {where}")
@@ -105,23 +105,62 @@ def _require_keys(obj: dict, keys: tuple, where: str):
         raise SnapshotError(f"missing key {sorted(missing)[0]!r} in {where}")
 
 
+def _require_list(obj, length: int | None, what: str) -> list:
+    if not isinstance(obj, list) or (length is not None and len(obj) != length):
+        shape = "a list" if length is None else f"a list of {length}"
+        raise SnapshotError(f"{what} must be {shape}, got {reprlib.repr(obj)}")
+    return obj
+
+
+def _require_lists(items: list, length: int, what: str):
+    """Check that every item is a list of ``length``."""
+    if not (set(map(type, items)) <= {list} and set(map(len, items)) <= {length}):
+        for item in items:
+            _require_list(item, length, what)
+
+
+def _columns(rows: list, width: int) -> list:
+    """Transpose checked rows into ``width`` column lists."""
+    return [[row[k] for row in rows] for k in range(width)]
+
+
+def _reals(values, what: str) -> list:
+    """Finite JSON numbers as floats (a run of finite floats passes as is)."""
+    if set(map(type, values)) <= {float} and all(map(math.isfinite, values)):
+        return values
+    return [_real(x, what) for x in values]
+
+
+def _real(x, what: str) -> float:
+    """A finite JSON number as a float (a JSON boolean is not a number)."""
+    if type(x) in (float, int):
+        try:
+            v = float(x)
+        except OverflowError:
+            v = math.inf
+        if math.isfinite(v):
+            return v
+    raise SnapshotError(f"{what} must be a finite number, got {reprlib.repr(x)}")
+
+
 def parse_snapshot(data: bytes) -> Front:
     """Reconstruct a front from snapshot bytes.
 
-    Unknown keys are rejected.  Derived arrays (lifted covers, sheets, dead
-    sample positions) are left to lazy recomputation, which is exact
-    because evaluation is pure.
+    Unknown keys are rejected, and so is any value of the wrong shape or
+    type, always with a SnapshotError.  Derived arrays (lifted covers,
+    sheets, dead sample positions) are left to lazy recomputation, which
+    is exact because evaluation is pure.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as e:
+        raise SnapshotError(f"snapshot is not UTF-8 (byte {e.start})") from None
     except json.JSONDecodeError as e:
         raise SnapshotError(
             f"malformed JSON at line {e.lineno} column {e.colno}: {e.msg}"
         ) from None
-    if not isinstance(doc, dict):
-        raise SnapshotError("snapshot must be a JSON object")
+    except RecursionError:
+        raise SnapshotError("JSON nested too deeply") from None
     _require_keys(
         doc,
         (
@@ -132,7 +171,16 @@ def parse_snapshot(data: bytes) -> Front:
     )
     if doc["version"] != SNAPSHOT_VERSION:
         raise SnapshotError(f"unsupported snapshot version {doc['version']!r}")
+    try:
+        return _parse_front(doc)
+    except PreconditionError as e:  # a model or interval the document spells
+        raise SnapshotError(str(e)) from None
 
+
+def _parse_front(doc: dict) -> Front:
+    for key in ("surface", "source"):
+        if not isinstance(doc[key], str):
+            raise SnapshotError(f"{key} must be a string, got {reprlib.repr(doc[key])}")
     surface = parse_surface(doc["surface"])
     source = parse_point(surface, doc["source"])
     _require_keys(
@@ -140,82 +188,106 @@ def parse_snapshot(data: bytes) -> Front:
         ("h_max", "theta_min", "delta_t_check", "sample_budget"),
         "params",
     )
+    for key, value in doc["params"].items():
+        _real(value, f"params {key}")
     params = PropagationParams(**doc["params"])
-    arc = ArcInterval(float(doc["arc"][0]), float(doc["arc"][1]))
-    t = float(doc["t"])
+    lo, hi = _require_list(doc["arc"], 2, "arc")
+    arc = ArcInterval(_real(lo, "arc"), _real(hi, "arc"))
+    t = _real(doc["t"], "t")
     cube = isinstance(surface, CubeSurface)
+    doc_comps = _require_list(doc["components"], None, "components")
 
-    entries = []  # [theta, pos, face, alive, death_time, component index]
-    for ci, comp in enumerate(doc["components"]):
+    # one row per sample direction, sorted by theta below; each component's
+    # samples are checked and converted a column at a time
+    thetas, xs, ys, faces, alive, owner = [], [], [], [], [], []
+    for ci, comp in enumerate(doc_comps):
         _require_keys(comp, ("interval", "split_time", "samples"), "component")
-        for sample in comp["samples"]:
-            theta, coords, alive = sample
-            if cube:
-                if len(coords) != 3 or coords[0] not in FACE_NAMES:
-                    raise SnapshotError(f"bad cube coordinates {coords!r}")
-                face = FACE_NAMES.index(coords[0])
-                xy = (float(coords[1]), float(coords[2]))
-            else:
-                if len(coords) != 2:
-                    raise SnapshotError(f"bad coordinates {coords!r}")
-                face = 0
-                xy = (float(coords[0]), float(coords[1]))
-            entries.append([float(theta), xy, face, bool(alive), math.inf, ci])
-    by_theta = {e[0]: e for e in entries}
-    if len(by_theta) != len(entries):
-        raise SnapshotError("duplicate sample direction")
-    for theta, death in doc["dead_directions"]:
-        entry = by_theta.get(float(theta))
-        if entry is None:
-            entries.append(
-                [float(theta), (math.nan, math.nan), 0, False, float(death), -1]
+        samples = _require_list(comp["samples"], None, "component samples")
+        if not samples:
+            continue  # reported below as a component with no samples
+        _require_lists(samples, 3, "sample")
+        theta, coords, live = _columns(samples, 3)
+        _require_lists(coords, 3 if cube else 2, "sample coordinates")
+        if cube:
+            face, x, y = _columns(coords, 3)
+            if not all(f in FACE_NAMES for f in face):
+                bad = next(f for f in face if f not in FACE_NAMES)
+                raise SnapshotError(f"unknown cube face {reprlib.repr(bad)}")
+            faces.extend(map(FACE_NAMES.index, face))
+        else:
+            x, y = _columns(coords, 2)
+        thetas.extend(_reals(theta, "sample theta"))
+        xs.extend(_reals(x, "sample x"))
+        ys.extend(_reals(y, "sample y"))
+        if not set(map(type, live)) <= {bool}:
+            bad = next(v for v in live if type(v) is not bool)
+            raise SnapshotError(
+                f"sample alive flag must be a boolean, got {reprlib.repr(bad)}"
             )
-        elif entry[3]:
+        alive.extend(live)
+        owner.extend([ci] * len(samples))
+    death = [math.inf] * len(thetas)
+    row_of = dict(zip(thetas, range(len(thetas))))
+    if len(row_of) != len(thetas):
+        raise SnapshotError("duplicate sample direction")
+    for pair in _require_list(doc["dead_directions"], None, "dead_directions"):
+        theta, when = _require_list(pair, 2, "dead direction")
+        theta, when = _real(theta, "dead direction"), _real(when, "death time")
+        i = row_of.get(theta)
+        if i is None:
+            thetas.append(theta)
+            xs.append(math.nan)
+            ys.append(math.nan)
+            faces.append(0)
+            alive.append(False)
+            death.append(when)
+            owner.append(-1)
+        elif alive[i]:
             raise SnapshotError("live sample listed among dead directions")
         else:
-            entry[4] = float(death)
-    for entry in entries:
-        if not entry[3] and not math.isfinite(entry[4]):
-            raise SnapshotError("dead sample without a death time")
-    if not entries:
+            death[i] = when
+    if not thetas:
         raise SnapshotError("snapshot has no samples")
-    entries.sort(key=lambda e: e[0])
 
-    n = len(entries)
-    thetas = np.array([e[0] for e in entries])
-    pos = np.array([e[1] for e in entries])
-    face = np.array([e[2] for e in entries], dtype=np.int64) if cube else None
-    alive = np.array([e[3] for e in entries], dtype=bool)
-    death = np.array([e[4] for e in entries])
-    owner = [e[5] for e in entries]
+    order = np.argsort(np.array(thetas), kind="stable")
+    thetas = np.array(thetas)[order]
+    pos = np.column_stack((xs, ys))[order]
+    face = np.array(faces, dtype=np.int64)[order] if cube else None
+    alive = np.array(alive, dtype=bool)[order]
+    death = np.array(death)[order]
+    owner = np.array(owner)[order]
+    if np.any(~alive & ~np.isfinite(death)):
+        raise SnapshotError("dead sample without a death time")
+
+    # maximal runs of one owner, in theta order, grouped by component
+    cut = np.flatnonzero(owner[1:] != owner[:-1]) + 1
+    starts = [0, *cut.tolist()]
+    stops = [*cut.tolist(), owner.shape[0]]
+    comp_runs = [[] for _ in doc_comps]
+    for start, stop, ci in zip(starts, stops, owner[starts].tolist()):
+        if ci >= 0:
+            comp_runs[ci].append((start, stop))
 
     components = []
-    for ci, comp in enumerate(doc["components"]):
-        idx = [i for i in range(n) if owner[i] == ci]
-        if not idx:
+    for comp, runs in zip(doc_comps, comp_runs):
+        if not runs:
             raise SnapshotError("component with no samples")
-        runs = []
-        run_start = idx[0]
-        prev = idx[0]
-        for i in idx[1:]:
-            if i != prev + 1:
-                runs.append((run_start, prev + 1))
-                run_start = i
-            prev = i
-        runs.append((run_start, prev + 1))
-        interval = ArcInterval(float(comp["interval"][0]), float(comp["interval"][1]))
+        lo, hi = _require_list(comp["interval"], 2, "component interval")
+        interval = ArcInterval(_real(lo, "component interval"),
+                               _real(hi, "component interval"))
         if len(runs) == 2 and interval.theta_hi > arc.theta_hi:
             runs = [runs[1], runs[0]]  # wrap-around: high-theta run first
         elif len(runs) > 1:
             raise SnapshotError("component samples are not contiguous")
-        child = FrontComponent(
-            interval=interval,
-            split_time=float(comp["split_time"]),
-            segments=tuple(runs),
+        components.append(
+            FrontComponent(
+                interval=interval,
+                split_time=_real(comp["split_time"], "split_time"),
+                segments=tuple(runs),
+                theta_first=float(thetas[runs[0][0]]),
+                theta_last=float(thetas[runs[-1][1] - 1]),
+            )
         )
-        child._theta_first = float(thetas[runs[0][0]])
-        child._theta_last = float(thetas[runs[-1][1] - 1])
-        components.append(child)
 
     return Front(
         surface=surface,
@@ -309,12 +381,12 @@ def _viewport(surface):
     return 4.0 * surface.side, 3.0 * surface.side
 
 
-def _plane_points(front: Front, indices: np.ndarray):
-    """Viewport coordinates (y up) for the given sample indices."""
+def _plane_points(front: Front):
+    """Viewport coordinates (y up) of every sample."""
     surface = front.surface
-    pts = front.pos[indices]
+    pts = front.pos
     if isinstance(surface, CubeSurface):
-        return _net_xy(surface, front.face[indices], pts)
+        return _net_xy(surface, front.face, pts)
     if isinstance(surface, DiskBilliard):
         return pts + surface.radius
     return pts
@@ -335,10 +407,9 @@ def _seam_breaks(surface, plane: np.ndarray) -> np.ndarray:
 def _path_data(plane: np.ndarray, breaks: np.ndarray, height: float) -> str:
     parts = []
     pen_up = True
-    for i in range(plane.shape[0]):
-        x, y = float(plane[i, 0]), height - float(plane[i, 1])
-        parts.append(f"{'M' if pen_up else 'L'}{x!r} {y!r}")
-        pen_up = i < breaks.shape[0] and bool(breaks[i])
+    for (x, y), lift in zip(plane.tolist(), breaks.tolist() + [True]):
+        parts.append(f"{'M' if pen_up else 'L'}{x!r} {height - y!r}")
+        pen_up = lift
     return "".join(parts)
 
 
@@ -382,11 +453,12 @@ def render_svg(
     else:
         lines.append(f'<rect width="{w!r}" height="{h!r}" {outline}/>')
 
+    plane_all = _plane_points(front)
     for k, comp in enumerate(front.components):
         idx = comp.sample_indices
         if idx.size == 0:
             continue
-        plane = _plane_points(front, idx)
+        plane = plane_all[idx]
         color = _PALETTE[k % len(_PALETTE)] if color_by_component else _PALETTE[0]
         if idx.size == 1:
             x, y = float(plane[0, 0]), h - float(plane[0, 1])

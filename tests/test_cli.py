@@ -1,11 +1,16 @@
 """Command-line interface: flags, outputs, exit codes, determinism.
 
 Subcommands run in-process through cli.run for speed; one test drives the
-installed console script end to end.
+installed console script end to end, another ``python -m wavefront``.
 """
 
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
+
+import wavefront
 
 from wavefront import cli
 from wavefront.lattice import RectCheckReport
@@ -195,6 +200,34 @@ def test_thread_count_does_not_change_bytes(monkeypatch, capsys):
 def test_help_exits_zero(capsys):
     assert cli.run(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_module_entry_point_end_to_end(tmp_path):
+    # ``python -m wavefront`` runs from a source checkout, nothing installed
+    env = dict(os.environ, PYTHONPATH=str(Path(wavefront.__file__).parents[1]))
+
+    def module_run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "wavefront", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+
+    result = module_run("lattice", "--t-grid", "25:50:25")
+    assert result.returncode == 0 and result.stderr == ""
+    lines = result.stdout.strip().split("\n")
+    assert lines[1] == "t,h,N_t,annulus_count,expected_area,E_t,gauss_bound"
+    assert [line.split(",")[0] for line in lines[2:]] == ["25.0", "50.0"]
+
+    snap = tmp_path / "front.json"
+    assert module_run("simulate", "--surface", "torus:1,1", "--p", "0.2,0.3",
+                      "--t", "1", "--out", str(snap)).returncode == 0
+    doc = json.loads(snap.read_bytes())
+    doc["components"][0]["samples"] = [5]
+    snap.write_text(json.dumps(doc))
+    bad = module_run("render", "--in", str(snap), "--out", str(tmp_path / "x.svg"))
+    assert bad.returncode == 3
+    assert bad.stderr.startswith("wavefront: error: ")
+    assert "Traceback" not in bad.stderr
 
 
 def test_console_script_end_to_end():

@@ -29,7 +29,7 @@ from wavefront import (
     propagate,
     surface_distance,
 )
-from wavefront.frontier import FULL_CIRCLE
+from wavefront.frontier import FULL_CIRCLE, FrontComponent, _find_parents
 
 TWO_PI = 2.0 * math.pi
 
@@ -228,3 +228,72 @@ def test_full_circle_constant():
     assert FULL_CIRCLE.theta_hi == TWO_PI
     with pytest.raises(PreconditionError):
         ArcInterval(1.0, 0.5)
+
+
+# --- parent lookup -------------------------------------------------------------
+
+
+def _scan_parent(parents, theta):
+    """Reference rule: linear scan over the parents and the shifts 0, +-2*pi."""
+    if not parents:
+        return None
+    best, best_gap = None, math.inf
+    for p in parents:
+        lo, hi = p.interval.theta_lo, p.interval.theta_hi
+        for shift in (0.0, TWO_PI, -TWO_PI):
+            th = theta + shift
+            if lo <= th <= hi:
+                return p
+            gap = min(abs(th - lo), abs(th - hi))
+            if gap < best_gap:
+                best, best_gap = p, gap
+    return best
+
+
+def _assert_lookup_matches_scan(parents, thetas):
+    found = _find_parents(parents, thetas)
+    assert len(found) == len(thetas)
+    for theta, parent in zip(thetas, found):
+        assert parent is _scan_parent(parents, theta), theta
+
+
+def _parents(*intervals):
+    return [
+        FrontComponent(interval=ArcInterval(lo, hi), split_time=0.0,
+                       segments=((0, 1),))
+        for lo, hi in intervals
+    ]
+
+
+def test_parent_lookup_matches_scan_on_cube_propagation():
+    cube = CubeSurface(1.0)
+    parent_front = propagate(init_front(cube, CubePoint("U", 0.31, 0.47)), 5.0)
+    child_front = propagate(parent_front, 10.0)
+    parents, children = parent_front.components, child_front.components
+    assert (len(parents), len(children)) == (80, 316)
+    _assert_lookup_matches_scan(parents, [c.theta_first for c in children])
+
+
+@pytest.mark.parametrize("intervals", [
+    [(2.0, 3.0), (0.5, 1.0), (4.0, 5.5)],                  # unsorted
+    [(0.5, 2.0), (1.0, 3.0), (1.0, 1.5), (2.5, 6.0)],      # overlapping
+    [(0.2, 1.0), (2.0, 5.0), (5.5, TWO_PI + 0.4)],         # wraps past 2*pi
+    [(5.5, TWO_PI + 0.4), (0.2, 1.0), (2.0, 5.0)],         # wrap listed first
+    [(1.0, 1.0), (1.0, 2.0), (3.0, 3.0)],                  # shared endpoints
+], ids=["unsorted", "overlapping", "wrap", "wrap-first", "degenerate"])
+def test_parent_lookup_matches_scan_on_hand_built_parents(intervals):
+    parents = _parents(*intervals)
+    ends = [x for pair in intervals for x in pair]
+    thetas = np.linspace(-1.0, TWO_PI + 1.0, 401).tolist()
+    thetas += ends + [x - TWO_PI for x in ends] + [x + TWO_PI for x in ends]
+    _assert_lookup_matches_scan(parents, thetas)
+
+
+def test_parent_lookup_gap_tie_takes_first_in_list_order():
+    a, b = _parents((0.0, 1.0), (2.0, 3.0))
+    # 1.5 lies outside both intervals, 0.5 from each: the tie goes to the
+    # parent listed first
+    assert _find_parents([a, b], [1.5])[0] is a
+    assert _find_parents([b, a], [1.5])[0] is b
+    _assert_lookup_matches_scan([b, a], [1.5])
+    assert _find_parents([], [1.5]) == [None]

@@ -25,6 +25,7 @@ from wavefront import (
     init_front,
     propagate,
 )
+from wavefront import cli
 from wavefront.io import (
     SnapshotError,
     emit_series,
@@ -107,9 +108,80 @@ def test_snapshot_schema_rejections():
         d["components"][0]["samples"][0]), "duplicate")
 
 
+def _sample(doc):
+    return doc["components"][0]["samples"][0]
+
+
+# each mutation breaks the shape or type of one field of a valid snapshot
+SHAPE_ERRORS = {
+    "samples-of-non-lists": lambda d: d["components"][0].update(samples=[5]),
+    "samples-not-a-list": lambda d: d["components"][0].update(samples=5),
+    "sample-two-elements": lambda d: _sample(d).pop(),
+    "sample-four-elements": lambda d: _sample(d).append(0),
+    "coords-not-a-list": lambda d: _sample(d).__setitem__(1, 0.5),
+    "coords-wrong-length": lambda d: _sample(d)[1].pop(),
+    "coord-not-a-number": lambda d: _sample(d)[1].__setitem__(1, "x"),
+    "theta-string": lambda d: _sample(d).__setitem__(0, "0.25"),
+    "theta-null": lambda d: _sample(d).__setitem__(0, None),
+    "theta-boolean": lambda d: _sample(d).__setitem__(0, True),
+    "alive-not-boolean": lambda d: _sample(d).__setitem__(2, 1),
+    "components-not-a-list": lambda d: d.update(components={}),
+    "component-not-an-object": lambda d: d.update(components=[5]),
+    "interval-not-a-pair": lambda d: d["components"][0].update(interval=0.0),
+    "split-time-string": lambda d: d["components"][0].update(split_time="0"),
+    "dead-direction-not-a-pair": lambda d: d.update(dead_directions=[5]),
+    "params-not-an-object": lambda d: d.update(params=5),
+    "param-string": lambda d: d["params"].update(h_max="0.005"),
+    "arc-one-element": lambda d: d.update(arc=[0.0]),
+    "arc-reversed": lambda d: d.update(arc=[1.0, 0.5]),
+    "t-null": lambda d: d.update(t=None),
+    "surface-not-a-string": lambda d: d.update(surface=5),
+    "surface-unknown": lambda d: d.update(surface="bogus:1"),
+}
+CUBE_SHAPE_ERRORS = {
+    "cube-coords-without-face": lambda d: _sample(d)[1].pop(0),
+    "cube-unknown-face": lambda d: _sample(d)[1].__setitem__(0, "Q"),
+}
+_SHAPE_CASES = [("torus", k, m) for k, m in SHAPE_ERRORS.items()] + [
+    ("cube", k, m) for k, m in CUBE_SHAPE_ERRORS.items()
+]
+
+
+@pytest.fixture(scope="module")
+def valid_docs():
+    return {
+        "torus": json.loads(emit_snapshot(_front(Torus(1.0, 1.0), (0.2, 0.3), 1.0))),
+        "cube": json.loads(
+            emit_snapshot(_front(CubeSurface(1.0), CubePoint("F", 0.5, 0.5), 1.0))
+        ),
+    }
+
+
+@pytest.mark.parametrize("kind,name,mutate", _SHAPE_CASES,
+                         ids=[name for _, name, _ in _SHAPE_CASES])
+def test_snapshot_shape_errors(kind, name, mutate, valid_docs, tmp_path, capsys):
+    doc = copy.deepcopy(valid_docs[kind])
+    mutate(doc)
+    data = json.dumps(doc).encode()
+    with pytest.raises(SnapshotError):
+        parse_snapshot(data)
+    # the CLI reports it as a snapshot error: exit 3, one diagnostic line
+    snap = tmp_path / "bad.json"
+    snap.write_bytes(data)
+    code = cli.run(["render", "--in", str(snap), "--out", str(tmp_path / "x.svg")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("wavefront: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_snapshot_malformed_json_reports_position():
     with pytest.raises(SnapshotError, match=r"line 1 column 14"):
         parse_snapshot(b'{"version":1,')
+    with pytest.raises(SnapshotError, match="UTF-8"):
+        parse_snapshot(b'{"version":\xff}')
+    with pytest.raises(SnapshotError, match="nested"):
+        parse_snapshot(b"[" * 100_000)
 
 
 def test_snapshot_dead_sample_merges_with_component_entry():
@@ -144,6 +216,25 @@ def test_snapshot_wrap_component_order_preserved():
     assert len(gwrap) == 1
     assert gwrap[0].segments == wrap[0].segments
     assert gwrap[0].interval.theta_hi > 2 * math.pi
+
+
+def test_many_component_cube_round_trip():
+    # a cube front torn into hundreds of components, so parsing regroups
+    # samples of many components
+    f = _front(CubeSurface(1.0), CubePoint("U", 0.31, 0.47), 10.0)
+    assert len(f.components) >= 300
+    blob = emit_snapshot(f)
+    g = parse_snapshot(blob)
+    assert emit_snapshot(g) == blob
+    assert [(c.segments, c.theta_first, c.theta_last) for c in g.components] == [
+        (c.segments, c.theta_first, c.theta_last) for c in f.components
+    ]
+    assert render_svg(g) == render_svg(f)
+    # a parsed front propagates to the same components and split times
+    later_f, later_g = propagate(f, 10.5), propagate(g, 10.5)
+    assert [(c.interval, c.split_time) for c in later_g.components] == [
+        (c.interval, c.split_time) for c in later_f.components
+    ]
 
 
 # --- SVG ---------------------------------------------------------------------
