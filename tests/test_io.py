@@ -7,6 +7,7 @@ original bytes exactly.
 """
 
 import copy
+import hashlib
 import json
 import math
 
@@ -23,6 +24,7 @@ from wavefront import (
     component_count,
     front_length,
     init_front,
+    parse_surface,
     propagate,
 )
 from wavefront import cli
@@ -35,6 +37,7 @@ from wavefront.io import (
 )
 from wavefront.lattice import lattice_count
 from wavefront.metrics import density_report
+from wavefront.surfaces import parse_point
 
 CASES = [
     (Torus(1.0, 1.0), (0.2, 0.3), 3.0),
@@ -304,6 +307,58 @@ def test_lattice_series_format():
     assert lines[0] == "t,h,N_t,annulus_count,expected_area,E_t,gauss_bound"
     first = lines[1].split(",")
     assert first[0] == "25.0" and first[2] == "1961"
+
+
+# --- pinned bytes -------------------------------------------------------------
+
+# sha256 of the snapshot, the SVG and a two-row density CSV of one small
+# front per surface.  The fronts cross the torus and Klein seams, reflect
+# off the rectangle and disk walls and tear at cube corners, so every
+# per-surface path of emit, render and occupancy is pinned.
+_PINNED = {
+    ("torus:2,0.5", "0.7,0.2", 1.5, 0.05): (
+        "25ea58a42e0ddfab4371d6e6fad805ee663c232e80b25f7ee748f8d110df094f",
+        "75cb7efd5138f3686f3c8db50c1753468f54e8b33e3774cd7a5037bc96e2d7d9",
+        "49022137feb1c7dc60720a40db88b63273bcc187c14424e9c21e40c6821802d9",
+    ),
+    ("klein", "0.25,0.5", 1.5, 0.1): (
+        "a208a25729e3d9a03dc41560344389e5606d7561d0de462a27f37f55c2817e86",
+        "995828c1b8402258de79dc948359d9b6a2b31cd0be01f130fe0df263c5d38f06",
+        "75647f456cf7fe3b056f4600d4e8e88daa418d3ec8d1cf6d1af0fe9461d91dc8",
+    ),
+    ("rect:2,1", "0.5,0.3", 1.5, 0.1): (
+        "f5cdfd091bf37c210d07d8f7c2b9537a017863cad4d7257b94077b64e148f825",
+        "046a02ce49f4214dd320e38b49926a2f0a5febfe5aa88190908bc3542f21f711",
+        "91fb5137768110a45168a5ff48752a63d7f85a2d140c041c5d8cc8964ac4c088",
+    ),
+    ("disk:1", "0.3,-0.2", 1.5, 0.1): (
+        "45ae29dd35059ca2a7751185507724d572ab2228ab6456dc3e292e35ad636d34",
+        "94af5f24ae3c5517c4c314c0dded73612be83c646c7d09e4d2932ecfe9dece08",
+        "b9d60e1b910d61c57d9351aa6e69a2c0d6e1f41c3964ea336bad535f96d37e2d",
+    ),
+    ("cube:1", "U/0.3/0.6", 1.2, 0.1): (
+        "eb9df5af3056dfd391024e54cfda638facdc806cf40c5b43156198c1e25e7719",
+        "676bf9dce2f9e8230a6236000112cfe56157528db617105b4e0f3603f9b38028",
+        "9b202ccaf110a2ccf6962ae68581f9b6152d157c68889f912dbec13d2baa586a",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_PINNED), ids=[c[0] for c in _PINNED])
+def test_artifact_bytes_pinned(case):
+    desc, point, t, eps = case
+    surface = parse_surface(desc)
+    half = propagate(init_front(surface, parse_point(surface, point)), t / 2)
+    front = propagate(half, t)
+    csv = emit_series(
+        [density_report(half, eps), density_report(front, eps)],
+        params={"surface": desc, "eps": repr(eps)},
+    )
+    digests = tuple(
+        hashlib.sha256(blob).hexdigest()
+        for blob in (emit_snapshot(front), render_svg(front), csv)
+    )
+    assert digests == _PINNED[case]
 
 
 def test_series_rejects_mixed_and_empty():
