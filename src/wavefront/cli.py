@@ -85,8 +85,8 @@ def _t_grid(text: str) -> list:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise UsageError(f"bad time grid {text!r}, expected LO:HI:STEP") from None
-    if step <= 0 or hi < lo:
-        raise UsageError(f"bad time grid {text!r}: need STEP > 0 and HI >= LO")
+    if not (all(map(math.isfinite, (lo, hi, step))) and step > 0 and hi >= lo):
+        raise UsageError(f"bad time grid {text!r}: need finite LO <= HI, STEP > 0")
     n = int(math.floor((hi - lo) / step + 1e-9)) + 1
     return [lo + k * step for k in range(n)]
 
@@ -126,6 +126,8 @@ def _front_series(args):
 
 
 def _cmd_simulate(args) -> int:
+    if not (math.isfinite(args.t) and args.t >= 0.0):
+        raise UsageError(f"--t must be finite and nonnegative, got {args.t!r}")
     surface = parse_surface(args.surface)
     source = parse_point(surface, args.p)
     params = default_params(surface)
@@ -194,7 +196,8 @@ def _cmd_components(args) -> int:
 def _cmd_lattice(args) -> int:
     rows = []
     for t in _t_grid(args.t_grid):
-        h = args.h if args.h is not None else 1.0 / math.sqrt(t)
+        # the default h needs t > 0; lattice_count rejects t <= 0 itself
+        h = args.h if args.h is not None else 1.0 / math.sqrt(t) if t > 0 else 0.0
         rows.append(lattice_count(t, h))
     csv = emit_series(
         rows,

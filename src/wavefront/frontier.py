@@ -29,18 +29,13 @@ import numpy as np
 
 from .surfaces import (
     TWO_PI,
-    CubePoint,
-    CubeSurface,
-    DiskBilliard,
-    FACE_NAMES,
+    CoverPoint,
     GeodesicBatch,
     NumericalFailureError,
     PreconditionError,
     SurfaceModel,
     evaluate_batch,
-    min_extent,
     surface_distance,
-    validate_point,
 )
 
 _FULL_TOL = 1e-12
@@ -89,19 +84,16 @@ class PropagationParams:
     sample_budget: int = 2**22
 
     def __post_init__(self):
-        if not (
-            self.h_max > 0
-            and self.theta_min > 0
-            and self.delta_t_check > 0
-            and self.sample_budget > 0
-        ):
-            raise PreconditionError("propagation parameters must be positive")
+        values = (self.h_max, self.theta_min, self.delta_t_check, self.sample_budget)
+        if not all(math.isfinite(v) and v > 0 for v in values):
+            raise PreconditionError("propagation parameters must be positive and finite")
 
 
 def default_params(surface: SurfaceModel) -> PropagationParams:
     """Default parameters scaled to the surface size."""
-    dt = 0.1 * surface.side if isinstance(surface, CubeSurface) else 0.5
-    return PropagationParams(h_max=0.005 * min_extent(surface), delta_t_check=dt)
+    return PropagationParams(
+        h_max=0.005 * surface.min_extent, delta_t_check=surface.delta_t_check
+    )
 
 
 @dataclass(frozen=True)
@@ -195,38 +187,17 @@ class Front:
         if self.cover is not None:
             return
         batch = evaluate_batch(self.surface, self.source, self.thetas, self.t)
-        self.pos = batch.pos
-        self.alive = batch.alive
-        self.death_time = batch.death_time
-        self.cover = batch.cover
-        self.refl = batch.refl
-        self.group = batch.group
-        self.face = batch.face
-        self.sheet = batch.sheet
+        vars(self).update(vars(batch))
 
     def point_at(self, i: int):
-        if isinstance(self.surface, CubeSurface):
-            return CubePoint(
-                FACE_NAMES[int(self.face[i])],
-                float(self.pos[i, 0]),
-                float(self.pos[i, 1]),
-            )
-        return (float(self.pos[i, 0]), float(self.pos[i, 1]))
+        return self.surface.point_at(self.pos, self.face, i)
 
     def sample_at(self, i: int) -> FrontSample:
-        from .surfaces import CoverPoint
-
         self.ensure_evaluated()
-        cover = CoverPoint(
-            x=float(self.cover[i, 0]),
-            y=float(self.cover[i, 1]),
-            group_elem=int(self.group[i]),
-            reflection_count=int(self.refl[i]),
-        )
         return FrontSample(
             theta=float(self.thetas[i]),
             pos=self.point_at(i),
-            cover=cover,
+            cover=CoverPoint.at(self, i),
             alive=bool(self.alive[i]),
             death_time=float(self.death_time[i]),
         )
@@ -250,7 +221,7 @@ def init_front(
     """
     if n0 < 4:
         raise PreconditionError("need at least 4 initial samples")
-    source = validate_point(surface, source, forbid_vertex=True)
+    source = surface.validate_point(source, forbid_vertex=True)
     if params is None:
         params = default_params(surface)
     if params.theta_min >= arc.width:
@@ -262,23 +233,8 @@ def init_front(
 
 
 def _make_front(surface, source, t, arc, params, thetas, batch, components) -> Front:
-    return Front(
-        surface=surface,
-        source=source,
-        t=t,
-        arc=arc,
-        params=params,
-        thetas=thetas,
-        pos=batch.pos,
-        alive=batch.alive,
-        death_time=batch.death_time,
-        components=components,
-        cover=batch.cover,
-        refl=batch.refl,
-        group=batch.group,
-        face=batch.face,
-        sheet=batch.sheet,
-    )
+    return Front(surface=surface, source=source, t=t, arc=arc, params=params,
+                 thetas=thetas, components=components, **vars(batch))
 
 
 def _pair_sheet_match(batch: GeodesicBatch) -> np.ndarray:
@@ -296,24 +252,23 @@ def _refine(surface, source, tt, thetas, batch, params):
     chord bounds the surface distance, and unlike the surface distance it
     cannot alias to a small value when the images wrap close together),
     when its sheets diverge on the cube (bisection then brackets the tear,
-    normally ending in a dead witness direction), or across a disk
-    reflection-count change (the front has a corner there that chords can
-    cut).  Midpoints are exact dyadic averages, so the refined direction
-    set is independent of the order in which gaps are processed.
+    normally ending in a dead witness direction), or across a
+    reflection-count change, which only the disk has (the front has a
+    corner there that chords can cut; rays a gap apart end at most
+    (t + width) * gap apart).  Midpoints are exact dyadic averages, so the
+    refined direction set is independent of the order in which gaps are
+    processed.
     """
     h = params.h_max
-    radius = surface.radius if isinstance(surface, DiskBilliard) else None
+    width = surface.box[1]
     while True:
         alive2 = batch.alive[:-1] & batch.alive[1:]
         gap = np.diff(thetas)
         chord = np.hypot(np.diff(batch.cover[:, 0]), np.diff(batch.cover[:, 1]))
         same = _pair_sheet_match(batch)
         need = ((same & (chord > h)) | ~same) & alive2
-        if radius is not None:
-            kink = (batch.refl[:-1] != batch.refl[1:]) & (
-                (tt + 2.0 * radius) * gap > h
-            )
-            need |= kink & alive2
+        kink = (batch.refl[:-1] != batch.refl[1:]) & ((tt + width) * gap > h)
+        need |= kink & alive2
         # pairs flanking a dead direction: bisect toward the tear so the
         # component's samples extend all the way to the vanished direction
         need |= batch.alive[:-1] ^ batch.alive[1:]
@@ -345,30 +300,14 @@ def _unwitnessed_tears(thetas, batch, params, surface):
     """
     alive2 = batch.alive[:-1] & batch.alive[1:]
     gap = np.diff(thetas)
-    suspect = alive2 & (gap <= params.theta_min)
-    if batch.sheet is not None:
-        chord_big = ~_pair_sheet_match(batch)
-    else:
-        chord_big = np.hypot(
-            np.diff(batch.cover[:, 0]), np.diff(batch.cover[:, 1])
-        ) > params.h_max
+    suspect = alive2 & (gap <= params.theta_min) & ~_pair_sheet_match(batch)
     out = []
-    for i in np.nonzero(suspect & chord_big)[0]:
-        p1 = _pos_tuple(surface, batch, int(i))
-        p2 = _pos_tuple(surface, batch, int(i) + 1)
+    for i in np.nonzero(suspect)[0].tolist():
+        p1 = surface.point_at(batch.pos, batch.face, i)
+        p2 = surface.point_at(batch.pos, batch.face, i + 1)
         if surface_distance(surface, p1, p2) > params.h_max:
-            out.append(int(i))
+            out.append(i)
     return out
-
-
-def _pos_tuple(surface, batch, i):
-    if isinstance(surface, CubeSurface):
-        return CubePoint(
-            FACE_NAMES[int(batch.face[i])],
-            float(batch.pos[i, 0]),
-            float(batch.pos[i, 1]),
-        )
-    return (float(batch.pos[i, 0]), float(batch.pos[i, 1]))
 
 
 def _assemble_components(
@@ -549,7 +488,7 @@ def propagate(front: Front, t_target: float) -> Front:
     thetas = front.thetas
     batch = evaluate_batch(surface, source, thetas, tt)
     thetas, batch = _refine(surface, source, tt, thetas, batch, params)
-    if isinstance(surface, CubeSurface):
+    if batch.sheet is not None:  # only fronts with development sheets tear
         components = _assemble_components(
             surface, front.arc, tt, thetas, batch, params, front.components
         )
@@ -593,10 +532,7 @@ def _segment_length(front: Front, start: int, stop: int) -> float:
 
 def _bridge_length(front: Front, i: int, j: int) -> float:
     """Arc contribution between sample i and sample j (wrap seam)."""
-    if front.sheet is not None and not (
-        front.sheet[i, 0] == front.sheet[j, 0]
-        and front.sheet[i, 1] == front.sheet[j, 1]
-    ):
+    if front.sheet is not None and (front.sheet[i] != front.sheet[j]).any():
         return surface_distance(front.surface, front.point_at(i), front.point_at(j))
     return float(
         math.hypot(

@@ -23,19 +23,7 @@ import numpy as np
 from .frontier import ArcInterval, Front, FrontComponent, PropagationParams
 from .metrics import DensityReport
 from .lattice import LatticeCount
-from .surfaces import (
-    FACE_NAMES,
-    CubeSurface,
-    DiskBilliard,
-    KleinBottle,
-    PreconditionError,
-    RectBilliard,
-    Torus,
-    format_point,
-    format_surface,
-    parse_point,
-    parse_surface,
-)
+from .surfaces import PreconditionError, format_surface, parse_surface
 
 SNAPSHOT_VERSION = 1
 
@@ -59,11 +47,7 @@ def emit_snapshot(front: Front) -> bytes:
     # plain Python columns; json writes their tuples as arrays
     thetas = front.thetas.tolist()
     alive = front.alive.tolist()
-    xy = (front.pos[:, 0].tolist(), front.pos[:, 1].tolist())
-    if isinstance(front.surface, CubeSurface):
-        coords = list(zip(map(FACE_NAMES.__getitem__, front.face.tolist()), *xy))
-    else:
-        coords = list(zip(*xy))
+    coords = list(zip(*front.surface.coordinate_columns(front.pos, front.face)))
     comps = []
     for comp in sorted(front.components, key=lambda c: c.interval.theta_lo):
         samples = []
@@ -79,7 +63,7 @@ def emit_snapshot(front: Front) -> bytes:
     doc = {
         "version": SNAPSHOT_VERSION,
         "surface": format_surface(front.surface),
-        "source": format_point(front.surface, front.source),
+        "source": front.surface.format_point(front.source),
         "t": front.t,
         "arc": [front.arc.theta_lo, front.arc.theta_hi],
         "params": {
@@ -91,7 +75,7 @@ def emit_snapshot(front: Front) -> bytes:
         "components": comps,
         "dead_directions": [list(pair) for pair in front.dead_directions],
     }
-    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+    return json.dumps(doc, separators=(",", ":"), allow_nan=False).encode("utf-8")
 
 
 def _require_keys(obj, keys: tuple, where: str):
@@ -182,7 +166,7 @@ def _parse_front(doc: dict) -> Front:
         if not isinstance(doc[key], str):
             raise SnapshotError(f"{key} must be a string, got {reprlib.repr(doc[key])}")
     surface = parse_surface(doc["surface"])
-    source = parse_point(surface, doc["source"])
+    source = surface.parse_point(doc["source"])
     _require_keys(
         doc["params"],
         ("h_max", "theta_min", "delta_t_check", "sample_budget"),
@@ -194,7 +178,6 @@ def _parse_front(doc: dict) -> Front:
     lo, hi = _require_list(doc["arc"], 2, "arc")
     arc = ArcInterval(_real(lo, "arc"), _real(hi, "arc"))
     t = _real(doc["t"], "t")
-    cube = isinstance(surface, CubeSurface)
     doc_comps = _require_list(doc["components"], None, "components")
 
     # one row per sample direction, sorted by theta below; each component's
@@ -207,15 +190,9 @@ def _parse_front(doc: dict) -> Front:
             continue  # reported below as a component with no samples
         _require_lists(samples, 3, "sample")
         theta, coords, live = _columns(samples, 3)
-        _require_lists(coords, 3 if cube else 2, "sample coordinates")
-        if cube:
-            face, x, y = _columns(coords, 3)
-            if not all(f in FACE_NAMES for f in face):
-                bad = next(f for f in face if f not in FACE_NAMES)
-                raise SnapshotError(f"unknown cube face {reprlib.repr(bad)}")
-            faces.extend(map(FACE_NAMES.index, face))
-        else:
-            x, y = _columns(coords, 2)
+        _require_lists(coords, surface.coordinate_width, "sample coordinates")
+        face, x, y = surface.split_coordinates(_columns(coords, surface.coordinate_width))
+        faces.extend(face)
         thetas.extend(_reals(theta, "sample theta"))
         xs.extend(_reals(x, "sample x"))
         ys.extend(_reals(y, "sample y"))
@@ -252,7 +229,7 @@ def _parse_front(doc: dict) -> Front:
     order = np.argsort(np.array(thetas), kind="stable")
     thetas = np.array(thetas)[order]
     pos = np.column_stack((xs, ys))[order]
-    face = np.array(faces, dtype=np.int64)[order] if cube else None
+    face = np.array(faces, dtype=np.int64)[order] if surface.charts > 1 else None
     alive = np.array(alive, dtype=bool)[order]
     death = np.array(death)[order]
     owner = np.array(owner)[order]
@@ -353,57 +330,6 @@ def emit_series(rows, params: dict | None = None) -> bytes:
 # ---------------------------------------------------------------------------
 # SVG rendering
 
-_NET_SLOT = {"L": (0, 1), "F": (1, 1), "R": (2, 1), "B": (3, 1),
-             "U": (1, 2), "D": (1, 0)}
-
-
-def _net_xy(surface: CubeSurface, face_idx: np.ndarray, pos: np.ndarray):
-    """Cross-net plane coordinates of cube chart points."""
-    s = surface.side
-    out = np.empty_like(pos)
-    for f, name in enumerate(FACE_NAMES):
-        col, row = _NET_SLOT[name]
-        m = face_idx == f
-        out[m, 0] = col * s + pos[m, 0]
-        out[m, 1] = row * s + pos[m, 1]
-    return out
-
-
-def _viewport(surface):
-    if isinstance(surface, Torus):
-        return surface.alpha, surface.beta
-    if isinstance(surface, KleinBottle):
-        return 1.0, 1.0
-    if isinstance(surface, RectBilliard):
-        return surface.a, surface.b
-    if isinstance(surface, DiskBilliard):
-        return 2.0 * surface.radius, 2.0 * surface.radius
-    return 4.0 * surface.side, 3.0 * surface.side
-
-
-def _plane_points(front: Front):
-    """Viewport coordinates (y up) of every sample."""
-    surface = front.surface
-    pts = front.pos
-    if isinstance(surface, CubeSurface):
-        return _net_xy(surface, front.face, pts)
-    if isinstance(surface, DiskBilliard):
-        return pts + surface.radius
-    return pts
-
-
-def _seam_breaks(surface, plane: np.ndarray) -> np.ndarray:
-    """Mask of segments that cross an identification seam (drawn as gaps)."""
-    d = np.abs(np.diff(plane, axis=0))
-    if isinstance(surface, Torus):
-        return (d[:, 0] > 0.5 * surface.alpha) | (d[:, 1] > 0.5 * surface.beta)
-    if isinstance(surface, KleinBottle):
-        return (d[:, 0] > 0.5) | (d[:, 1] > 0.5)
-    if isinstance(surface, CubeSurface):
-        return np.hypot(d[:, 0], d[:, 1]) > 0.45 * surface.side
-    return np.zeros(plane.shape[0] - 1, dtype=bool)
-
-
 def _path_data(plane: np.ndarray, breaks: np.ndarray, height: float) -> str:
     parts = []
     pen_up = True
@@ -424,7 +350,7 @@ def render_svg(
     """
     front.ensure_evaluated()
     surface = front.surface
-    w, h = _viewport(surface)
+    w, h = surface.viewport
     height_px = max(1, round(width_px * h / w))
     sw = 1.2 * w / width_px
     lines = [
@@ -432,28 +358,17 @@ def render_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width_px}" '
         f'height="{height_px}" viewBox="0 0 {w!r} {h!r}">',
         f"<!-- surface={format_surface(surface)} "
-        f"source={format_point(surface, front.source)} t={front.t!r} "
+        f"source={surface.format_point(front.source)} t={front.t!r} "
         f"h_max={front.params.h_max!r} theta_min={front.params.theta_min!r} "
         f"delta_t_check={front.params.delta_t_check!r} "
         f"sample_budget={front.params.sample_budget} -->",
         f'<rect width="{w!r}" height="{h!r}" fill="white"/>',
     ]
-    outline = f'fill="none" stroke="#cccccc" stroke-width="{sw!r}"'
-    if isinstance(surface, DiskBilliard):
-        r = surface.radius
-        lines.append(f'<circle cx="{r!r}" cy="{r!r}" r="{r!r}" {outline}/>')
-    elif isinstance(surface, CubeSurface):
-        s = surface.side
-        for name, (col, row) in _NET_SLOT.items():
-            x, y = col * s, h - (row + 1) * s
-            lines.append(
-                f'<rect x="{x!r}" y="{y!r}" width="{s!r}" height="{s!r}" '
-                f"{outline}/>"
-            )
-    else:
-        lines.append(f'<rect width="{w!r}" height="{h!r}" {outline}/>')
+    lines += surface.svg_outline(
+        f'fill="none" stroke="#cccccc" stroke-width="{sw!r}"'
+    )
 
-    plane_all = _plane_points(front)
+    plane_all = surface.plane(front.pos, front.face)
     for k, comp in enumerate(front.components):
         idx = comp.sample_indices
         if idx.size == 0:
@@ -466,23 +381,15 @@ def render_svg(
                 f'<circle cx="{x!r}" cy="{y!r}" r="{(2 * sw)!r}" fill="{color}"/>'
             )
             continue
-        breaks = _seam_breaks(surface, plane)
+        breaks = surface.seam_breaks(plane)
         lines.append(
             f'<path d="{_path_data(plane, breaks, h)}" fill="none" '
             f'stroke="{color}" stroke-width="{sw!r}" stroke-linejoin="round"/>'
         )
 
-    if isinstance(surface, CubeSurface):
-        sp = np.array([[FACE_NAMES.index(front.source.face),
-                        front.source.u, front.source.v]])
-        spt = _net_xy(surface, sp[:, 0].astype(np.int64), sp[:, 1:3].astype(float))
-    elif isinstance(surface, DiskBilliard):
-        spt = np.array([[front.source[0] + surface.radius,
-                         front.source[1] + surface.radius]])
-    else:
-        spt = np.array([[front.source[0], front.source[1]]])
+    x, y = surface.plane_point(front.source)
     lines.append(
-        f'<circle cx="{float(spt[0, 0])!r}" cy="{(h - float(spt[0, 1]))!r}" '
+        f'<circle cx="{float(x)!r}" cy="{(h - float(y))!r}" '
         f'r="{(3 * sw)!r}" fill="#000000"/>'
     )
     lines.append("</svg>")

@@ -33,16 +33,7 @@ from .frontier import (
     init_front,
     propagate,
 )
-from .surfaces import (
-    CubeSurface,
-    DiskBilliard,
-    KleinBottle,
-    PreconditionError,
-    RectBilliard,
-    Torus,
-    cube_develop_step,
-    point_images,
-)
+from .surfaces import PreconditionError
 
 NOT_ACHIEVED = "not achieved by t_max"
 
@@ -97,57 +88,29 @@ def _grid_axis(extent: float, eps: float):
 
 
 class _NearestFront:
-    """KD-tree wrapper answering min geodesic distance to live samples."""
+    """KD trees, one per chart, answering min geodesic distance to live samples."""
 
     def __init__(self, front: Front):
         front.ensure_evaluated()
         self.surface = front.surface
-        live = front.alive
-        pts = front.pos[live]
-        if isinstance(self.surface, CubeSurface):
-            side = self.surface.side
-            faces = front.face[live]
-            self._trees = []
-            for f in range(6):
-                clouds = [pts[faces == f]]
-                for e in range(4):
-                    g, rot1, c1 = cube_develop_step(f, e)
-                    clouds.append(pts[faces == g] @ rot1.T + c1 * side)
-                    for e2 in range(4):
-                        g2, rot2, c2 = cube_develop_step(g, e2)
-                        if g2 == f:
-                            continue
-                        rot12 = rot1 @ rot2
-                        c12 = rot1 @ (c2 * side) + c1 * side
-                        clouds.append(pts[faces == g2] @ rot12.T + c12)
-                cloud = np.concatenate(clouds, axis=0)
-                self._trees.append(cKDTree(cloud) if cloud.shape[0] else None)
-            self._tree = None
-        else:
-            self._tree = cKDTree(pts) if pts.shape[0] else None
+        clouds = self.surface.sample_clouds(front.pos, front.face, front.alive)
+        self._trees = [cKDTree(c) if c.shape[0] else None for c in clouds]
 
-    def query(self, pts: np.ndarray, faces: np.ndarray | None = None):
+    def query(self, pts: np.ndarray, charts: np.ndarray):
         """Min distance from each query point to the front's live samples.
 
-        For the cube, ``faces`` gives the chart of each query point and the
+        ``charts`` gives the chart of each query point.  On the cube the
         result can exceed the true geodesic distance only beyond one face
         width (double-unfolding trust radius).
         """
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        if isinstance(self.surface, CubeSurface):
-            out = np.full(pts.shape[0], np.inf)
-            for f in range(6):
-                m = faces == f
-                if m.any() and self._trees[f] is not None:
-                    out[m] = self._trees[f].query(pts[m])[0]
-            return out
-        if self._tree is None:
-            return np.full(pts.shape[0], np.inf)
-        if isinstance(self.surface, (Torus, KleinBottle)):
-            imgs = point_images(self.surface, pts)
-            d = self._tree.query(imgs.reshape(-1, 2))[0]
-            return d.reshape(imgs.shape[0], pts.shape[0]).min(axis=0)
-        return self._tree.query(pts)[0]
+        out = np.full(pts.shape[0], np.inf)
+        for chart, tree in enumerate(self._trees):
+            m = charts == chart
+            if tree is not None and m.any():
+                imgs = self.surface.images(pts[m])
+                d = tree.query(imgs.reshape(-1, 2))[0]
+                out[m] = d.reshape(imgs.shape[0], -1).min(axis=0)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -166,20 +129,20 @@ def _live_pairs(front: Front):
     return np.concatenate(first)
 
 
-def _mark_chart_cells(pa, pb, lo, sx, sy):
-    """Cells touched by short segments pa->pb in one planar chart.
+def _mark_chart_cells(pa, pb, chart, lo, sx, sy):
+    """Cells touched by short segments pa->pb, each in its planar chart.
 
-    Returns a list of (i, j) integer index arrays (possibly outside the
-    grid; the caller wraps or clamps them).  Segments are shorter than a
-    cell side, so each touches at most one extra cell beyond its endpoint
-    cells: the cell at the corner cut when the segment crosses both a
-    vertical and a horizontal grid line.
+    Returns a list of (chart, i, j) integer index arrays (i and j possibly
+    outside the grid; the caller wraps or clamps them).  Segments are
+    shorter than a cell side, so each touches at most one extra cell beyond
+    its endpoint cells: the cell at the corner cut when the segment crosses
+    both a vertical and a horizontal grid line.
     """
     ia = np.floor((pa[:, 0] - lo[0]) / sx).astype(np.int64)
     ja = np.floor((pa[:, 1] - lo[1]) / sy).astype(np.int64)
     ib = np.floor((pb[:, 0] - lo[0]) / sx).astype(np.int64)
     jb = np.floor((pb[:, 1] - lo[1]) / sy).astype(np.int64)
-    cells = [(ia, ja), (ib, jb)]
+    cells = [(chart, ia, ja), (chart, ib, jb)]
     diag = (ia != ib) & (ja != jb)
     if diag.any():
         xa, ya = pa[diag, 0] - lo[0], pa[diag, 1] - lo[1]
@@ -189,145 +152,69 @@ def _mark_chart_cells(pa, pb, lo, sx, sy):
         d = np.nonzero(diag)[0]
         through_b_col = d[tx <= ty]
         through_a_col = d[ty <= tx]
-        cells.append((ib[through_b_col], ja[through_b_col]))
-        cells.append((ia[through_a_col], jb[through_a_col]))
+        cells.append((chart[through_b_col], ib[through_b_col], ja[through_b_col]))
+        cells.append((chart[through_a_col], ia[through_a_col], jb[through_a_col]))
     return cells
 
 
-def _occupancy_flat(front: Front, eps: float):
-    """Occupancy and covering-radius centers for the flat 2D surfaces."""
-    surface = front.surface
-    if isinstance(surface, (Torus, RectBilliard)):
-        ext = (surface.alpha, surface.beta) if isinstance(surface, Torus) else (
-            surface.a,
-            surface.b,
-        )
-    else:
-        ext = (1.0, 1.0)
-    wrap = isinstance(surface, (Torus, KleinBottle))
-    klein = isinstance(surface, KleinBottle)
-    nx, sx = _grid_axis(ext[0], eps)
-    ny, sy = _grid_axis(ext[1], eps)
-    hit = np.zeros((nx, ny), dtype=bool)
+def _grid(surface, spacing: float):
+    """Uniform cells no wider than ``spacing`` over the surface's box.
 
-    def reduce_ij(i, j):
-        if klein:
-            m = np.floor_divide(j, ny)
-            j = j - m * ny
-            i = np.where(m % 2 == 1, -1 - i, i)
-            return i % nx, j
-        if wrap:
-            return i % nx, j % ny
-        return np.clip(i, 0, nx - 1), np.clip(j, 0, ny - 1)
+    Returns the per-axis (count, size) pairs, the cell centres lo + s*(k+0.5)
+    as an (nx, ny, 2) array, and the masks of the cells that meet the
+    domain and that lie inside it.  The grid is laid on every chart.
+    """
+    lo, width, height = surface.box
+    (nx, sx), (ny, sy) = _grid_axis(width, spacing), _grid_axis(height, spacing)
+    cx = lo + sx * (np.arange(nx) + 0.5)
+    cy = lo + sy * (np.arange(ny) + 0.5)
+    centers = np.stack(np.meshgrid(cx, cy, indexing="ij"), axis=-1)
+    meets, inside = surface.cell_overlap(
+        lo + sx * np.arange(nx + 1), lo + sy * np.arange(ny + 1)
+    )
+    return (nx, sx), (ny, sy), centers, meets, inside
+
+
+def _on_charts(surface, centers: np.ndarray):
+    """Chart points: ``centers`` repeated on every chart, with chart ids."""
+    k = surface.charts
+    return np.tile(centers, (k, 1)), np.repeat(np.arange(k), centers.shape[0])
+
+
+def _occupancy(front: Front, eps: float):
+    """Cells hit by the front, and the covering-radius centres.
+
+    A cell is hit when a live sample lands in it or a segment between
+    adjacent live samples crosses it; segments are drawn toward the image
+    of the next sample nearest to the current one, and cell indices past
+    the grid are wrapped back by the surface's rule.
+    """
+    surface = front.surface
+    lo = surface.box[0]
+    (nx, sx), (ny, sy), centers, meets, inside = _grid(surface, eps)
+    hit = np.zeros((surface.charts, nx, ny), dtype=bool)
 
     pos = front.pos
+    charts = surface.sample_charts(front.face, pos.shape[0])
     li = np.nonzero(front.alive)[0]
-    i0 = np.floor(pos[li, 0] / sx).astype(np.int64)
-    j0 = np.floor(pos[li, 1] / sy).astype(np.int64)
-    i0, j0 = reduce_ij(i0, j0)
-    hit[i0, j0] = True
+    i0 = np.floor((pos[li, 0] - lo) / sx).astype(np.int64)
+    j0 = np.floor((pos[li, 1] - lo) / sy).astype(np.int64)
+    i0, j0 = surface.wrap_cells(i0, j0, nx, ny)
+    hit[charts[li], i0, j0] = True
 
     pairs = _live_pairs(front)
+    # only same-chart pairs draw a segment; the few pairs straddling a cube
+    # edge already mark both endpoint cells above
+    pairs = pairs[charts[pairs] == charts[pairs + 1]]
     if pairs.size:
         pa = pos[pairs]
-        pb = pos[pairs + 1]
-        if wrap:
-            disp = pb - pa
-            if klein:
-                imgs = point_images(surface, pb)
-                d2 = ((imgs - pa[None, :, :]) ** 2).sum(axis=2)
-                pb = imgs[np.argmin(d2, axis=0), np.arange(pairs.size)]
-            else:
-                disp[:, 0] -= ext[0] * np.round(disp[:, 0] / ext[0])
-                disp[:, 1] -= ext[1] * np.round(disp[:, 1] / ext[1])
-                pb = pa + disp
-        for i, j in _mark_chart_cells(pa, pb, (0.0, 0.0), sx, sy):
-            i, j = reduce_ij(i, j)
-            hit[i, j] = True
+        pb = surface.lift_near(pa, pos[pairs + 1])
+        for c, i, j in _mark_chart_cells(pa, pb, charts[pairs], (lo, lo), sx, sy):
+            i, j = surface.wrap_cells(i, j, nx, ny)
+            hit[c, i, j] = True
 
-    cx = (np.arange(nx) + 0.5) * sx
-    cy = (np.arange(ny) + 0.5) * sy
-    centers = np.stack(np.meshgrid(cx, cy, indexing="ij"), axis=-1).reshape(-1, 2)
-    return nx * ny, int(hit.sum()), centers, None
-
-
-def _occupancy_disk(front: Front, eps: float):
-    radius = front.surface.radius
-    n, s = _grid_axis(2.0 * radius, eps)
-    lo = -radius
-    hit = np.zeros((n, n), dtype=bool)
-
-    pos = front.pos
-    li = np.nonzero(front.alive)[0]
-    i0 = np.clip(np.floor((pos[li, 0] - lo) / s).astype(np.int64), 0, n - 1)
-    j0 = np.clip(np.floor((pos[li, 1] - lo) / s).astype(np.int64), 0, n - 1)
-    hit[i0, j0] = True
-
-    pairs = _live_pairs(front)
-    if pairs.size:
-        for i, j in _mark_chart_cells(pos[pairs], pos[pairs + 1], (lo, lo), s, s):
-            hit[np.clip(i, 0, n - 1), np.clip(j, 0, n - 1)] = True
-
-    edges = lo + s * np.arange(n + 1)
-    lo_e, hi_e = edges[:-1], edges[1:]
-    # nearest point of each cell box to the origin decides intersection;
-    # farthest corner decides full containment
-    near_ax = np.maximum(np.maximum(lo_e, -hi_e), 0.0)
-    far_ax = np.maximum(np.abs(lo_e), np.abs(hi_e))
-    near2 = near_ax[:, None] ** 2 + near_ax[None, :] ** 2
-    far2 = far_ax[:, None] ** 2 + far_ax[None, :] ** 2
-    intersects = near2 < radius**2
-    interior = far2 <= radius**2 * (1.0 + 1e-12)
-
-    c = lo + s * (np.arange(n) + 0.5)
-    centers = np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1)
-    return int(intersects.sum()), int(hit.sum()), centers[interior], None
-
-
-def _occupancy_cube(front: Front, eps: float):
-    side = front.surface.side
-    n, s = _grid_axis(side, eps)
-    hit = np.zeros((6, n, n), dtype=bool)
-
-    pos, faces = front.pos, front.face
-    li = np.nonzero(front.alive)[0]
-    iu = np.clip(np.floor(pos[li, 0] / s).astype(np.int64), 0, n - 1)
-    iv = np.clip(np.floor(pos[li, 1] / s).astype(np.int64), 0, n - 1)
-    hit[faces[li], iu, iv] = True
-
-    pairs = _live_pairs(front)
-    # only same-face pairs draw a chart segment; the few pairs straddling
-    # an edge already mark both endpoint cells above
-    pairs = pairs[faces[pairs] == faces[pairs + 1]]
-    if pairs.size:
-        f = faces[pairs]
-
-        def clip(a):
-            return np.clip(a, 0, n - 1)
-
-        ia = np.floor(pos[pairs, 0] / s).astype(np.int64)
-        ja = np.floor(pos[pairs, 1] / s).astype(np.int64)
-        ib = np.floor(pos[pairs + 1, 0] / s).astype(np.int64)
-        jb = np.floor(pos[pairs + 1, 1] / s).astype(np.int64)
-        hit[f, clip(ia), clip(ja)] = True
-        hit[f, clip(ib), clip(jb)] = True
-        diag = (ia != ib) & (ja != jb)
-        if diag.any():
-            xa, ya = pos[pairs[diag], 0], pos[pairs[diag], 1]
-            xb, yb = pos[pairs[diag] + 1, 0], pos[pairs[diag] + 1, 1]
-            tx = (s * np.maximum(ia[diag], ib[diag]) - xa) / (xb - xa)
-            ty = (s * np.maximum(ja[diag], jb[diag]) - ya) / (yb - ya)
-            fd = f[diag]
-            m1 = tx <= ty
-            m2 = ty <= tx
-            hit[fd[m1], clip(ib[diag][m1]), clip(ja[diag][m1])] = True
-            hit[fd[m2], clip(ia[diag][m2]), clip(jb[diag][m2])] = True
-
-    c = s * (np.arange(n) + 0.5)
-    grid = np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1).reshape(-1, 2)
-    centers = np.tile(grid, (6, 1))
-    center_faces = np.repeat(np.arange(6), n * n)
-    return 6 * n * n, int(hit.sum()), centers, center_faces
+    total = surface.charts * int(meets.sum())
+    return total, int(hit.sum()), *_on_charts(surface, centers[inside])
 
 
 def density_report(front: Front, eps: float) -> DensityReport:
@@ -345,12 +232,7 @@ def density_report(front: Front, eps: float) -> DensityReport:
             "eps must be at least 4*h_max for a meaningful occupancy grid"
         )
     front.ensure_evaluated()
-    if isinstance(front.surface, CubeSurface):
-        total, nhit, centers, center_faces = _occupancy_cube(front, eps)
-    elif isinstance(front.surface, DiskBilliard):
-        total, nhit, centers, center_faces = _occupancy_disk(front, eps)
-    else:
-        total, nhit, centers, center_faces = _occupancy_flat(front, eps)
+    total, nhit, centers, center_faces = _occupancy(front, eps)
 
     if front.alive.any() and centers.shape[0]:
         dist = _NearestFront(front).query(centers, center_faces)
@@ -379,34 +261,8 @@ def _ball_centers(surface, spacing: float):
     hitting every ball of radius r/2 at these centers (spacing = r/2)
     implies hitting every ball of radius r anywhere.
     """
-    if isinstance(surface, CubeSurface):
-        n, s = _grid_axis(surface.side, spacing)
-        c = s * (np.arange(n) + 0.5)
-        grid = np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1).reshape(-1, 2)
-        return np.tile(grid, (6, 1)), np.repeat(np.arange(6), n * n)
-    if isinstance(surface, DiskBilliard):
-        radius = surface.radius
-        n, s = _grid_axis(2.0 * radius, spacing)
-        edges = -radius + s * np.arange(n + 1)
-        near_ax = np.maximum(np.maximum(edges[:-1], -edges[1:]), 0.0)
-        keep = (near_ax[:, None] ** 2 + near_ax[None, :] ** 2) < radius**2
-        c = -radius + s * (np.arange(n) + 0.5)
-        centers = np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1)
-        return centers[keep], None
-    if isinstance(surface, Torus):
-        ext = (surface.alpha, surface.beta)
-    elif isinstance(surface, RectBilliard):
-        ext = (surface.a, surface.b)
-    else:
-        ext = (1.0, 1.0)
-    nx, sx = _grid_axis(ext[0], spacing)
-    ny, sy = _grid_axis(ext[1], spacing)
-    cx = sx * (np.arange(nx) + 0.5)
-    cy = sy * (np.arange(ny) + 0.5)
-    return (
-        np.stack(np.meshgrid(cx, cy, indexing="ij"), axis=-1).reshape(-1, 2),
-        None,
-    )
+    _, _, centers, meets, _ = _grid(surface, spacing)
+    return _on_charts(surface, centers[meets])
 
 
 def estimate_tau(

@@ -10,6 +10,17 @@ rectangle, disk) or by walking face crossings of the straight development
 (cube).  There is no time stepping and no accumulated integration error, and
 every evaluation is a pure function of (source, direction, time).
 
+Each model owns its geometry.  It answers, through the methods of
+``_Surface``: its descriptor (a kind plus its dataclass fields) and
+``min_extent``; parsing, formatting and validating its points, and the
+surface point at an index of position arrays; ``evaluate`` (the exponential
+map on many directions); deck images of query points and the geodesic
+distance; the box its eps-grids tile, the charts they are laid on, and the
+rule that wraps a cell index back into the grid (torus mod, Klein glide,
+clamp elsewhere); and the plane map, viewport, outline and seam rule of its
+renders.  ``frontier``, ``metrics`` and ``io`` ask the model and hold no
+per-surface branches.
+
 Conventions:
 
 * Planar surface points are (x, y) pairs inside the fundamental domain.
@@ -24,7 +35,8 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import reprlib
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,62 +61,462 @@ class NumericalFailureError(RuntimeError):
 # surface models
 
 
+class _Surface:
+    """What a surface model answers; the defaults describe a planar table.
+
+    A planar surface has one chart, the plane of its fundamental domain, and
+    its sample arrays carry no face ids (``face`` is None).  ``box`` is
+    ``(lo, width, height)``: the domain's bounding box [lo, lo + width] x
+    [lo, lo + height], which eps-grids tile and renders show.
+    """
+
+    charts = 1  # eps-grids are laid on each chart
+    coordinate_width = 2  # snapshot coordinates per sample
+    delta_t_check = 0.5  # default checkpoint spacing of coverage scans
+
+    def __post_init__(self):
+        values = [getattr(self, f.name) for f in fields(self)]
+        if not all(math.isfinite(v) and v > 0 for v in values):
+            raise PreconditionError(f"{self.kind} parameters must be positive and finite")
+
+    @property
+    def min_extent(self) -> float:
+        """Smallest linear extent of the fundamental domain (sets length scales)."""
+        return min(self.box[1], self.box[2])
+
+    # -- points
+
+    def parse_point(self, text: str):
+        """Parse ``x,y`` (planar surfaces) or ``FACE/u/v`` (cube)."""
+        parts = text.strip().split(",")
+        if len(parts) != 2:
+            raise PreconditionError(f"planar points look like x,y, got {text!r}")
+        try:
+            point = (float(parts[0]), float(parts[1]))
+        except ValueError:
+            raise PreconditionError(f"bad coordinates in {text!r}") from None
+        return self.validate_point(point)
+
+    def format_point(self, point) -> str:
+        return f"{repr(float(point[0]))},{repr(float(point[1]))}"
+
+    def validate_point(self, point, forbid_vertex: bool = False):
+        """Check a point lies in the fundamental domain; return it.
+
+        ``forbid_vertex`` additionally rejects cube points within the corner
+        tolerance of a vertex (required for geodesic sources, whose direction
+        field is undefined at cone points).
+        """
+        try:
+            x, y = float(point[0]), float(point[1])
+        except (TypeError, ValueError, IndexError):
+            raise PreconditionError(f"bad planar point {point!r}") from None
+        if not self._contains(x, y):
+            raise PreconditionError(f"point {x!r},{y!r} outside the {self.kind} domain")
+        return (x, y)
+
+    def _contains(self, x: float, y: float) -> bool:
+        lo, w, h = self.box
+        return lo <= x <= lo + w and lo <= y <= lo + h
+
+    def point_at(self, pos: np.ndarray, face, i: int):
+        """The surface point of row ``i`` of position (and face) arrays."""
+        return (float(pos[i, 0]), float(pos[i, 1]))
+
+    def coordinate_columns(self, pos: np.ndarray, face) -> list:
+        """Snapshot coordinate columns of sample positions, as Python lists."""
+        return [pos[:, 0].tolist(), pos[:, 1].tolist()]
+
+    def split_coordinates(self, columns: list):
+        """Chart ids, x and y from snapshot coordinate columns."""
+        x, y = columns
+        return [0] * len(x), x, y
+
+    def sample_charts(self, face, n: int) -> np.ndarray:
+        """Chart id of each of ``n`` samples."""
+        return np.zeros(n, dtype=np.int64)
+
+    # -- evaluation
+
+    def evaluate(self, source, thetas: np.ndarray, t: float) -> "GeodesicBatch":
+        """Straight lines in the cover, reduced to the fundamental domain."""
+        x = source[0] + t * np.cos(thetas)
+        y = source[1] + t * np.sin(thetas)
+        px, py = self._reduce(x, y)
+        return _empty_planar_batch(np.stack([px, py], axis=1), np.stack([x, y], axis=1))
+
+    # -- distance
+
+    def images(self, pts: np.ndarray) -> np.ndarray:
+        """Images of query points, shape (k, n, 2); see ``point_images``."""
+        return pts[None, :, :]
+
+    def distance(self, q1, q2) -> float:
+        return float(math.hypot(q2[0] - q1[0], q2[1] - q1[1]))
+
+    def sample_clouds(self, pos: np.ndarray, face, live: np.ndarray) -> list:
+        """Per chart, the live samples a nearest-sample query searches."""
+        return [pos[live]]
+
+    # -- eps-grids
+
+    def lift_near(self, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+        """The image of each ``pb`` nearest to ``pa`` (segment end points)."""
+        return pb
+
+    def wrap_cells(self, i: np.ndarray, j: np.ndarray, nx: int, ny: int):
+        """Cell indices of a chart's grid, taken back into the grid."""
+        return np.clip(i, 0, nx - 1), np.clip(j, 0, ny - 1)
+
+    def cell_overlap(self, xe: np.ndarray, ye: np.ndarray):
+        """Masks of the cells (edges xe x ye) meeting and inside the domain."""
+        full = np.ones((xe.size - 1, ye.size - 1), dtype=bool)
+        return full, full
+
+    # -- renders
+
+    @property
+    def viewport(self) -> tuple:
+        return self.box[1], self.box[2]
+
+    def plane(self, pos: np.ndarray, face) -> np.ndarray:
+        """Viewport coordinates (y up) of chart positions."""
+        return pos - self.box[0]
+
+    def plane_point(self, point) -> np.ndarray:
+        return self.plane(np.array([[point[0], point[1]]], dtype=np.float64), None)[0]
+
+    def seam_breaks(self, plane: np.ndarray) -> np.ndarray:
+        """Mask of segments that cross an identification seam (drawn as gaps)."""
+        return np.zeros(plane.shape[0] - 1, dtype=bool)
+
+    def svg_outline(self, style: str) -> list:
+        w, h = self.viewport
+        return [f'<rect width="{w!r}" height="{h!r}" {style}/>']
+
+
+class _FlatQuotient(_Surface):
+    """A quotient of the plane by a deck group: torus or Klein bottle."""
+
+    def distance(self, q1, q2) -> float:
+        def one_way(a, b):
+            imgs = self.images(np.asarray([b], dtype=np.float64))[:, 0, :]
+            return float(np.min(np.hypot(imgs[:, 0] - a[0], imgs[:, 1] - a[1])))
+
+        return min(one_way(q1, q2), one_way(q2, q1))
+
+    def seam_breaks(self, plane: np.ndarray) -> np.ndarray:
+        d = np.abs(np.diff(plane, axis=0))
+        _, w, h = self.box
+        return (d[:, 0] > 0.5 * w) | (d[:, 1] > 0.5 * h)
+
+
 @dataclass(frozen=True)
-class Torus:
+class Torus(_FlatQuotient):
     """Flat torus R^2 / (alpha*Z x beta*Z)."""
 
     alpha: float
     beta: float
+    kind = "torus"
 
-    def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise PreconditionError("torus side lengths must be positive")
+    @property
+    def box(self) -> tuple:
+        return 0.0, self.alpha, self.beta
+
+    def _reduce(self, x, y):
+        return np.mod(x, self.alpha), np.mod(y, self.beta)
+
+    def images(self, pts):
+        out = []
+        for i in (-1.0, 0.0, 1.0):
+            for j in (-1.0, 0.0, 1.0):
+                out.append(pts + np.array([i * self.alpha, j * self.beta]))
+        return np.stack(out)
+
+    def lift_near(self, pa, pb):
+        disp = pb - pa
+        disp[:, 0] -= self.alpha * np.round(disp[:, 0] / self.alpha)
+        disp[:, 1] -= self.beta * np.round(disp[:, 1] / self.beta)
+        return pa + disp
+
+    def wrap_cells(self, i, j, nx, ny):
+        return i % nx, j % ny
 
 
 @dataclass(frozen=True)
-class KleinBottle:
+class KleinBottle(_FlatQuotient):
     """Flat Klein bottle: unit square, (x, y+1) ~ (1-x, y), (x+1, y) ~ (x, y).
 
     The glide group is generated by a:(x,y)->(x+1,y) and b:(x,y)->(1-x,y+1);
     the orientation double cover is the 1 x 2 torus.
     """
 
+    kind = "klein"
+    box = (0.0, 1.0, 1.0)
+
+    def _reduce(self, x_lift, y_lift):
+        # quotient by <a, b>: strip off b^m (glide, so odd m flips x), then a^k
+        m = np.floor(y_lift)
+        y = y_lift - m
+        odd = np.mod(m, 2.0) == 1.0
+        x = np.mod(np.where(odd, 1.0 - x_lift, x_lift), 1.0)
+        return x, y
+
+    def images(self, pts):
+        out = []
+        for j in (-1.0, 0.0, 1.0):
+            flipped = j in (-1.0, 1.0)
+            base_x = 1.0 - pts[:, 0] if flipped else pts[:, 0]
+            for i in (-1.0, 0.0, 1.0):
+                out.append(np.stack([base_x + i, pts[:, 1] + j], axis=1))
+        return np.stack(out)
+
+    def lift_near(self, pa, pb):
+        imgs = self.images(pb)
+        d2 = ((imgs - pa[None, :, :]) ** 2).sum(axis=2)
+        return imgs[np.argmin(d2, axis=0), np.arange(pb.shape[0])]
+
+    def wrap_cells(self, i, j, nx, ny):
+        # a row index past the top re-enters through the glide, mirrored
+        m = np.floor_divide(j, ny)
+        i = np.where(m % 2 == 1, -1 - i, i)
+        return i % nx, j - m * ny
+
 
 @dataclass(frozen=True)
-class RectBilliard:
+class RectBilliard(_Surface):
     """Rectangular billiard table [0, a] x [0, b] with mirror reflection."""
 
     a: float
     b: float
+    kind = "rect"
 
-    def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise PreconditionError("billiard side lengths must be positive")
+    @property
+    def box(self) -> tuple:
+        return 0.0, self.a, self.b
+
+    def _reduce(self, x, y):
+        return _fold(x, self.a), _fold(y, self.b)
 
 
 @dataclass(frozen=True)
-class DiskBilliard:
+class DiskBilliard(_Surface):
     """Circular billiard table of the given radius, centred at the origin."""
 
     radius: float
+    kind = "disk"
 
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise PreconditionError("disk radius must be positive")
+    @property
+    def box(self) -> tuple:
+        return -self.radius, 2.0 * self.radius, 2.0 * self.radius
+
+    @property
+    def min_extent(self) -> float:
+        return self.radius
+
+    def _contains(self, x, y):
+        return x * x + y * y <= self.radius**2 * (1.0 + 1e-12)
+
+    def evaluate(self, source, thetas, t):
+        """Closed-form circle billiard flow.
+
+        The disk billiard is integrable: after the first rim hit, consecutive
+        bounce points advance by a fixed central angle, so the state after n
+        reflections is a single rotation.  This keeps evaluation O(1) per
+        direction and bitwise deterministic for any batch size.
+        """
+        radius = self.radius
+        px, py = float(source[0]), float(source[1])
+        dx = np.cos(thetas)
+        dy = np.sin(thetas)
+        pd = px * dx + py * dy
+        disc = radius * radius - (px * px + py * py) + pd * pd
+        s0 = np.sqrt(np.maximum(disc, 0.0)) - pd
+
+        no_bounce = t <= s0
+        # first rim hit and the reflected direction
+        qx = px + s0 * dx
+        qy = py + s0 * dy
+        ndot = np.maximum((qx * dx + qy * dy) / radius, 0.0)  # cos(incidence)
+        d1x = dx - 2.0 * ndot * qx / radius
+        d1y = dy - 2.0 * ndot * qy / radius
+        ell = qx * d1y - qy * d1x  # conserved angular momentum
+        chord = 2.0 * radius * ndot
+        t1 = np.maximum(t - s0, 0.0)
+
+        tangent = chord <= 0.0
+        safe_chord = np.where(tangent, 1.0, chord)
+        n = np.floor(t1 / safe_chord)
+        resid = t1 - n * safe_chord
+        phi = np.arccos(np.clip(ndot, 0.0, 1.0))
+        step = np.where(ell >= 0.0, 1.0, -1.0) * (math.pi - 2.0 * phi)
+        ang = n * step
+        c = np.cos(ang)
+        s = np.sin(ang)
+        bx = c * qx - s * qy
+        by = s * qx + c * qy
+        ex = c * d1x - s * d1y
+        ey = s * d1x + c * d1y
+        x = bx + resid * ex
+        y = by + resid * ey
+
+        # degenerate tangent launch from the rim: slide along the boundary
+        if np.any(tangent & ~no_bounce):
+            slide = np.where(ell >= 0.0, 1.0, -1.0) * t1 / radius
+            sx = np.cos(slide) * qx - np.sin(slide) * qy
+            sy = np.sin(slide) * qx + np.cos(slide) * qy
+            x = np.where(tangent, sx, x)
+            y = np.where(tangent, sy, y)
+
+        x = np.where(no_bounce, px + t * dx, x)
+        y = np.where(no_bounce, py + t * dy, y)
+        refl = np.where(no_bounce, 0, n.astype(np.int64) + 1)
+        pos = np.stack([x, y], axis=1)
+        return _empty_planar_batch(pos, pos.copy(), refl=refl)
+
+    def cell_overlap(self, xe, ye):
+        # nearest point of each cell box to the origin decides intersection;
+        # farthest corner decides full containment
+        near = [np.maximum(np.maximum(e[:-1], -e[1:]), 0.0) for e in (xe, ye)]
+        far = [np.maximum(np.abs(e[:-1]), np.abs(e[1:])) for e in (xe, ye)]
+        near2 = near[0][:, None] ** 2 + near[1][None, :] ** 2
+        far2 = far[0][:, None] ** 2 + far[1][None, :] ** 2
+        return near2 < self.radius**2, far2 <= self.radius**2 * (1.0 + 1e-12)
+
+    def svg_outline(self, style):
+        r = self.radius
+        return [f'<circle cx="{r!r}" cy="{r!r}" r="{r!r}" {style}/>']
 
 
 @dataclass(frozen=True)
-class CubeSurface:
-    """Boundary surface of a cube with the given side length."""
+class CubeSurface(_Surface):
+    """Boundary surface of a cube with the given side length.
+
+    Its six faces are the charts; sample arrays carry each sample's face id,
+    and renders lay the faces out as a cross net (L F R B in a row, U above
+    F, D below F).
+    """
 
     side: float
+    kind = "cube"
+    charts = 6
+    coordinate_width = 3
 
-    def __post_init__(self):
-        if not self.side > 0:
-            raise PreconditionError("cube side must be positive")
+    @property
+    def box(self) -> tuple:
+        return 0.0, self.side, self.side
+
+    @property
+    def delta_t_check(self) -> float:
+        return 0.1 * self.side
+
+    def parse_point(self, text):
+        parts = text.strip().split("/")
+        if len(parts) != 3 or parts[0] not in FACE_NAMES:
+            raise PreconditionError(f"cube points look like U/0.5/0.5, got {text!r}")
+        try:
+            point = CubePoint(parts[0], float(parts[1]), float(parts[2]))
+        except ValueError:
+            raise PreconditionError(f"bad cube coordinates in {text!r}") from None
+        return self.validate_point(point)
+
+    def format_point(self, point):
+        return f"{point.face}/{repr(float(point.u))}/{repr(float(point.v))}"
+
+    def validate_point(self, point, forbid_vertex=False):
+        if not isinstance(point, CubePoint):
+            raise PreconditionError("cube surfaces need CubePoint sources")
+        if point.face not in FACE_NAMES:
+            raise PreconditionError(f"unknown cube face {point.face!r}")
+        s = self.side
+        if not (0.0 <= point.u <= s and 0.0 <= point.v <= s):
+            raise PreconditionError("cube chart coordinates out of range")
+        if forbid_vertex:
+            delta = CORNER_TOL * s
+            corner = min(
+                math.hypot(point.u - cu, point.v - cv)
+                for cu in (0.0, s)
+                for cv in (0.0, s)
+            )
+            if corner <= delta:
+                raise PreconditionError("source sits on a cube vertex")
+        return point
+
+    def point_at(self, pos, face, i):
+        return CubePoint(FACE_NAMES[int(face[i])], float(pos[i, 0]), float(pos[i, 1]))
+
+    def coordinate_columns(self, pos, face):
+        return [list(map(FACE_NAMES.__getitem__, face.tolist())),
+                *super().coordinate_columns(pos, face)]
+
+    def split_coordinates(self, columns):
+        face, x, y = columns
+        if not all(f in FACE_NAMES for f in face):
+            bad = next(f for f in face if f not in FACE_NAMES)
+            raise PreconditionError(f"unknown cube face {reprlib.repr(bad)}")
+        return list(map(FACE_NAMES.index, face)), x, y
+
+    def sample_charts(self, face, n):
+        return face
+
+    def evaluate(self, source, thetas, t):
+        return _eval_cube(self, source, thetas, t)
+
+    def distance(self, q1, q2):
+        # evaluate both orders: unfolding rounds each direction differently
+        # in the last ulp, and the metric must be exactly symmetric
+        return min(
+            cube_geodesic_distance(self.side, q1, q2)[0],
+            cube_geodesic_distance(self.side, q2, q1)[0],
+        )
+
+    def sample_clouds(self, pos, face, live):
+        """Per face, the live samples on it and on the faces one or two edges
+        away, developed into its chart (so queries need no images)."""
+        pts, faces, side = pos[live], face[live], self.side
+        out = []
+        for f in range(6):
+            clouds = [pts[faces == f]]
+            for e in range(4):
+                g, rot1, c1 = cube_develop_step(f, e)
+                clouds.append(pts[faces == g] @ rot1.T + c1 * side)
+                for e2 in range(4):
+                    g2, rot2, c2 = cube_develop_step(g, e2)
+                    if g2 == f:
+                        continue
+                    rot12 = rot1 @ rot2
+                    c12 = rot1 @ (c2 * side) + c1 * side
+                    clouds.append(pts[faces == g2] @ rot12.T + c12)
+            out.append(np.concatenate(clouds, axis=0))
+        return out
+
+    @property
+    def viewport(self):
+        return 4.0 * self.side, 3.0 * self.side
+
+    def plane(self, pos, face):
+        return pos + _NET_SLOTS[face] * self.side
+
+    def plane_point(self, point):
+        pos = np.array([[point.u, point.v]], dtype=np.float64)
+        return self.plane(pos, np.array([FACE_INDEX[point.face]]))[0]
+
+    def seam_breaks(self, plane):
+        d = np.abs(np.diff(plane, axis=0))
+        return np.hypot(d[:, 0], d[:, 1]) > 0.45 * self.side
+
+    def svg_outline(self, style):
+        s, h = self.side, self.viewport[1]
+        return [
+            f'<rect x="{col * s!r}" y="{h - (row + 1) * s!r}" width="{s!r}" '
+            f'height="{s!r}" {style}/>'
+            for col, row in _NET_SLOT.values()
+        ]
 
 
 SurfaceModel = Torus | KleinBottle | RectBilliard | DiskBilliard | CubeSurface
+
+_KINDS = {cls.kind: cls for cls in SurfaceModel.__args__}
 
 
 @dataclass(frozen=True)
@@ -131,20 +543,11 @@ class CoverPoint:
     group_elem: int = 0
     reflection_count: int = 0
 
-
-def min_extent(surface: SurfaceModel) -> float:
-    """Smallest linear extent of the fundamental domain (sets length scales)."""
-    if isinstance(surface, Torus):
-        return min(surface.alpha, surface.beta)
-    if isinstance(surface, KleinBottle):
-        return 1.0
-    if isinstance(surface, RectBilliard):
-        return min(surface.a, surface.b)
-    if isinstance(surface, DiskBilliard):
-        return surface.radius
-    if isinstance(surface, CubeSurface):
-        return surface.side
-    raise PreconditionError(f"unknown surface model {surface!r}")
+    @classmethod
+    def at(cls, arrays, i: int) -> "CoverPoint":
+        """Row ``i`` of the cover, group and refl arrays of a batch or front."""
+        return cls(float(arrays.cover[i, 0]), float(arrays.cover[i, 1]),
+                   int(arrays.group[i]), int(arrays.refl[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -153,35 +556,18 @@ def min_extent(surface: SurfaceModel) -> float:
 
 def parse_surface(text: str) -> SurfaceModel:
     """Parse a surface descriptor such as ``torus:1,1`` or ``cube:1``."""
-    text = text.strip()
-    head, sep, tail = text.partition(":")
-    args: list[float] = []
-    if sep:
-        try:
-            args = [float(part) for part in tail.split(",")]
-        except ValueError:
-            raise PreconditionError(f"bad surface parameters in {text!r}") from None
-    if head == "klein":
-        if args:
-            raise PreconditionError("klein takes no parameters")
-        return KleinBottle()
-    if head == "torus":
-        if len(args) != 2:
-            raise PreconditionError("torus needs two parameters: torus:alpha,beta")
-        return Torus(args[0], args[1])
-    if head == "rect":
-        if len(args) != 2:
-            raise PreconditionError("rect needs two parameters: rect:a,b")
-        return RectBilliard(args[0], args[1])
-    if head == "disk":
-        if len(args) != 1:
-            raise PreconditionError("disk needs one parameter: disk:radius")
-        return DiskBilliard(args[0])
-    if head == "cube":
-        if len(args) != 1:
-            raise PreconditionError("cube needs one parameter: cube:side")
-        return CubeSurface(args[0])
-    raise PreconditionError(f"unknown surface kind {head!r}")
+    head, sep, tail = text.strip().partition(":")
+    cls = _KINDS.get(head)
+    if cls is None:
+        raise PreconditionError(f"unknown surface kind {head!r}")
+    try:
+        args = [float(part) for part in tail.split(",")] if sep else []
+    except ValueError:
+        raise PreconditionError(f"bad surface parameters in {text!r}") from None
+    names = [f.name for f in fields(cls)]
+    if len(args) != len(names):
+        raise PreconditionError(f"{head} takes {', '.join(names) or 'no parameters'}")
+    return cls(*args)
 
 
 def _num(x: float) -> str:
@@ -190,91 +576,22 @@ def _num(x: float) -> str:
 
 
 def format_surface(surface: SurfaceModel) -> str:
-    if isinstance(surface, Torus):
-        return f"torus:{_num(surface.alpha)},{_num(surface.beta)}"
-    if isinstance(surface, KleinBottle):
-        return "klein"
-    if isinstance(surface, RectBilliard):
-        return f"rect:{_num(surface.a)},{_num(surface.b)}"
-    if isinstance(surface, DiskBilliard):
-        return f"disk:{_num(surface.radius)}"
-    if isinstance(surface, CubeSurface):
-        return f"cube:{_num(surface.side)}"
-    raise PreconditionError(f"unknown surface model {surface!r}")
+    values = ",".join(_num(getattr(surface, f.name)) for f in fields(surface))
+    return f"{surface.kind}:{values}" if values else surface.kind
 
 
 def parse_point(surface: SurfaceModel, text: str):
     """Parse ``x,y`` (planar surfaces) or ``FACE/u/v`` (cube)."""
-    text = text.strip()
-    if isinstance(surface, CubeSurface):
-        parts = text.split("/")
-        if len(parts) != 3 or parts[0] not in FACE_NAMES:
-            raise PreconditionError(f"cube points look like U/0.5/0.5, got {text!r}")
-        try:
-            point = CubePoint(parts[0], float(parts[1]), float(parts[2]))
-        except ValueError:
-            raise PreconditionError(f"bad cube coordinates in {text!r}") from None
-        return validate_point(surface, point)
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise PreconditionError(f"planar points look like x,y, got {text!r}")
-    try:
-        point = (float(parts[0]), float(parts[1]))
-    except ValueError:
-        raise PreconditionError(f"bad coordinates in {text!r}") from None
-    return validate_point(surface, point)
+    return surface.parse_point(text)
 
 
 def format_point(surface: SurfaceModel, point) -> str:
-    if isinstance(surface, CubeSurface):
-        return f"{point.face}/{repr(float(point.u))}/{repr(float(point.v))}"
-    return f"{repr(float(point[0]))},{repr(float(point[1]))}"
+    return surface.format_point(point)
 
 
 def validate_point(surface: SurfaceModel, point, forbid_vertex: bool = False):
-    """Check a point lies in the fundamental domain; return it unchanged.
-
-    ``forbid_vertex`` additionally rejects cube points within the corner
-    tolerance of a vertex (required for geodesic sources, whose direction
-    field is undefined at cone points).
-    """
-    if isinstance(surface, CubeSurface):
-        if not isinstance(point, CubePoint):
-            raise PreconditionError("cube surfaces need CubePoint sources")
-        if point.face not in FACE_NAMES:
-            raise PreconditionError(f"unknown cube face {point.face!r}")
-        s = surface.side
-        if not (0.0 <= point.u <= s and 0.0 <= point.v <= s):
-            raise PreconditionError("cube chart coordinates out of range")
-        if forbid_vertex:
-            delta = CORNER_TOL * s
-            corner = min(
-                math.hypot(point.u - cu, point.v - cv)
-                for cu in (0.0, s)
-                for cv in (0.0, s)
-            )
-            if corner <= delta:
-                raise PreconditionError("source sits on a cube vertex")
-        return point
-    try:
-        x, y = float(point[0]), float(point[1])
-    except (TypeError, ValueError, IndexError):
-        raise PreconditionError(f"bad planar point {point!r}") from None
-    if isinstance(surface, Torus):
-        if not (0.0 <= x <= surface.alpha and 0.0 <= y <= surface.beta):
-            raise PreconditionError("torus point outside fundamental domain")
-    elif isinstance(surface, KleinBottle):
-        if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-            raise PreconditionError("Klein bottle point outside unit square")
-    elif isinstance(surface, RectBilliard):
-        if not (0.0 <= x <= surface.a and 0.0 <= y <= surface.b):
-            raise PreconditionError("billiard point outside the table")
-    elif isinstance(surface, DiskBilliard):
-        if x * x + y * y > surface.radius**2 * (1.0 + 1e-12):
-            raise PreconditionError("point outside the disk")
-    else:
-        raise PreconditionError(f"unknown surface model {surface!r}")
-    return (x, y)
+    """Check a point lies in the fundamental domain (see ``_Surface``)."""
+    return surface.validate_point(point, forbid_vertex)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +639,11 @@ _EDGE_PTS = {
     3: ((0, 1), (1, 1)),
 }
 _EDGE_OUT = {0: (-1, 0), 1: (1, 0), 2: (0, -1), 3: (0, 1)}
+
+# face -> (column, row) of its square in the rendered cross net
+_NET_SLOT = {"L": (0, 1), "F": (1, 1), "R": (2, 1), "B": (3, 1),
+             "U": (1, 2), "D": (1, 0)}
+_NET_SLOTS = np.array([_NET_SLOT[f] for f in FACE_NAMES], dtype=np.int64)
 
 
 def _chart_to_3d(face_idx: int, p) -> np.ndarray:
@@ -409,16 +731,6 @@ def _build_rotation_group():
 
 _CUBE_ROTS, _CUBE_ROT_INDEX, _MUL24, _INV24 = _build_rotation_group()
 
-CUBE_ROTATION_COUNT = 24
-
-
-def cube_rotation_matrix(idx: int) -> np.ndarray:
-    """The 3x3 integer matrix of cube rotation ``idx`` (a copy)."""
-    if not 0 <= idx < 24:
-        raise PreconditionError("cube rotation index out of range")
-    return _CUBE_ROTS[idx].copy()
-
-
 def _build_frame_index():
     """Map (face, development rotation) to the cube rotation of the frame.
 
@@ -471,33 +783,13 @@ class GeodesicBatch:
     def __len__(self) -> int:
         return self.pos.shape[0]
 
-    def take(self, idx) -> "GeodesicBatch":
-        return GeodesicBatch(
-            pos=self.pos[idx],
-            cover=self.cover[idx],
-            alive=self.alive[idx],
-            death_time=self.death_time[idx],
-            refl=self.refl[idx],
-            group=self.group[idx],
-            face=None if self.face is None else self.face[idx],
-            sheet=None if self.sheet is None else self.sheet[idx],
-        )
-
     def insert(self, positions, other: "GeodesicBatch") -> "GeodesicBatch":
-        return GeodesicBatch(
-            pos=np.insert(self.pos, positions, other.pos, axis=0),
-            cover=np.insert(self.cover, positions, other.cover, axis=0),
-            alive=np.insert(self.alive, positions, other.alive),
-            death_time=np.insert(self.death_time, positions, other.death_time),
-            refl=np.insert(self.refl, positions, other.refl),
-            group=np.insert(self.group, positions, other.group),
-            face=None
-            if self.face is None
-            else np.insert(self.face, positions, other.face),
-            sheet=None
-            if self.sheet is None
-            else np.insert(self.sheet, positions, other.sheet, axis=0),
-        )
+        """``other``'s rows inserted before rows ``positions`` (np.insert)."""
+        return GeodesicBatch(**{
+            name: None if col is None
+            else np.insert(col, positions, getattr(other, name), axis=0)
+            for name, col in vars(self).items()
+        })
 
 
 def _empty_planar_batch(pos, cover, refl=None) -> GeodesicBatch:
@@ -518,98 +810,7 @@ def _fold(w: np.ndarray, length: float) -> np.ndarray:
     return length - np.abs(r - length)
 
 
-def _reduce_klein(x_lift: np.ndarray, y_lift: np.ndarray):
-    # quotient by <a, b>: strip off b^m (glide, so odd m flips x), then a^k
-    m = np.floor(y_lift)
-    y = y_lift - m
-    odd = np.mod(m, 2.0) == 1.0
-    x = np.mod(np.where(odd, 1.0 - x_lift, x_lift), 1.0)
-    return x, y
-
-
-def _eval_torus(surface: Torus, source, thetas, t):
-    x = source[0] + t * np.cos(thetas)
-    y = source[1] + t * np.sin(thetas)
-    cover = np.stack([x, y], axis=1)
-    pos = np.stack([np.mod(x, surface.alpha), np.mod(y, surface.beta)], axis=1)
-    return _empty_planar_batch(pos, cover)
-
-
-def _eval_klein(surface: KleinBottle, source, thetas, t):
-    x = source[0] + t * np.cos(thetas)
-    y = source[1] + t * np.sin(thetas)
-    cover = np.stack([x, y], axis=1)
-    px, py = _reduce_klein(x, y)
-    return _empty_planar_batch(np.stack([px, py], axis=1), cover)
-
-
-def _eval_rect(surface: RectBilliard, source, thetas, t):
-    x = source[0] + t * np.cos(thetas)
-    y = source[1] + t * np.sin(thetas)
-    cover = np.stack([x, y], axis=1)
-    pos = np.stack([_fold(x, surface.a), _fold(y, surface.b)], axis=1)
-    return _empty_planar_batch(pos, cover)
-
-
-def _eval_disk(surface: DiskBilliard, source, thetas, t):
-    """Closed-form circle billiard flow.
-
-    The disk billiard is integrable: after the first rim hit, consecutive
-    bounce points advance by a fixed central angle, so the state after n
-    reflections is a single rotation.  This keeps evaluation O(1) per
-    direction and bitwise deterministic for any batch size.
-    """
-    radius = surface.radius
-    px, py = float(source[0]), float(source[1])
-    dx = np.cos(thetas)
-    dy = np.sin(thetas)
-    pd = px * dx + py * dy
-    disc = radius * radius - (px * px + py * py) + pd * pd
-    s0 = np.sqrt(np.maximum(disc, 0.0)) - pd
-
-    no_bounce = t <= s0
-    # first rim hit and the reflected direction
-    qx = px + s0 * dx
-    qy = py + s0 * dy
-    ndot = np.maximum((qx * dx + qy * dy) / radius, 0.0)  # cos(incidence)
-    d1x = dx - 2.0 * ndot * qx / radius
-    d1y = dy - 2.0 * ndot * qy / radius
-    ell = qx * d1y - qy * d1x  # conserved angular momentum
-    chord = 2.0 * radius * ndot
-    t1 = np.maximum(t - s0, 0.0)
-
-    tangent = chord <= 0.0
-    safe_chord = np.where(tangent, 1.0, chord)
-    n = np.floor(t1 / safe_chord)
-    resid = t1 - n * safe_chord
-    phi = np.arccos(np.clip(ndot, 0.0, 1.0))
-    step = np.where(ell >= 0.0, 1.0, -1.0) * (math.pi - 2.0 * phi)
-    ang = n * step
-    c = np.cos(ang)
-    s = np.sin(ang)
-    bx = c * qx - s * qy
-    by = s * qx + c * qy
-    ex = c * d1x - s * d1y
-    ey = s * d1x + c * d1y
-    x = bx + resid * ex
-    y = by + resid * ey
-
-    # degenerate tangent launch from the rim: slide along the boundary
-    if np.any(tangent & ~no_bounce):
-        slide = np.where(ell >= 0.0, 1.0, -1.0) * t1 / radius
-        sx = np.cos(slide) * qx - np.sin(slide) * qy
-        sy = np.sin(slide) * qx + np.cos(slide) * qy
-        x = np.where(tangent, sx, x)
-        y = np.where(tangent, sy, y)
-
-    x = np.where(no_bounce, px + t * dx, x)
-    y = np.where(no_bounce, py + t * dy, y)
-    refl = np.where(no_bounce, 0, n.astype(np.int64) + 1)
-    pos = np.stack([x, y], axis=1)
-    return _empty_planar_batch(pos, pos.copy(), refl=refl)
-
-
-def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t):
+def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t, on_cross=None):
     """Walk face crossings of the straight development, all rays at once.
 
     Each loop iteration advances every still-active ray across one face.
@@ -617,6 +818,7 @@ def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t):
     development rotation r and shift (giving cover coordinates), and a
     rolling hash of the face sequence (the development sheet).  Rays whose
     exit point falls within the corner tolerance of a vertex die there.
+    ``on_cross``, if given, receives the faces entered at each iteration.
     """
     side = surface.side
     delta = CORNER_TOL * side
@@ -697,6 +899,8 @@ def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t):
         edge = np.where(cu, np.where(du[j] > 0, 1, 0), np.where(dv[j] > 0, 3, 2))
 
         f2 = _NEXT_FACE[face[j], edge]
+        if on_cross is not None:
+            on_cross(f2)
         rt = _TRANS_ROT[face[j], edge]
         cshift = _TRANS_SHIFT[face[j], edge] * side
         c, sn = _ROT2_COS[rt], _ROT2_SIN[rt]
@@ -734,6 +938,11 @@ def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t):
     )
 
 
+def _require_time(t: float) -> None:
+    if not (t >= 0 and math.isfinite(t)):
+        raise PreconditionError("time must be finite and nonnegative")
+
+
 def evaluate_batch(surface: SurfaceModel, source, thetas, t: float) -> GeodesicBatch:
     """Evaluate unit-speed geodesics from ``source`` for an array of angles.
 
@@ -742,19 +951,8 @@ def evaluate_batch(surface: SurfaceModel, source, thetas, t: float) -> GeodesicB
     adaptive refinement reproducible.
     """
     thetas = np.ascontiguousarray(thetas, dtype=np.float64)
-    if t < 0:
-        raise PreconditionError("time must be nonnegative")
-    if isinstance(surface, Torus):
-        return _eval_torus(surface, source, thetas, t)
-    if isinstance(surface, KleinBottle):
-        return _eval_klein(surface, source, thetas, t)
-    if isinstance(surface, RectBilliard):
-        return _eval_rect(surface, source, thetas, t)
-    if isinstance(surface, DiskBilliard):
-        return _eval_disk(surface, source, thetas, t)
-    if isinstance(surface, CubeSurface):
-        return _eval_cube(surface, source, thetas, t)
-    raise PreconditionError(f"unknown surface model {surface!r}")
+    _require_time(t)
+    return surface.evaluate(source, thetas, t)
 
 
 # ---------------------------------------------------------------------------
@@ -769,23 +967,10 @@ def exp_point(surface: SurfaceModel, source, theta: float, t: float):
     """
     if not 0.0 <= theta <= TWO_PI:
         raise PreconditionError("direction angle must lie in [0, 2*pi]")
-    if t < 0:
-        raise PreconditionError("time must be nonnegative")
-    source = validate_point(surface, source, forbid_vertex=True)
+    source = surface.validate_point(source, forbid_vertex=True)
     batch = evaluate_batch(surface, source, np.array([theta]), t)
-    cover = CoverPoint(
-        x=float(batch.cover[0, 0]),
-        y=float(batch.cover[0, 1]),
-        group_elem=int(batch.group[0]),
-        reflection_count=int(batch.refl[0]),
-    )
-    if isinstance(surface, CubeSurface):
-        point = CubePoint(
-            FACE_NAMES[int(batch.face[0])], float(batch.pos[0, 0]), float(batch.pos[0, 1])
-        )
-    else:
-        point = (float(batch.pos[0, 0]), float(batch.pos[0, 1]))
-    return point, cover, bool(batch.alive[0])
+    point = surface.point_at(batch.pos, batch.face, 0)
+    return point, CoverPoint.at(batch, 0), bool(batch.alive[0])
 
 
 def trace_cube_ray(side: float, source: CubePoint, theta: float, t: float):
@@ -797,72 +982,16 @@ def trace_cube_ray(side: float, source: CubePoint, theta: float, t: float):
     orientation-preserving cube rotations).
     """
     surface = CubeSurface(side)
-    source = validate_point(surface, source, forbid_vertex=True)
-    if t < 0:
-        raise PreconditionError("time must be nonnegative")
-    delta = CORNER_TOL * side
-    face = FACE_INDEX[source.face]
-    pu, pv = float(source.u), float(source.v)
-    du, dv = math.cos(theta), math.sin(theta)
-    rot = 0
-    tvu = tvv = 0.0
-    trem = float(t)
-    tgone = 0.0
-    history = [face]
-    alive = True
-
-    events = 0
-    while trem > 0.0:
-        events += 1
-        if events > EVENT_BUDGET:
-            raise NumericalFailureError(
-                f"cube tracing exceeded {EVENT_BUDGET} face crossings per ray"
-            )
-        su = (side - pu) / du if du > 0 else (-pu / du if du < 0 else math.inf)
-        sv = (side - pv) / dv if dv > 0 else (-pv / dv if dv < 0 else math.inf)
-        s_exit = min(su, sv)
-        if trem <= s_exit:
-            pu += trem * du
-            pv += trem * dv
-            tgone += trem
-            trem = 0.0
-            break
-        cross_u = su <= sv
-        if cross_u:
-            peu = side if du > 0 else 0.0
-            pev = pv + s_exit * dv
-            along = pev
-        else:
-            pev = side if dv > 0 else 0.0
-            peu = pu + s_exit * du
-            along = peu
-        if along < delta or along > side - delta:
-            pu, pv = peu, pev
-            tgone += s_exit
-            trem = 0.0
-            alive = False
-            break
-        edge = (1 if du > 0 else 0) if cross_u else (3 if dv > 0 else 2)
-        f2 = int(_NEXT_FACE[face, edge])
-        rt = int(_TRANS_ROT[face, edge])
-        cx, cy = (_TRANS_SHIFT[face, edge] * side).tolist()
-        c, sn = int(_ROT2_COS[rt]), int(_ROT2_SIN[rt])
-        pu2 = min(max(c * peu - sn * pev + cx, 0.0), side)
-        pv2 = min(max(sn * peu + c * pev + cy, 0.0), side)
-        du, dv = c * du - sn * dv, sn * du + c * dv
-        rot2 = (rot - rt) % 4
-        rc, rs = int(_ROT2_COS[rot2]), int(_ROT2_SIN[rot2])
-        tvu -= rc * cx - rs * cy
-        tvv -= rs * cx + rc * cy
-        pu, pv, face, rot = pu2, pv2, f2, rot2
-        history.append(face)
-        tgone += s_exit
-        trem -= s_exit
-
-    inv0 = int(_INV24[_FRAME_IDX[FACE_INDEX[source.face], 0]])
-    group = int(_MUL24[_FRAME_IDX[face, rot], inv0])
-    point = CubePoint(FACE_NAMES[face], pu, pv)
-    return point, tuple(FACE_NAMES[f] for f in history), group, alive
+    source = surface.validate_point(source, forbid_vertex=True)
+    _require_time(t)
+    history = [FACE_INDEX[source.face]]
+    batch = _eval_cube(
+        surface, source, np.array([theta], dtype=np.float64), t,
+        on_cross=lambda faces: history.extend(faces.tolist()),
+    )
+    point = surface.point_at(batch.pos, batch.face, 0)
+    faces = tuple(FACE_NAMES[f] for f in history)
+    return point, faces, int(batch.group[0]), bool(batch.alive[0])
 
 
 # ---------------------------------------------------------------------------
@@ -877,25 +1006,10 @@ def point_images(surface: SurfaceModel, pts: np.ndarray) -> np.ndarray:
     distance to the nearest image equals geodesic distance for the torus and
     Klein bottle; the rectangular billiard and disk need no images because
     the straight chord inside the (convex) domain is already a geodesic.
+    The cube returns the points themselves: its sample clouds are developed
+    into each query chart instead (``CubeSurface.sample_clouds``).
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-    if isinstance(surface, Torus):
-        out = []
-        for i in (-1.0, 0.0, 1.0):
-            for j in (-1.0, 0.0, 1.0):
-                out.append(pts + np.array([i * surface.alpha, j * surface.beta]))
-        return np.stack(out)
-    if isinstance(surface, KleinBottle):
-        out = []
-        for j in (-1.0, 0.0, 1.0):
-            flipped = j in (-1.0, 1.0)
-            base_x = 1.0 - pts[:, 0] if flipped else pts[:, 0]
-            for i in (-1.0, 0.0, 1.0):
-                out.append(np.stack([base_x + i, pts[:, 1] + j], axis=1))
-        return np.stack(out)
-    if isinstance(surface, (RectBilliard, DiskBilliard)):
-        return pts[None, :, :]
-    raise PreconditionError("point_images applies to planar surfaces only")
+    return surface.images(np.atleast_2d(np.asarray(pts, dtype=np.float64)))
 
 
 def nearest_image(surface: SurfaceModel, base, other):
@@ -1031,20 +1145,4 @@ def surface_distance(surface: SurfaceModel, q1, q2) -> float:
     convex); cube distances minimise over one- and two-edge unfoldings,
     which is exact below one side length (see ``cube_geodesic_distance``).
     """
-    q1 = validate_point(surface, q1)
-    q2 = validate_point(surface, q2)
-    if isinstance(surface, CubeSurface):
-        # evaluate both orders: unfolding rounds each direction differently
-        # in the last ulp, and the metric must be exactly symmetric
-        return min(
-            cube_geodesic_distance(surface.side, q1, q2)[0],
-            cube_geodesic_distance(surface.side, q2, q1)[0],
-        )
-    if isinstance(surface, (RectBilliard, DiskBilliard)):
-        return float(math.hypot(q2[0] - q1[0], q2[1] - q1[1]))
-
-    def one_way(a, b):
-        imgs = point_images(surface, np.asarray([b], dtype=np.float64))[:, 0, :]
-        return float(np.min(np.hypot(imgs[:, 0] - a[0], imgs[:, 1] - a[1])))
-
-    return min(one_way(q1, q2), one_way(q2, q1))
+    return surface.distance(surface.validate_point(q1), surface.validate_point(q2))

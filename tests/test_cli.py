@@ -146,6 +146,20 @@ def test_invalid_arguments_exit_1(capsys):
         ["density", "--surface", "torus:1,1", "--p", "0,0",
          "--t-grid", "1:2:1", "--eps", "0.001"],  # eps below resolution
         ["simulate", "--surface", "torus:1,1", "--p", "9,9", "--t", "1"],
+        # non-finite model parameters, h_max and times
+        ["simulate", "--surface", "torus:inf,1", "--p", "0,0", "--t", "1"],
+        ["simulate", "--surface", "disk:inf", "--p", "0,0", "--t", "1"],
+        ["simulate", "--surface", "torus:1,1", "--p", "0,0", "--t", "1",
+         "--hmax", "inf"],
+        ["simulate", "--surface", "torus:1,1", "--p", "0,0", "--t", "nan"],
+        ["simulate", "--surface", "torus:1,1", "--p", "0,0", "--t", "-1"],
+        ["simulate", "--surface", "torus:1,1", "--p", "0,0", "--t", "inf"],
+        # time grids: t = 0 in a lattice grid, non-finite HI
+        ["lattice", "--t-grid", "0:1:1"],
+        ["length", "--surface", "torus:1,1", "--p", "0.2,0.3",
+         "--t-grid", "1:inf:1"],
+        ["length", "--surface", "torus:1,1", "--p", "0.2,0.3",
+         "--t-grid", "1:nan:1"],
         ["nonsense"],
         [],
     ]

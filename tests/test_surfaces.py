@@ -47,7 +47,8 @@ def test_surface_descriptor_round_trip():
 
 def test_surface_descriptor_rejects_garbage():
     for text in ("bogus:1", "torus", "torus:1", "torus:0,1", "disk:-1",
-                 "cube:0", "rect:1,1,1", "klein:1"):
+                 "cube:0", "rect:1,1,1", "klein:1", "torus:inf,1", "disk:inf",
+                 "cube:nan"):
         with pytest.raises((PreconditionError, ValueError)):
             parse_surface(text)
 
