@@ -183,7 +183,7 @@ class Front:
         return [(float(self.thetas[i]), float(self.death_time[i])) for i in idx]
 
     def ensure_evaluated(self) -> None:
-        """Recompute derived arrays (cover, sheets, ...) if absent."""
+        """Recompute the derived arrays (the GeodesicBatch fields) if absent."""
         if self.cover is not None:
             return
         batch = evaluate_batch(self.surface, self.source, self.thetas, self.t)
