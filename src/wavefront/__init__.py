@@ -31,7 +31,6 @@ from .frontier import (
     PropagationParams,
     Front,
     FrontComponent,
-    FrontSample,
     default_params,
     init_front,
     propagate,
@@ -78,7 +77,6 @@ __all__ = [
     "PropagationParams",
     "Front",
     "FrontComponent",
-    "FrontSample",
     "default_params",
     "init_front",
     "propagate",

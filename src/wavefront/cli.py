@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
 
 from .frontier import (
@@ -55,26 +54,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _diag(message: str) -> None:
     sys.stderr.write(f"{PROG}: error: {message}\n")
-
-
-def _check_threads() -> None:
-    """Validate the worker-count cap.
-
-    All computation here is deterministic and effectively single-threaded
-    (vectorized numpy), so the cap can never change results; it is still
-    checked so a typo fails loudly instead of silently.
-    """
-    raw = os.environ.get("WAVEFRONT_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise UsageError(
-            f"WAVEFRONT_THREADS must be a positive integer, got {raw!r}"
-        )
 
 
 def _t_grid(text: str) -> list:
@@ -303,7 +282,6 @@ def _build_parser() -> _Parser:
 def run(argv=None) -> int:
     parser = _build_parser()
     try:
-        _check_threads()
         args = parser.parse_args(argv)
         if not hasattr(args, "func"):
             raise UsageError("a subcommand is required")

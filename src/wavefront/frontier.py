@@ -17,7 +17,9 @@ witnessed it, so split times are exact rather than quantized.
 
 Torus, Klein bottle, rectangle and disk flows are continuous in the
 direction, so their fronts are always a single component; only the cube
-tears, at the directions that run into a vertex.
+tears, at the directions that run into a vertex.  Every surface still goes
+through the same assembly: on a sheet-less front no pair is cross-sheet,
+so no tear is declared and the one live run is the whole front.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ import numpy as np
 
 from .surfaces import (
     TWO_PI,
-    CoverPoint,
-    GeodesicBatch,
     NumericalFailureError,
     PreconditionError,
     SurfaceModel,
@@ -96,15 +96,6 @@ def default_params(surface: SurfaceModel) -> PropagationParams:
     )
 
 
-@dataclass(frozen=True)
-class FrontSample:
-    theta: float
-    pos: object
-    cover: object
-    alive: bool
-    death_time: float = math.inf
-
-
 @dataclass
 class FrontComponent:
     """A maximal direction run whose image has stayed connected.
@@ -124,7 +115,6 @@ class FrontComponent:
     segments: tuple
     theta_first: float | None = field(default=None, repr=False, compare=False)
     theta_last: float | None = field(default=None, repr=False, compare=False)
-    _front: "Front" = field(default=None, repr=False, compare=False)
 
     @property
     def live_sample_count(self) -> int:
@@ -135,12 +125,6 @@ class FrontComponent:
         return np.concatenate(
             [np.arange(start, stop) for start, stop in self.segments]
         )
-
-    @property
-    def samples(self) -> list:
-        f = self._front
-        f.ensure_evaluated()
-        return [f.sample_at(i) for i in self.sample_indices]
 
 
 @dataclass
@@ -169,10 +153,6 @@ class Front:
     face: np.ndarray | None = None
     sheet: np.ndarray | None = None
 
-    def __post_init__(self):
-        for comp in self.components:
-            comp._front = self
-
     @property
     def sample_count(self) -> int:
         return self.thetas.shape[0]
@@ -188,19 +168,6 @@ class Front:
             return
         batch = evaluate_batch(self.surface, self.source, self.thetas, self.t)
         vars(self).update(vars(batch))
-
-    def point_at(self, i: int):
-        return self.surface.point_at(self.pos, self.face, i)
-
-    def sample_at(self, i: int) -> FrontSample:
-        self.ensure_evaluated()
-        return FrontSample(
-            theta=float(self.thetas[i]),
-            pos=self.point_at(i),
-            cover=CoverPoint.at(self, i),
-            alive=bool(self.alive[i]),
-            death_time=float(self.death_time[i]),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +193,10 @@ def init_front(
         params = default_params(surface)
     if params.theta_min >= arc.width:
         raise PreconditionError("theta_min must be smaller than the arc width")
+    if n0 > params.sample_budget:
+        raise NumericalFailureError(
+            f"sample budget {params.sample_budget} exceeded by n0={n0}"
+        )
     thetas = np.linspace(arc.theta_lo, arc.theta_hi, n0)
     batch = evaluate_batch(surface, source, thetas, 0.0)
     comp = FrontComponent(interval=arc, split_time=0.0, segments=((0, n0),))
@@ -235,14 +206,6 @@ def init_front(
 def _make_front(surface, source, t, arc, params, thetas, batch, components) -> Front:
     return Front(surface=surface, source=source, t=t, arc=arc, params=params,
                  thetas=thetas, components=components, **vars(batch))
-
-
-def _pair_sheet_match(batch: GeodesicBatch) -> np.ndarray:
-    if batch.sheet is None:
-        return np.ones(max(len(batch) - 1, 0), dtype=bool)
-    return (batch.sheet[:-1, 0] == batch.sheet[1:, 0]) & (
-        batch.sheet[:-1, 1] == batch.sheet[1:, 1]
-    )
 
 
 def _refine(surface, source, tt, thetas, batch, params):
@@ -265,7 +228,7 @@ def _refine(surface, source, tt, thetas, batch, params):
         alive2 = batch.alive[:-1] & batch.alive[1:]
         gap = np.diff(thetas)
         chord = np.hypot(np.diff(batch.cover[:, 0]), np.diff(batch.cover[:, 1]))
-        same = _pair_sheet_match(batch)
+        same = _same_sheet(batch.sheet, slice(None, -1), slice(1, None))
         need = ((same & (chord > h)) | ~same) & alive2
         kink = (batch.refl[:-1] != batch.refl[1:]) & ((tt + width) * gap > h)
         need |= kink & alive2
@@ -289,25 +252,41 @@ def _refine(surface, source, tt, thetas, batch, params):
         batch = batch.insert(idx + 1, mid_batch)
 
 
-def _unwitnessed_tears(thetas, batch, params, surface):
-    """Live adjacent pairs severed without a dead sample between them.
+def _same_sheet(sheet, a, b):
+    """Whether rows ``a`` and rows ``b`` of a sheet array (two equal-length
+    slices, or two indices) lie on one development sheet.  Fronts without
+    sheets (every surface but the cube) never leave their one sheet."""
+    if sheet is None:
+        return np.True_
+    return (sheet[a, 0] == sheet[b, 0]) & (sheet[a, 1] == sheet[b, 1])
 
-    These are gaps bisected down to theta_min whose images stay farther
-    apart than h_max: the tear is declared between the two samples even
-    though no witness direction died.  (Cross-sheet pairs whose images are
-    within h_max are left connected: the histories diverged but the curve
-    shows no gap.)
+
+def _gap(surface, arrays, i, j) -> float:
+    """Front length between samples i and j of a batch or front: their
+    development chord on a common sheet, their surface distance across
+    sheets (cover coordinates of different sheets are not comparable)."""
+    if _same_sheet(arrays.sheet, i, j):
+        cover = arrays.cover
+        return math.hypot(cover[j, 0] - cover[i, 0], cover[j, 1] - cover[i, 1])
+    p1 = surface.point_at(arrays.pos, arrays.face, i)
+    p2 = surface.point_at(arrays.pos, arrays.face, j)
+    return surface_distance(surface, p1, p2)
+
+
+def _unwitnessed_tears(thetas, batch, params, surface) -> np.ndarray:
+    """Mask of live adjacent pairs severed without a dead sample between.
+
+    These are cross-sheet gaps bisected down to theta_min whose images stay
+    farther apart than h_max: the tear is declared between the two samples
+    even though no witness direction died.  (Cross-sheet pairs whose images
+    are within h_max are left connected: the histories diverged but the
+    curve shows no gap.)
     """
-    alive2 = batch.alive[:-1] & batch.alive[1:]
-    gap = np.diff(thetas)
-    suspect = alive2 & (gap <= params.theta_min) & ~_pair_sheet_match(batch)
-    out = []
-    for i in np.nonzero(suspect)[0].tolist():
-        p1 = surface.point_at(batch.pos, batch.face, i)
-        p2 = surface.point_at(batch.pos, batch.face, i + 1)
-        if surface_distance(surface, p1, p2) > params.h_max:
-            out.append(i)
-    return out
+    tear = batch.alive[:-1] & batch.alive[1:] & (np.diff(thetas) <= params.theta_min)
+    tear &= ~_same_sheet(batch.sheet, slice(None, -1), slice(1, None))
+    for i in np.flatnonzero(tear).tolist():
+        tear[i] = _gap(surface, batch, i, i + 1) > params.h_max
+    return tear
 
 
 def _assemble_components(
@@ -319,109 +298,41 @@ def _assemble_components(
     direction or an unwitnessed tear.  On a full-circle arc the first and
     last runs wrap together (theta = 0 and 2*pi are the same direction).
     Each run inherits the split time of the parent component containing it;
-    runs flanked by a boundary that did not exist in the parent take the
+    a run flanked by a boundary that did not exist in the parent takes the
     boundary's time (the witness's death time when there is one, the
-    checkpoint time otherwise).
+    checkpoint time for an unwitnessed tear).  A flank at an arc end, or at
+    the parent's own edge direction, predates this step and is skipped.
     """
     n = thetas.shape[0]
-    alive = batch.alive
-    sever = ~alive[:-1] | ~alive[1:]
-    tear_pairs = set(_unwitnessed_tears(thetas, batch, params, surface))
-    for i in tear_pairs:
-        sever[i] = True
-
-    runs = []
-    start = None
-    for i in range(n):
-        if alive[i] and start is None:
-            start = i
-        if start is not None:
-            end_here = (i == n - 1) or sever[i] or not alive[i]
-            if not alive[i]:
-                runs.append((start, i))
-                start = None
-            elif end_here:
-                runs.append((start, i + 1))
-                start = None
-    runs = [(s, e) for s, e in runs if e > s]
-
-    wrapped = (
-        arc.is_full_circle
-        and len(runs) >= 2
-        and runs[0][0] == 0
-        and runs[-1][1] == n
-        and alive[0]
-        and alive[-1]
-    )
-
-    def boundary_time(run_start, run_stop):
-        """Times of the tear/death boundaries flanking a run (None = arc end)."""
-        left = right = None
-        if run_start > 0:
-            if (run_start - 1) in tear_pairs:
-                left = tt
-            else:
-                left = float(batch.death_time[run_start - 1])
-        if run_stop < n:
-            if (run_stop - 1) in tear_pairs:
-                right = tt
-            else:
-                right = float(batch.death_time[run_stop])
-        return left, right
-
-    children = []  # keyword arguments of _child_component, one per run
-    enumerated = list(range(len(runs)))
-    if wrapped:
-        enumerated = enumerated[1:-1]
-    for k in enumerated:
-        s, e = runs[k]
-        left, right = boundary_time(s, e)
-        children.append(dict(
-            theta_first=float(thetas[s]),
-            theta_last=float(thetas[e - 1]),
-            interval=ArcInterval(float(thetas[s]), float(thetas[e - 1])),
-            segments=((s, e),),
-            left_time=left,
-            right_time=right,
+    alive, death = batch.alive, batch.death_time
+    tear = _unwitnessed_tears(thetas, batch, params, surface)
+    cut = np.flatnonzero(tear | ~(alive[:-1] & alive[1:])) + 1
+    starts, stops = np.r_[0, cut], np.r_[cut, n]
+    live = alive[starts]  # between two cuts: a live run or one dead sample
+    runs = list(zip(starts[live].tolist(), stops[live].tolist()))
+    children = [(run,) for run in runs]
+    if arc.is_full_circle and len(runs) >= 2 and runs[0][0] == 0 and runs[-1][1] == n:
+        children = children[1:-1] + [(runs[-1], runs[0])]
+    found = _find_parents(parents, [float(thetas[c[0][0]]) for c in children])
+    comps = []
+    for segments, parent in zip(children, found):
+        s, e = segments[0][0], segments[-1][1]
+        first, last = float(thetas[s]), float(thetas[e - 1])
+        split = 0.0
+        if parent is not None:
+            split = parent.split_time
+            if s > 0 and first != parent.theta_first:
+                split = max(split, tt if tear[s - 1] else float(death[s - 1]))
+            if e < n and last != parent.theta_last:
+                split = max(split, tt if tear[e - 1] else float(death[e]))
+        comps.append(FrontComponent(
+            interval=ArcInterval(first, last + TWO_PI if len(segments) == 2 else last),
+            split_time=split,
+            segments=segments,
+            theta_first=first,
+            theta_last=last,
         ))
-    if wrapped:
-        s2, e2 = runs[-1]
-        s1, e1 = runs[0]
-        left, _ = boundary_time(s2, e2)
-        _, right = boundary_time(s1, e1)
-        children.append(dict(
-            theta_first=float(thetas[s2]),
-            theta_last=float(thetas[e1 - 1]),
-            interval=ArcInterval(float(thetas[s2]), float(thetas[e1 - 1]) + TWO_PI),
-            segments=((s2, e2), (s1, e1)),
-            left_time=left,
-            right_time=right,
-        ))
-    found = _find_parents(parents, [c["theta_first"] for c in children])
-    comps = [_child_component(p, **c) for p, c in zip(found, children)]
-    comps.sort(key=lambda c: c.interval.theta_lo)
     return comps
-
-
-def _child_component(
-    parent, theta_first, theta_last, interval, segments, left_time, right_time
-):
-    split = parent.split_time if parent is not None else 0.0
-    if parent is not None:
-        for flank_time, old_edge, own_edge in (
-            (left_time, parent.theta_first, theta_first),
-            (right_time, parent.theta_last, theta_last),
-        ):
-            if flank_time is None or own_edge == old_edge:
-                continue  # arc endpoint, or the boundary predates this step
-            split = max(split, flank_time)
-    return FrontComponent(
-        interval=interval,
-        split_time=split,
-        segments=segments,
-        theta_first=theta_first,
-        theta_last=theta_last,
-    )
 
 
 _SHIFTS = np.array([0.0, TWO_PI, -TWO_PI])
@@ -488,18 +399,9 @@ def propagate(front: Front, t_target: float) -> Front:
     thetas = front.thetas
     batch = evaluate_batch(surface, source, thetas, tt)
     thetas, batch = _refine(surface, source, tt, thetas, batch, params)
-    if batch.sheet is not None:  # only fronts with development sheets tear
-        components = _assemble_components(
-            surface, front.arc, tt, thetas, batch, params, front.components
-        )
-    else:
-        components = [
-            FrontComponent(
-                interval=front.arc,
-                split_time=0.0,
-                segments=((0, thetas.shape[0]),),
-            )
-        ]
+    components = _assemble_components(
+        surface, front.arc, tt, thetas, batch, params, front.components
+    )
     return _make_front(
         surface, source, tt, front.arc, params, thetas, batch, components
     )
@@ -509,50 +411,30 @@ def propagate(front: Front, t_target: float) -> Front:
 # measurements
 
 
-def _segment_length(front: Front, start: int, stop: int) -> float:
-    cov = front.cover[start:stop]
-    if stop - start < 2:
-        return 0.0
-    dx = np.diff(cov[:, 0])
-    dy = np.diff(cov[:, 1])
-    chords = np.hypot(dx, dy)
-    if front.sheet is not None:
-        sh = front.sheet[start:stop]
-        same = (sh[:-1, 0] == sh[1:, 0]) & (sh[:-1, 1] == sh[1:, 1])
-        if not np.all(same):
-            # rare connected cross-sheet pair: measure it on the surface
-            total = float(chords[same].sum())
-            for i in np.nonzero(~same)[0]:
-                p1 = front.point_at(start + int(i))
-                p2 = front.point_at(start + int(i) + 1)
-                total += surface_distance(front.surface, p1, p2)
-            return total
-    return float(chords.sum())
-
-
-def _bridge_length(front: Front, i: int, j: int) -> float:
-    """Arc contribution between sample i and sample j (wrap seam)."""
-    if front.sheet is not None and (front.sheet[i] != front.sheet[j]).any():
-        return surface_distance(front.surface, front.point_at(i), front.point_at(j))
-    return float(
-        math.hypot(
-            front.cover[j, 0] - front.cover[i, 0],
-            front.cover[j, 1] - front.cover[i, 1],
-        )
-    )
-
-
 def component_lengths(front: Front) -> list:
-    """Immersed polyline length of each component, in component order."""
+    """Immersed polyline length of each component, in component order.
+
+    Each segment sums its development chords, then adds the surface
+    distance of each connected cross-sheet pair; a wrap-around component
+    adds the gap across the theta = 0 seam.
+    """
     front.ensure_evaluated()
+    cover, sheet = front.cover, front.sheet
     out = []
     for comp in front.components:
         total = 0.0
         for start, stop in comp.segments:
-            total += _segment_length(front, start, stop)
+            seg = cover[start:stop]
+            chords = np.hypot(np.diff(seg[:, 0]), np.diff(seg[:, 1]))
+            same = _same_sheet(sheet, slice(start, stop - 1), slice(start + 1, stop))
+            cross = np.flatnonzero(~same)
+            length = float(np.delete(chords, cross).sum())
+            for i in (start + cross).tolist():
+                length += _gap(front.surface, front, i, i + 1)
+            total += length
         if len(comp.segments) == 2:
-            (s2, e2), (s1, e1) = comp.segments
-            total += _bridge_length(front, e2 - 1, s1)
+            (_, e2), (s1, _) = comp.segments
+            total += _gap(front.surface, front, e2 - 1, s1)
         out.append(total)
     return out
 

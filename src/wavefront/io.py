@@ -348,6 +348,8 @@ def render_svg(
     so torn fronts are never visually joined.  The source is marked with a
     dot.  Output bytes are a pure function of the front.
     """
+    if not width_px >= 1:
+        raise PreconditionError(f"width_px={width_px!r}: need at least 1 pixel")
     front.ensure_evaluated()
     surface = front.surface
     w, h = surface.viewport

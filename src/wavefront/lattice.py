@@ -87,8 +87,8 @@ def gauss_count(t: float) -> int:
 
 def annulus_count(t: float, h: float):
     """Count in the shell t < |x| <= t+h alongside the area 2*pi*t*h."""
-    if t <= 0 or h < 0:
-        raise PreconditionError("need t > 0 and h >= 0")
+    if not (math.isfinite(t) and t > 0 and math.isfinite(h) and h >= 0):
+        raise PreconditionError(f"need finite t > 0 and h >= 0, got t={t!r} h={h!r}")
     if t + h > COUNT_BUDGET_RADIUS:
         raise NumericalFailureError(
             f"outer radius {t + h} exceeds the enumeration budget"

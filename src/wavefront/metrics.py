@@ -227,9 +227,10 @@ def density_report(front: Front, eps: float) -> DensityReport:
     inside the disk; all cells elsewhere) of the distance to the nearest
     live sample.
     """
-    if eps < 4.0 * front.params.h_max:
+    if not (math.isfinite(eps) and eps >= 4.0 * front.params.h_max):
         raise PreconditionError(
-            "eps must be at least 4*h_max for a meaningful occupancy grid"
+            f"eps={eps!r}: must be finite and at least 4*h_max for a "
+            "meaningful occupancy grid"
         )
     front.ensure_evaluated()
     total, nhit, centers, center_faces = _occupancy(front, eps)
@@ -282,10 +283,14 @@ def estimate_tau(
     """
     if params is None:
         params = default_params(surface)
-    if not r > 2.0 * params.h_max:
-        raise PreconditionError("ball radius must exceed 2*h_max")
-    if not delta_t > 0:
-        raise PreconditionError("delta_t must be positive")
+    if not (math.isfinite(r) and r > 2.0 * params.h_max):
+        raise PreconditionError(
+            f"r={r!r}: ball radius must be finite and exceed 2*h_max"
+        )
+    if not (math.isfinite(t_max) and t_max >= 0):
+        raise PreconditionError(f"t_max={t_max!r}: must be finite and nonnegative")
+    if not (math.isfinite(delta_t) and delta_t > 0):
+        raise PreconditionError(f"delta_t={delta_t!r}: must be finite and positive")
     centers, center_faces = _ball_centers(surface, 0.5 * r)
 
     times = []

@@ -466,8 +466,8 @@ class CubeSurface(_Surface):
         # evaluate both orders: unfolding rounds each direction differently
         # in the last ulp, and the metric must be exactly symmetric
         return min(
-            cube_geodesic_distance(self.side, q1, q2)[0],
-            cube_geodesic_distance(self.side, q2, q1)[0],
+            cube_geodesic_distance(self.side, q1, q2),
+            cube_geodesic_distance(self.side, q2, q1),
         )
 
     def sample_clouds(self, pos, face, live):
@@ -1094,15 +1094,15 @@ def _gate_path_length(p0, gates, p1, side: float) -> float:
     return total
 
 
-def cube_geodesic_distance(side: float, q1: CubePoint, q2: CubePoint):
+def cube_geodesic_distance(side: float, q1: CubePoint, q2: CubePoint) -> float:
     """Geodesic distance on the cube via single and double edge unfoldings.
 
-    Returns (distance, trusted): the minimum over the same-face chord and
-    all developments of q2's face across one or two edges of q1's face
-    chain.  ``trusted`` is True when the value is below ``side``, the radius
-    within which this chain family contains a genuine shortest path; larger
-    values are honest upper bounds (every candidate corresponds to a
-    realisable path) but a shortest path could cross more than two edges.
+    Returns the minimum over the same-face chord and all developments of
+    q2's face across one or two edges of q1's face chain.  Below ``side``
+    this chain family contains a genuine shortest path, so the value is
+    exact; larger values are honest upper bounds (every candidate
+    corresponds to a realisable path) but a shortest path could cross more
+    than two edges.
     """
     f1 = FACE_INDEX[q1.face]
     f2 = FACE_INDEX[q2.face]
@@ -1134,7 +1134,7 @@ def cube_geodesic_distance(side: float, q1: CubePoint, q2: CubePoint):
             g2b = r1 @ (np.array(_EDGE_PTS[e2][1], dtype=np.float64) * side) + c1 * side
             img = r1 @ (r2 @ p2 + c2 * side) + c1 * side
             best = min(best, _gate_path_length(p1, [gate1, (g2a, g2b)], img, side))
-    return best, best < side
+    return best
 
 
 def surface_distance(surface: SurfaceModel, q1, q2) -> float:

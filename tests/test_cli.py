@@ -121,6 +121,16 @@ def test_simulate_then_render(tmp_path, capsys):
     assert code == 0
     assert svg.read_bytes().startswith(b"<?xml")
 
+    for width in ("0", "-5"):
+        bad = tmp_path / f"w{width}.svg"
+        code, _, err = run(
+            ["render", "--in", str(snap), "--out", str(bad), "--width", width],
+            capsys,
+        )
+        assert code == 1, width
+        assert err.startswith("wavefront: error: ") and err.count("\n") == 1
+        assert "width" in err and not bad.exists()
+
 
 def test_simulate_arc_and_hmax_flags(tmp_path, capsys):
     snap = tmp_path / "arc.json"
@@ -163,17 +173,37 @@ def test_invalid_arguments_exit_1(capsys):
         ["nonsense"],
         [],
     ]
-    for argv in cases:
+    # non-finite numeric flags: the diagnostic names the parameter and value
+    tau = ["tau", "--surface", "torus:1,1", "--p", "0.2,0.3"]
+    named = [
+        (tau + ["--r", "0.25", "--t-max", "nan", "--dt", "0.5"], "t_max=nan"),
+        (tau + ["--r", "inf", "--t-max", "2", "--dt", "0.5"], "r=inf"),
+        (tau + ["--r", "0.25", "--t-max", "2", "--dt", "inf"], "delta_t=inf"),
+        (["density", "--surface", "torus:1,1", "--p", "0.2,0.3",
+          "--t-grid", "1:1:1", "--eps", "nan"], "eps=nan"),
+        (["density", "--surface", "torus:1,1", "--p", "0.2,0.3",
+          "--t-grid", "1:1:1", "--eps", "inf"], "eps=inf"),
+        (["lattice", "--t-grid", "1:1:1", "--h", "nan"], "h=nan"),
+        (["lattice", "--t-grid", "1:1:1", "--h", "inf"], "h=inf"),
+    ]
+    for argv, name in [(argv, "") for argv in cases] + named:
         code, _, err = run(argv, capsys)
         assert code == 1, argv
         assert err.startswith("wavefront: error: "), argv
         assert err.count("\n") == 1  # single diagnostic line
+        assert name in err, argv
 
 
 def test_numerical_failure_exit_2(capsys):
-    code, _, err = run(["lattice", "--t-grid", "20000:20000:1"], capsys)
-    assert code == 2
-    assert "budget" in err
+    for argv in (
+        ["lattice", "--t-grid", "20000:20000:1"],
+        # rejected before the initial directions are allocated
+        ["simulate", "--surface", "torus:1,1", "--p", "0.2,0.3", "--t", "1",
+         "--n0", "2000000000"],
+    ):
+        code, _, err = run(argv, capsys)
+        assert code == 2, argv
+        assert "budget" in err and err.count("\n") == 1, argv
 
 
 def test_io_errors_exit_3(tmp_path, capsys):
@@ -190,15 +220,6 @@ def test_io_errors_exit_3(tmp_path, capsys):
     )
     assert code == 3
     assert "malformed JSON" in err
-
-
-def test_threads_env_validated(monkeypatch, capsys):
-    monkeypatch.setenv("WAVEFRONT_THREADS", "frog")
-    code, _, err = run(["lattice", "--t-grid", "1:1:1"], capsys)
-    assert code == 1 and "WAVEFRONT_THREADS" in err
-    monkeypatch.setenv("WAVEFRONT_THREADS", "8")
-    code, out, _ = run(["lattice", "--t-grid", "1:1:1"], capsys)
-    assert code == 0
 
 
 def test_thread_count_does_not_change_bytes(monkeypatch, capsys):

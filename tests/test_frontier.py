@@ -29,7 +29,15 @@ from wavefront import (
     propagate,
     surface_distance,
 )
-from wavefront.frontier import FULL_CIRCLE, FrontComponent, _find_parents
+from wavefront.frontier import (
+    FULL_CIRCLE,
+    FrontComponent,
+    _assemble_components,
+    _find_parents,
+    _make_front,
+    _unwitnessed_tears,
+)
+from wavefront.surfaces import FACE_INDEX, GeodesicBatch
 
 TWO_PI = 2.0 * math.pi
 
@@ -128,14 +136,19 @@ def test_length_grows_under_refinement():
 
 
 def test_single_component_on_continuous_surfaces():
-    for surface, src in [
-        (Torus(2.0, 1.0), (0.2, 0.3)),
-        (KleinBottle(), (0.7, 0.1)),
-        (RectBilliard(1.0, 1.0), (0.3, 0.7)),
-        (DiskBilliard(1.0), (0.5, 0.0)),
+    for surface, src, arc in [
+        (Torus(2.0, 1.0), (0.2, 0.3), FULL_CIRCLE),
+        (KleinBottle(), (0.7, 0.1), FULL_CIRCLE),
+        (RectBilliard(1.0, 1.0), (0.3, 0.7), FULL_CIRCLE),
+        (DiskBilliard(1.0), (0.5, 0.0), FULL_CIRCLE),
+        (Torus(1.0, 1.0), (0.2, 0.3), ArcInterval(0.3, 2.9)),
     ]:
-        f = propagate(init_front(surface, src), 7.0)
+        f = propagate(init_front(surface, src, arc=arc), 7.0)
         assert component_count(f) == 1, surface
+        (comp,) = f.components
+        assert comp.interval == f.arc
+        assert comp.split_time == 0.0
+        assert comp.segments == ((0, f.sample_count),)
 
 
 def test_cube_component_counts_face_center():
@@ -297,3 +310,86 @@ def test_parent_lookup_gap_tie_takes_first_in_list_order():
     assert _find_parents([b, a], [1.5])[0] is b
     _assert_lookup_matches_scan([b, a], [1.5])
     assert _find_parents([], [1.5]) == [None]
+
+
+# --- component assembly --------------------------------------------------------
+
+
+def _scan_segments(alive, tear, full_circle):
+    """Reference rule: the per-sample run loop, then the wrap-around join."""
+    n = alive.shape[0]
+    sever = ~alive[:-1] | ~alive[1:] | tear
+    runs, start = [], None
+    for i in range(n):
+        if alive[i] and start is None:
+            start = i
+        if start is not None:
+            end_here = (i == n - 1) or sever[i] or not alive[i]
+            if not alive[i]:
+                runs.append((start, i))
+                start = None
+            elif end_here:
+                runs.append((start, i + 1))
+                start = None
+    segments = [(run,) for run in runs]
+    if (full_circle and len(runs) >= 2 and runs[0][0] == 0 and runs[-1][1] == n
+            and alive[0] and alive[-1]):
+        segments = segments[1:-1] + [(runs[-1], runs[0])]
+    return segments
+
+
+def test_component_runs_match_scan_on_cube_propagation():
+    cube = CubeSurface(1.0)
+    parent_front = propagate(init_front(cube, CubePoint("U", 0.31, 0.47)), 5.0)
+    f = propagate(parent_front, 10.0)
+    tear = _unwitnessed_tears(f.thetas, f, f.params, cube)
+    expected = _scan_segments(f.alive, tear, f.arc.is_full_circle)
+    assert [c.segments for c in f.components] == expected
+    assert any(len(s) == 2 for s in expected)  # the wrap join is exercised
+
+
+def _cross_sheet_pair(gap):
+    """Two live cube samples theta_min apart on different development
+    sheets, ``gap`` apart on the surface but far apart in the development."""
+    cube = CubeSurface(1.0)
+    params = PropagationParams(h_max=0.01, theta_min=2.0**-30)
+    thetas = np.array([1.0, 1.0 + 2.0**-30])
+    batch = GeodesicBatch(
+        pos=np.array([[0.5, 0.5], [0.5, 0.5 + gap]]),
+        cover=np.array([[0.0, 0.0], [5.0, 5.0]]),
+        alive=np.ones(2, dtype=bool),
+        death_time=np.full(2, np.inf),
+        refl=np.zeros(2, dtype=np.int64),
+        group=np.zeros(2, dtype=np.int64),
+        face=np.full(2, FACE_INDEX["U"]),
+        sheet=np.array([[7, 1], [8, 1]], dtype=np.int64),
+    )
+    arc = ArcInterval(0.0, 2.0)
+    parent = FrontComponent(interval=arc, split_time=0.25, segments=((0, 2),))
+    comps = _assemble_components(cube, arc, 3.0, thetas, batch, params, [parent])
+    front = _make_front(cube, CubePoint("U", 0.5, 0.5), 3.0, arc, params,
+                        thetas, batch, comps)
+    return cube, params, batch, front
+
+
+def test_cross_sheet_pair_farther_than_h_max_tears():
+    cube, params, batch, f = _cross_sheet_pair(0.05)
+    assert _unwitnessed_tears(f.thetas, batch, params, cube).tolist() == [True]
+    assert [c.segments for c in f.components] == [((0, 1),), ((1, 2),)]
+    assert [c.segments for c in f.components] == _scan_segments(
+        f.alive, np.array([True]), False)
+    # no witness died: the new boundary is timed at the step's own time
+    assert [c.split_time for c in f.components] == [3.0, 3.0]
+    assert component_lengths(f) == [0.0, 0.0]
+
+
+def test_cross_sheet_pair_within_h_max_is_measured_on_the_surface():
+    cube, params, batch, f = _cross_sheet_pair(0.004)
+    assert _unwitnessed_tears(f.thetas, batch, params, cube).tolist() == [False]
+    (comp,) = f.components
+    assert comp.segments == ((0, 2),) and comp.split_time == 0.25
+    # the development chord (5*sqrt(2)) spans two sheets and is not used
+    ends = CubePoint("U", 0.5, 0.5), CubePoint("U", 0.5, 0.5 + 0.004)
+    d = surface_distance(cube, *ends)
+    assert component_lengths(f) == [d]
+    assert d == pytest.approx(0.004, abs=1e-12)
