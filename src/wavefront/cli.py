@@ -42,6 +42,9 @@ from .surfaces import (
 
 PROG = "wavefront"
 
+# Most points one LO:HI:STEP time grid may list.
+T_GRID_BUDGET = 10**6
+
 
 class UsageError(ValueError):
     """Invalid command-line arguments."""
@@ -66,7 +69,12 @@ def _t_grid(text: str) -> list:
         raise UsageError(f"bad time grid {text!r}, expected LO:HI:STEP") from None
     if not (all(map(math.isfinite, (lo, hi, step))) and step > 0 and hi >= lo):
         raise UsageError(f"bad time grid {text!r}: need finite LO <= HI, STEP > 0")
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step + 1e-9
+    if not span < T_GRID_BUDGET:
+        raise NumericalFailureError(
+            f"time grid {text!r} has more points than the budget T_GRID_BUDGET={T_GRID_BUDGET}"
+        )
+    n = int(math.floor(span)) + 1
     return [lo + k * step for k in range(n)]
 
 

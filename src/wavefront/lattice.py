@@ -23,6 +23,9 @@ from .surfaces import NumericalFailureError, PreconditionError
 
 COUNT_BUDGET_RADIUS = 1.0e4
 
+# Most sampled circle points, or cell centres, one rectangle check may allocate.
+RECT_POINT_BUDGET = 4 * 10**6
+
 
 @dataclass(frozen=True)
 class LatticeCount:
@@ -76,8 +79,8 @@ def _count_radius(sq: float) -> int:
 
 def gauss_count(t: float) -> int:
     """Number of integer points (m, n) with m^2 + n^2 <= t^2."""
-    if t < 0:
-        raise PreconditionError("radius must be nonnegative")
+    if not (math.isfinite(t) and t >= 0):
+        raise PreconditionError(f"t={t!r}: radius must be finite and nonnegative")
     if t > COUNT_BUDGET_RADIUS:
         raise NumericalFailureError(
             f"radius {t} exceeds the enumeration budget {COUNT_BUDGET_RADIUS:g}"
@@ -104,8 +107,8 @@ def error_term(t: float) -> float:
     for every t >= 0.11 or so (below that the single origin point already
     outweighs the tiny area) and a violation in range means a counting bug.
     """
-    if t <= 0:
-        raise PreconditionError("radius must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise PreconditionError(f"t={t!r}: radius must be finite and positive")
     e = gauss_count(t) - math.pi * t * t
     if abs(e) > math.sqrt(2.0) * 2.0 * math.pi * t:
         raise NumericalFailureError(
@@ -131,8 +134,8 @@ def wavefront_return_oracle(t: float, h: float) -> float:
     The shell width h is the scale at which the companion annulus count
     certifies returns; the minimum itself depends only on t.
     """
-    if t <= 0 or h <= 0:
-        raise PreconditionError("need t > 0 and h > 0")
+    if not (math.isfinite(t) and t > 0 and math.isfinite(h) and h > 0):
+        raise PreconditionError(f"need finite t > 0 and h > 0, got t={t!r} h={h!r}")
     best = t  # the origin
     m_hi = math.ceil(t + best)
     for m in range(0, m_hi + 1):
@@ -160,10 +163,10 @@ def theorem1_rectangle_check(t: float, h_max: float = 0.005) -> RectCheckReport:
     modulo the unit square it is 3/sqrt(t)-dense.  All three are evaluated
     numerically; ``passed`` is their conjunction.
     """
-    if not t > 36.0 / 5.0:
-        raise PreconditionError("rectangle argument needs t > 36/5")
-    if h_max <= 0:
-        raise PreconditionError("h_max must be positive")
+    if not (math.isfinite(t) and t > 36.0 / 5.0):
+        raise PreconditionError(f"t={t!r}: rectangle argument needs finite t > 36/5")
+    if not (math.isfinite(h_max) and h_max > 0):
+        raise PreconditionError(f"h_max={h_max!r}: must be finite and positive")
     a = -2.0 * math.sqrt(t)
     b = -math.sqrt(2.0 * t)
     bound = 3.0 / math.sqrt(t)
@@ -175,6 +178,12 @@ def theorem1_rectangle_check(t: float, h_max: float = 0.005) -> RectCheckReport:
     height = float(f(np.array(b)) - f(np.array(a)))
 
     dx = h_max / math.sqrt(1.0 + slope_max * slope_max)
+    # n samples below and m x m cell centres: each at most the budget
+    if b - a > (RECT_POINT_BUDGET - 1) * dx or h_max * math.isqrt(RECT_POINT_BUDGET) < 1.0:
+        raise NumericalFailureError(
+            f"rectangle check at t={t!r}, h_max={h_max!r} needs more samples or "
+            f"cell centres than the budget RECT_POINT_BUDGET={RECT_POINT_BUDGET}"
+        )
     n = int(math.ceil((b - a) / dx)) + 1
     xs = np.linspace(a, b, n)
     pts = np.stack([xs, f(xs)], axis=1)

@@ -11,9 +11,11 @@ Three views of how a front fills its surface:
   the asymptotic slope.
 
 Distances are geodesic: wrap images on the torus and Klein bottle, straight
-chords inside the convex billiards, unfolded face charts on the cube (cube
-distances beyond the double-unfolding radius are realizable-path upper
-bounds, so reported covering radii remain valid upper bounds).
+chords inside the convex billiards, and on the cube chords to samples
+developed into the query's face (see ``_NearestFront.query``).  A reported
+covering radius is the largest nearest-sample distance over the eps-cell
+centres, not a bound on the front's covering radius sup_x d(x, W_t): points
+between centres can lie farther from the front.
 """
 
 from __future__ import annotations
@@ -33,9 +35,12 @@ from .frontier import (
     init_front,
     propagate,
 )
-from .surfaces import PreconditionError
+from .surfaces import NumericalFailureError, PreconditionError
 
 NOT_ACHIEVED = "not achieved by t_max"
+
+# Most checkpoints one coverage-time scan may list.
+CHECKPOINT_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -99,9 +104,12 @@ class _NearestFront:
     def query(self, pts: np.ndarray, charts: np.ndarray):
         """Min distance from each query point to the front's live samples.
 
-        ``charts`` gives the chart of each query point.  On the cube the
-        result can exceed the true geodesic distance only beyond one face
-        width (double-unfolding trust radius).
+        ``charts`` gives the chart of each query point.  On the cube each
+        sample is searched as developed across at most two edges into the
+        query's face.  Each such chord is at least the geodesic distance, so
+        the result is never below the exact one, and it is exact whenever the
+        exact distance is below one side length: a shortest path that short
+        crosses at most two edges.  Beyond that it can be too long.
         """
         out = np.full(pts.shape[0], np.inf)
         for chart, tree in enumerate(self._trees):
@@ -291,6 +299,11 @@ def estimate_tau(
         raise PreconditionError(f"t_max={t_max!r}: must be finite and nonnegative")
     if not (math.isfinite(delta_t) and delta_t > 0):
         raise PreconditionError(f"delta_t={delta_t!r}: must be finite and positive")
+    if not t_max / delta_t < CHECKPOINT_BUDGET:
+        raise NumericalFailureError(
+            f"t_max/delta_t={t_max / delta_t!r} checkpoints exceed the budget "
+            f"CHECKPOINT_BUDGET={CHECKPOINT_BUDGET}"
+        )
     centers, center_faces = _ball_centers(surface, 0.5 * r)
 
     times = []

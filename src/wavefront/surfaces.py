@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import reprlib
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -475,19 +476,12 @@ class CubeSurface(_Surface):
         away, developed into its chart (so queries need no images)."""
         pts, faces, side = pos[live], face[live], self.side
         out = []
-        for f in range(6):
-            clouds = [pts[faces == f]]
-            for e in range(4):
-                g, rot1, c1 = cube_develop_step(f, e)
-                clouds.append(pts[faces == g] @ rot1.T + c1 * side)
-                for e2 in range(4):
-                    g2, rot2, c2 = cube_develop_step(g, e2)
-                    if g2 == f:
-                        continue
-                    rot12 = rot1 @ rot2
-                    c12 = rot1 @ (c2 * side) + c1 * side
-                    clouds.append(pts[faces == g2] @ rot12.T + c12)
-            out.append(np.concatenate(clouds, axis=0))
+        for paths in _FACE_PATHS:
+            near = paths.depth <= 2
+            out.append(np.concatenate([
+                pts[faces == g] @ r.T + c * side
+                for g, r, c in zip(paths.end[near], paths.rot[near], paths.shift[near])
+            ], axis=0))
         return out
 
     @property
@@ -701,6 +695,58 @@ def _build_transitions():
 
 
 _NEXT_FACE, _TRANS_ROT, _TRANS_SHIFT = _build_transitions()
+
+
+class _FacePaths(NamedTuple):
+    """The face paths from one source face, a row each (``_build_face_paths``)."""
+
+    end: np.ndarray  # (n,) last face
+    depth: np.ndarray  # (n,) edges crossed
+    step_rot: np.ndarray  # (n, 5, 2, 2) step i: R, identity past the depth
+    step_shift: np.ndarray  # (n, 5, 2) step i: c, zero past the depth
+    rot: np.ndarray  # (n, 2, 2) the steps composed
+    shift: np.ndarray  # (n, 2)
+    corners: np.ndarray  # (n, 6, 2) developed faces, the last one repeated
+
+
+def _build_face_paths():
+    """Every simple face path from each source face, developed into its chart.
+
+    A path is a chain of faces, each entered across an edge of the one before
+    and none visited twice; the trivial path comes first, the rest follow in
+    depth-first order of edge ids.  Step i develops face i of the path into
+    the chart of face i-1 (the inverse of the tracer's crossing transition):
+    a point q there sits at R @ q + c * side.  Composed, the steps map the
+    last face into the source chart, where each face of the path develops to
+    the square [corner, corner + 1] * side.  Integers, in side units.
+    """
+    zero = np.zeros(2, dtype=np.int64)
+    step = [[(int(_NEXT_FACE[f, e]), r, -(r @ _TRANS_SHIFT[f, e]))
+             for e in range(4) for r in [_ROT2[-_TRANS_ROT[f, e] % 4]]] for f in range(6)]
+    tables = []
+    for f0 in range(6):
+        rows = []
+
+        def walk(faces, rots, shifts, rot, shift, corners):
+            pad = 5 - len(rots)
+            rows.append((faces[-1], len(rots), rots + [_ROT2[0]] * pad, shifts + [zero] * pad,
+                         rot, shift, corners + corners[-1:] * pad))
+            for g, r, c in step[faces[-1]]:
+                if g not in faces:
+                    r_all, c_all = rot @ r, rot @ c + shift
+                    walk(faces + [g], rots + [r], shifts + [c], r_all, c_all,
+                         corners + [c_all + np.minimum(r_all, 0).sum(axis=1)])
+
+        walk([f0], [], [], _ROT2[0], zero, [zero])
+        assert len(rows) == 133, f0
+        tables.append(_FacePaths(*(np.array(column) for column in zip(*rows))))
+    return tables
+
+
+_FACE_PATHS = _build_face_paths()
+# [source face][end face]: the paths a distance minimises over
+_FACE_PATHS_TO = [[_FacePaths(*(a[t.end == f] for a in t)) for f in range(6)]
+                  for t in _FACE_PATHS]
 
 
 def _build_rotation_group():
@@ -1020,121 +1066,35 @@ def nearest_image(surface: SurfaceModel, base, other):
     return imgs[k]
 
 
-def cube_develop_step(face_from: int, edge: int):
-    """Affine development of the neighbour across ``edge`` into this chart.
-
-    Returns (next_face, R, c) with R a 2x2 integer rotation and c a shift in
-    side units: a point q in the neighbour chart sits at R @ q + c in the
-    plane of ``face_from``'s chart.  (This is the inverse of the crossing
-    transition used by the tracer.)
-    """
-    f2 = int(_NEXT_FACE[face_from, edge])
-    rt = int(_TRANS_ROT[face_from, edge])
-    c = _TRANS_SHIFT[face_from, edge]
-    rinv = _ROT2[(-rt) % 4]
-    return f2, rinv, -(rinv @ c)
-
-
-def _gate_path_length(p0, gates, p1, side: float) -> float:
-    """Shortest broken path p0 -> gates... -> p1 with each stop on its gate.
-
-    Gates are segments (a, b).  If the straight segment crosses every gate in
-    order the straight length is returned; otherwise a few rounds of
-    coordinate descent (each stop projected onto its segment) give an upper
-    bound that corresponds to a realisable path on the surface.
-    """
-    p0 = np.asarray(p0, dtype=np.float64)
-    p1 = np.asarray(p1, dtype=np.float64)
-    d = p1 - p0
-    straight_ok = True
-    prev_s = 0.0
-    for a, b in gates:
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        g = b - a
-        denom = d[0] * g[1] - d[1] * g[0]
-        if abs(denom) < 1e-15 * side:
-            straight_ok = False
-            break
-        w = a - p0
-        s = (w[0] * g[1] - w[1] * g[0]) / denom  # param along p0->p1
-        u = (w[0] * d[1] - w[1] * d[0]) / denom  # param along the gate
-        if not (prev_s - 1e-12 <= s <= 1.0 + 1e-12 and -1e-12 <= u <= 1.0 + 1e-12):
-            straight_ok = False
-            break
-        prev_s = s
-    if straight_ok:
-        return float(np.hypot(d[0], d[1]))
-
-    stops = [np.asarray((np.asarray(a) + np.asarray(b)) / 2.0) for a, b in gates]
-    pts = [p0] + stops + [p1]
-    for _ in range(48):
-        shift = 0.0
-        for i, (a, b) in enumerate(gates, start=1):
-            a = np.asarray(a, dtype=np.float64)
-            g = np.asarray(b, dtype=np.float64) - a
-            gg = float(g @ g)
-            lo, hi = pts[i - 1], pts[i + 1]
-            seg = hi - lo
-            denom = seg[0] * g[1] - seg[1] * g[0]
-            if abs(denom) > 1e-15 * side:
-                w = a - lo
-                u = (w[0] * seg[1] - w[1] * seg[0]) / denom
-            else:
-                u = float((((lo + hi) / 2.0) - a) @ g) / gg if gg > 0 else 0.0
-            u = min(max(u, 0.0), 1.0)
-            new = a + u * g
-            shift = max(shift, float(np.hypot(*(new - pts[i]))))
-            pts[i] = new
-        if shift < 1e-13 * side:
-            break
-    total = 0.0
-    for i in range(len(pts) - 1):
-        total += float(np.hypot(*(pts[i + 1] - pts[i])))
-    return total
-
-
 def cube_geodesic_distance(side: float, q1: CubePoint, q2: CubePoint) -> float:
-    """Geodesic distance on the cube via single and double edge unfoldings.
+    """Geodesic distance on the cube: the shortest straight unfolding.
 
-    Returns the minimum over the same-face chord and all developments of
-    q2's face across one or two edges of q1's face chain.  Below ``side``
-    this chain family contains a genuine shortest path, so the value is
-    exact; larger values are honest upper bounds (every candidate
-    corresponds to a realisable path) but a shortest path could cross more
-    than two edges.
+    A shortest path visits each face at most once and develops to a straight
+    segment that crosses every shared edge in order (Sharir & Schorr, SIAM J.
+    Comput. 15(1), 1986).  So this is the least developed chord from q1 to q2
+    over the face paths from q1's face to q2's whose chord passes through the
+    path's developed faces in turn: each such chord is a path on the surface
+    and a shortest path is one of them, so the value is exact.  The faces are
+    closed (a chord may run along an edge) and widened by 1e-12 * side
+    against rounding.
     """
-    f1 = FACE_INDEX[q1.face]
-    f2 = FACE_INDEX[q2.face]
+    paths = _FACE_PATHS_TO[FACE_INDEX[q1.face]][FACE_INDEX[q2.face]]
     p1 = np.array([q1.u, q1.v], dtype=np.float64)
-    p2 = np.array([q2.u, q2.v], dtype=np.float64)
-    best = math.inf
-    if f1 == f2:
-        best = float(np.hypot(*(p2 - p1)))
-
-    edge_seg = {
-        e: (np.array(_EDGE_PTS[e][0], dtype=np.float64) * side,
-            np.array(_EDGE_PTS[e][1], dtype=np.float64) * side)
-        for e in range(4)
-    }
-    for e in range(4):
-        m, r1, c1 = cube_develop_step(f1, e)
-        gate1 = edge_seg[e]
-        if m == f2:
-            img = r1 @ p2 + c1 * side
-            best = min(best, _gate_path_length(p1, [gate1], img, side))
-        for e2 in range(4):
-            m2, r2, c2 = cube_develop_step(m, e2)
-            if m2 == f1 or m2 == m:
-                continue
-            if m2 != f2:
-                continue
-            # develop the middle gate and the far point into f1's plane
-            g2a = r1 @ (np.array(_EDGE_PTS[e2][0], dtype=np.float64) * side) + c1 * side
-            g2b = r1 @ (np.array(_EDGE_PTS[e2][1], dtype=np.float64) * side) + c1 * side
-            img = r1 @ (r2 @ p2 + c2 * side) + c1 * side
-            best = min(best, _gate_path_length(p1, [gate1, (g2a, g2b)], img, side))
-    return best
+    img = np.broadcast_to(np.array([q2.u, q2.v], dtype=np.float64), paths.shift.shape)
+    for i in range(4, -1, -1):  # innermost step first; padding steps are identities
+        img = (paths.step_rot[:, i] @ img[:, :, None])[:, :, 0] + paths.step_shift[:, i] * side
+    d = img - p1
+    # chord parameters where it enters and leaves each developed face
+    lo = paths.corners * side - (p1 + 1e-12 * side)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ta = lo / d[:, None, :]
+        tb = (lo + side * (1.0 + 2e-12)) / d[:, None, :]
+    enter = np.minimum(ta, tb).max(axis=2)
+    leave = np.maximum(ta, tb).min(axis=2)
+    # the chord passes from face k-1 to face k at the earliest parameter allowed
+    s = np.maximum.accumulate(np.maximum(enter, 0.0), axis=1)
+    ok = (s[:, 1:] <= leave[:, :-1]).all(axis=1) & (s[:, -1] <= 1.0)
+    return float(np.hypot(d[:, 0], d[:, 1])[ok].min())
 
 
 def surface_distance(surface: SurfaceModel, q1, q2) -> float:
@@ -1142,7 +1102,7 @@ def surface_distance(surface: SurfaceModel, q1, q2) -> float:
 
     Torus and Klein bottle distances minimise over deck-group images;
     rectangle and disk distances are straight chords (the tables are
-    convex); cube distances minimise over one- and two-edge unfoldings,
-    which is exact below one side length (see ``cube_geodesic_distance``).
+    convex); cube distances minimise over the straight unfoldings of every
+    face path (see ``cube_geodesic_distance``).
     """
     return surface.distance(surface.validate_point(q1), surface.validate_point(q2))

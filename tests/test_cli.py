@@ -194,16 +194,24 @@ def test_invalid_arguments_exit_1(capsys):
         assert name in err, argv
 
 
-def test_numerical_failure_exit_2(capsys):
-    for argv in (
-        ["lattice", "--t-grid", "20000:20000:1"],
+def test_numerical_failure_exit_2(monkeypatch, capsys):
+    # size budgets, lowered so that no large grid or sample array is built
+    monkeypatch.setattr(cli, "T_GRID_BUDGET", 10)
+    monkeypatch.setattr(wavefront.metrics, "CHECKPOINT_BUDGET", 5)
+    monkeypatch.setattr(wavefront.lattice, "RECT_POINT_BUDGET", 1000)
+    for argv, budget in (
+        (["lattice", "--t-grid", "20000:20000:1"], "budget"),
         # rejected before the initial directions are allocated
-        ["simulate", "--surface", "torus:1,1", "--p", "0.2,0.3", "--t", "1",
-         "--n0", "2000000000"],
+        (["simulate", "--surface", "torus:1,1", "--p", "0.2,0.3", "--t", "1",
+          "--n0", "2000000000"], "budget"),
+        (["lattice", "--t-grid", "1:11:1"], "T_GRID_BUDGET=10"),
+        (["tau", "--surface", "torus:1,1", "--p", "0.2,0.3", "--r", "0.25",
+          "--t-max", "3", "--dt", "0.5"], "CHECKPOINT_BUDGET=5"),
+        (["verify-theorem1", "--t-grid", "10:10:1"], "RECT_POINT_BUDGET=1000"),
     ):
         code, _, err = run(argv, capsys)
         assert code == 2, argv
-        assert "budget" in err and err.count("\n") == 1, argv
+        assert budget in err and err.count("\n") == 1, argv
 
 
 def test_io_errors_exit_3(tmp_path, capsys):

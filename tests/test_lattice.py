@@ -58,6 +58,8 @@ def test_gauss_count_monotone():
 def test_gauss_count_rejects_negative_and_huge():
     with pytest.raises(PreconditionError):
         gauss_count(-1.0)
+    with pytest.raises(PreconditionError, match="t=nan"):
+        gauss_count(math.nan)
     with pytest.raises(NumericalFailureError):
         gauss_count(2.0e4)  # beyond the enumeration budget
 
@@ -74,6 +76,8 @@ def test_annulus_count_examples():
 def test_error_term_anchors():
     assert error_term(1.0) == pytest.approx(5 - math.pi, abs=1e-12)
     assert error_term(0.5) == pytest.approx(1 - math.pi / 4, abs=1e-15)
+    with pytest.raises(PreconditionError, match="t=nan"):
+        error_term(math.nan)
 
 
 def test_error_term_envelope():
@@ -118,6 +122,11 @@ def test_rectangle_check_rejects_small_t():
         theorem1_rectangle_check(5.0)
     with pytest.raises(PreconditionError):
         theorem1_rectangle_check(36.0 / 5.0)
+    # non-finite input is named, not left to a ValueError or OverflowError
+    with pytest.raises(PreconditionError, match="h_max=nan"):
+        theorem1_rectangle_check(100.0, h_max=math.nan)
+    with pytest.raises(PreconditionError, match="t=inf"):
+        theorem1_rectangle_check(math.inf)
 
 
 # --- return oracle ------------------------------------------------------------
@@ -132,6 +141,9 @@ def test_return_oracle_exact_hits():
     assert wavefront_return_oracle(0.5, 0.1) == pytest.approx(0.5, abs=1e-15)
     with pytest.raises(PreconditionError):
         wavefront_return_oracle(1.0, 0.0)
+    for t in (math.inf, math.nan):
+        with pytest.raises(PreconditionError, match=f"t={t!r}"):
+            wavefront_return_oracle(t, 1.0)
 
 
 def test_return_oracle_matches_simulator():

@@ -320,6 +320,119 @@ def test_cube_face_to_face_distances():
     assert surface_distance(cube, f, b) == pytest.approx(2.0, abs=1e-9)
 
 
+# The documented charts: face -> (origin, e_u, e_v) in the unit cube, with
+# e_u x e_v the outward normal (cross net L F R B, U above F, D below F).
+_CUBE_CHARTS = {
+    "U": ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+    "D": ((0, 1, 0), (1, 0, 0), (0, -1, 0)),
+    "F": ((0, 0, 0), (1, 0, 0), (0, 0, 1)),
+    "B": ((1, 1, 0), (-1, 0, 0), (0, 0, 1)),
+    "L": ((0, 1, 0), (0, -1, 0), (0, 0, 1)),
+    "R": ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+}
+
+
+def _cube_3d(side, point):
+    o, eu, ev = (np.array(v, dtype=float) for v in _CUBE_CHARTS[point.face])
+    return side * o + point.u * eu + point.v * ev
+
+
+def _rolled_unfoldings(side):
+    """Every simple face path, unfolded by rolling the cube in 3D.
+
+    The cube hangs below the plane z = 0 with the current face on it, outward
+    normal up; the pose x -> m @ x + t places the source face's chart axes on
+    x and y.  Rolling a quarter turn about an edge of the current face brings
+    the neighbour across it down onto the plane.  Returns, per (first face,
+    last face), the poses of the last face and the developed shared edges.
+    """
+    z = np.array([0.0, 0.0, 1.0])
+    normal = {f: np.cross(c[1], c[2]).astype(float) for f, c in _CUBE_CHARTS.items()}
+    paths = {}
+    for f0, (o, eu, ev) in _CUBE_CHARTS.items():
+        m0 = np.array([eu, ev, normal[f0]], dtype=float)
+        stack = [((f0,), (), m0, -side * (m0 @ np.array(o, dtype=float)))]
+        while stack:
+            faces, gates, m, t = stack.pop()
+            paths.setdefault((f0, faces[-1]), []).append((gates, m, t))
+            centre = m @ np.full(3, 0.5 * side) + t + 0.5 * side * z
+            for g in _CUBE_CHARTS:
+                out = m @ normal[g]  # horizontal for the four neighbours
+                if g in faces or abs(out[2]) > 0.5:
+                    continue
+                hinge = centre + 0.5 * side * out
+                along = 0.5 * side * np.cross(z, out)
+                roll = np.eye(3) + np.outer(z - out, out) - np.outer(z + out, z)
+                gate = ((hinge - along)[:2], (hinge + along)[:2])
+                stack.append((faces + (g,), gates + (gate,), roll @ m,
+                              hinge + roll @ (t - hinge)))
+    return paths
+
+
+def _on_faces(side, point):
+    """The point in the chart of each face that holds it (an edge point lies
+    on two faces, a vertex on three)."""
+    x, out = _cube_3d(side, point), []
+    for face, (o, eu, ev) in _CUBE_CHARTS.items():
+        w = x - side * np.array(o, dtype=float)
+        u, v = w @ eu, w @ ev
+        if abs(w @ np.cross(eu, ev)) < 1e-12 and -1e-12 <= min(u, v) <= max(u, v) <= side + 1e-12:
+            out.append(CubePoint(face, min(max(u, 0.0), side), min(max(v, 0.0), side)))
+    return out
+
+
+def _oracle_chord(paths, side, q1, q2):
+    """Shortest unfolded chord from q1 that crosses each shared edge in order."""
+    _, m0, t0 = paths[(q1.face, q1.face)][0]
+    a, best = (m0 @ _cube_3d(side, q1) + t0)[:2], math.inf
+    for gates, m, t in paths[(q1.face, q2.face)]:
+        b = (m @ _cube_3d(side, q2) + t)[:2]
+        d, s_prev = b - a, 0.0
+        for p, q in gates:
+            g = q - p
+            den = d[0] * g[1] - d[1] * g[0]
+            if den == 0.0:
+                break
+            w = p - a
+            s = (w[0] * g[1] - w[1] * g[0]) / den
+            u = (w[0] * d[1] - w[1] * d[0]) / den
+            if not (s_prev - 1e-9 <= s <= 1 + 1e-9 and -1e-9 <= u <= 1 + 1e-9):
+                break
+            s_prev = s
+        else:
+            best = min(best, math.hypot(d[0], d[1]))
+    return best
+
+
+def _oracle_distance(paths, side, q1, q2):
+    return min(_oracle_chord(paths, side, a, b)
+               for a in _on_faces(side, q1) for b in _on_faces(side, q2))
+
+
+def test_cube_distance_exact():
+    paths = _rolled_unfoldings(1.0)
+    assert sum(len(v) for v in paths.values()) == 6 * 133
+    cube = CubeSurface(1.0)
+    rng = np.random.default_rng(11)
+    for k in range(600):
+        q1, q2 = (CubePoint("UDFBLR"[rng.integers(6)], *rng.uniform(0, 1, 2))
+                  for _ in range(2))
+        if k >= 400:  # on edges too, where a chord can run along an edge
+            q1 = CubePoint(q1.face, float(rng.integers(2)), q1.v)
+            q2 = CubePoint(q2.face, q2.u, float(rng.integers(2)) if k % 2 else q2.v)
+        assert surface_distance(cube, q1, q2) == pytest.approx(
+            _oracle_distance(paths, 1.0, q1, q2), abs=1e-12)
+    # a shortest path across four faces, out of reach of two-edge chains
+    q1, q2 = CubePoint("L", 0.03959, 0.52859), CubePoint("R", 0.45934, 0.06235)
+    assert surface_distance(cube, q1, q2) == pytest.approx(1.5354371775, abs=1e-10)
+    assert _oracle_distance(paths, 1.0, q1, q2) == pytest.approx(1.5354371775, abs=1e-10)
+    for side in (1.0, 2.5):
+        paths = _rolled_unfoldings(side)
+        u, d = CubePoint("U", side / 2, side / 2), CubePoint("D", side / 2, side / 2)
+        assert surface_distance(CubeSurface(side), u, d) == 2.0 * side
+        assert _oracle_distance(paths, side, u, d) == pytest.approx(2.0 * side, abs=1e-12)
+
+
 def test_distance_symmetry_and_triangle():
     rng = np.random.default_rng(2)
     surfaces = [
@@ -330,6 +443,10 @@ def test_distance_symmetry_and_triangle():
             lambda: tuple(0.7 * math.sqrt(rng.uniform())
                           * np.array([math.cos(a), math.sin(a)])
                           for a in [rng.uniform(0, 2 * math.pi)])[0],
+        ),
+        (
+            CubeSurface(1.0),
+            lambda: CubePoint("UDFBLR"[rng.integers(6)], *rng.uniform(0, 1, 2)),
         ),
     ]
     for surface, draw in surfaces:
