@@ -31,6 +31,7 @@ import numpy as np
 
 from .surfaces import (
     TWO_PI,
+    GeodesicBatch,
     NumericalFailureError,
     PreconditionError,
     SurfaceModel,
@@ -72,9 +73,9 @@ class PropagationParams:
 
     h_max: target spatial resolution between adjacent samples.
     theta_min: smallest direction gap bisection may produce.
-    delta_t_check: time spacing for coverage-time scans and series
-        emission; propagation itself evaluates directly at the target
-        time and times splits by ray death, so it needs no checkpoints.
+    delta_t_check: a checkpoint spacing recorded in snapshots and SVG
+        comments; no computation reads it (``estimate_tau`` takes its own
+        ``delta_t``, and propagation times splits by ray death).
     sample_budget: hard cap on samples per front.
     """
 
@@ -127,14 +128,13 @@ class FrontComponent:
         )
 
 
-@dataclass
-class Front:
-    """A propagated wave front.
+@dataclass(kw_only=True)
+class Front(GeodesicBatch):
+    """A propagated wave front: the evaluation of its directions at ``t``.
 
-    Sample arrays are ordered by theta and include dead directions; the
-    components index into them.  ``cover`` and the other derived arrays may
-    be absent on fronts read back from snapshots and are recomputed on
-    demand (evaluation is pure, so recomputation is exact).
+    The per-sample columns (a ``GeodesicBatch``) are ordered by ``thetas``
+    and include dead directions; the components index into them.  Every
+    front holds all of them, those read back from snapshots included.
     """
 
     surface: SurfaceModel
@@ -143,15 +143,7 @@ class Front:
     arc: ArcInterval
     params: PropagationParams
     thetas: np.ndarray
-    pos: np.ndarray
-    alive: np.ndarray
-    death_time: np.ndarray
     components: list
-    cover: np.ndarray | None = None
-    refl: np.ndarray | None = None
-    group: np.ndarray | None = None
-    face: np.ndarray | None = None
-    sheet: np.ndarray | None = None
 
     @property
     def sample_count(self) -> int:
@@ -161,13 +153,6 @@ class Front:
     def dead_directions(self) -> list:
         idx = np.nonzero(~self.alive)[0]
         return [(float(self.thetas[i]), float(self.death_time[i])) for i in idx]
-
-    def ensure_evaluated(self) -> None:
-        """Recompute the derived arrays (the GeodesicBatch fields) if absent."""
-        if self.cover is not None:
-            return
-        batch = evaluate_batch(self.surface, self.source, self.thetas, self.t)
-        vars(self).update(vars(batch))
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +185,8 @@ def init_front(
     thetas = np.linspace(arc.theta_lo, arc.theta_hi, n0)
     batch = evaluate_batch(surface, source, thetas, 0.0)
     comp = FrontComponent(interval=arc, split_time=0.0, segments=((0, n0),))
-    return _make_front(surface, source, 0.0, arc, params, thetas, batch, [comp])
-
-
-def _make_front(surface, source, t, arc, params, thetas, batch, components) -> Front:
-    return Front(surface=surface, source=source, t=t, arc=arc, params=params,
-                 thetas=thetas, components=components, **vars(batch))
+    return Front(surface=surface, source=source, t=0.0, arc=arc, params=params,
+                 thetas=thetas, components=[comp], **vars(batch))
 
 
 def _refine(surface, source, tt, thetas, batch, params):
@@ -402,9 +383,8 @@ def propagate(front: Front, t_target: float) -> Front:
     components = _assemble_components(
         surface, front.arc, tt, thetas, batch, params, front.components
     )
-    return _make_front(
-        surface, source, tt, front.arc, params, thetas, batch, components
-    )
+    return Front(surface=surface, source=source, t=tt, arc=front.arc, params=params,
+                 thetas=thetas, components=components, **vars(batch))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +398,6 @@ def component_lengths(front: Front) -> list:
     distance of each connected cross-sheet pair; a wrap-around component
     adds the gap across the theta = 0 seam.
     """
-    front.ensure_evaluated()
     cover, sheet = front.cover, front.sheet
     out = []
     for comp in front.components:

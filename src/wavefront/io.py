@@ -3,8 +3,10 @@
 Snapshots are JSON (schema version 1) with floats written as shortest
 round-trip decimals, so parse(emit(front)) reproduces every numeric field
 bit for bit.  Sample positions are stored only for live directions; dead
-directions carry their death time and everything else is recomputed on
-demand from the pure evaluation map.
+directions carry their death time.  Parsing evaluates the document's
+directions at its time (evaluation is pure) and rejects a document whose
+alive flags, live positions, cube faces or death times differ from that
+evaluation.
 
 Renders are static SVG: flat surfaces in their rectangular viewport, the
 disk in its bounding square with the rim drawn, the cube as a cross net
@@ -23,7 +25,7 @@ import numpy as np
 from .frontier import ArcInterval, Front, FrontComponent, PropagationParams
 from .metrics import DensityReport
 from .lattice import LatticeCount
-from .surfaces import PreconditionError, format_surface, parse_surface
+from .surfaces import PreconditionError, evaluate_batch, format_surface, parse_surface
 
 SNAPSHOT_VERSION = 1
 
@@ -43,7 +45,6 @@ class SnapshotError(ValueError):
 
 def emit_snapshot(front: Front) -> bytes:
     """Serialize a front to JSON bytes (schema version 1)."""
-    front.ensure_evaluated()
     # plain Python columns; json writes their tuples as arrays
     thetas = front.thetas.tolist()
     alive = front.alive.tolist()
@@ -130,10 +131,9 @@ def _real(x, what: str) -> float:
 def parse_snapshot(data: bytes) -> Front:
     """Reconstruct a front from snapshot bytes.
 
-    Unknown keys are rejected, and so is any value of the wrong shape or
-    type, always with a SnapshotError.  Derived arrays (lifted covers,
-    sheets, dead sample positions) are left to lazy recomputation, which
-    is exact because evaluation is pure.
+    The front is the evaluation of the document's directions at its time.
+    Unknown keys, values of the wrong shape or type, and samples that the
+    evaluation contradicts are all rejected with a SnapshotError.
     """
     try:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
@@ -153,7 +153,7 @@ def parse_snapshot(data: bytes) -> Front:
         ),
         "snapshot",
     )
-    if doc["version"] != SNAPSHOT_VERSION:
+    if type(doc["version"]) is not int or doc["version"] != SNAPSHOT_VERSION:
         raise SnapshotError(f"unsupported snapshot version {doc['version']!r}")
     try:
         return _parse_front(doc)
@@ -228,8 +228,6 @@ def _parse_front(doc: dict) -> Front:
 
     order = np.argsort(np.array(thetas), kind="stable")
     thetas = np.array(thetas)[order]
-    pos = np.column_stack((xs, ys))[order]
-    face = np.array(faces, dtype=np.int64)[order] if surface.charts > 1 else None
     alive = np.array(alive, dtype=bool)[order]
     death = np.array(death)[order]
     owner = np.array(owner)[order]
@@ -266,23 +264,22 @@ def _parse_front(doc: dict) -> Front:
             )
         )
 
-    return Front(
-        surface=surface,
-        source=source,
-        t=t,
-        arc=arc,
-        params=params,
-        thetas=thetas,
-        pos=pos,
-        alive=alive,
-        death_time=death,
-        components=components,
-        cover=None,
-        refl=None,
-        group=None,
-        face=face,
-        sheet=None,
-    )
+    # the front is the evaluation; the document must agree with it bitwise
+    batch = evaluate_batch(surface, source, thetas, t)
+    live, pos = batch.alive, np.column_stack((xs, ys))[order]
+    moved = (pos != batch.pos) | (np.signbit(pos) != np.signbit(batch.pos))
+    charts = surface.sample_charts(batch.face, thetas.shape[0])
+    for what, differs in (
+        ("alive flag", alive != live),
+        ("position", live & moved.any(axis=1)),
+        ("face", live & (np.array(faces)[order] != charts)),
+        ("death time", ~live & (death != batch.death_time)),
+    ):
+        if differs.any():
+            theta = float(thetas[np.argmax(differs)])
+            raise SnapshotError(f"sample {what} at theta={theta!r} differs from evaluation")
+    return Front(surface=surface, source=source, t=t, arc=arc, params=params,
+                 thetas=thetas, components=components, **vars(batch))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +347,6 @@ def render_svg(
     """
     if not width_px >= 1:
         raise PreconditionError(f"width_px={width_px!r}: need at least 1 pixel")
-    front.ensure_evaluated()
     surface = front.surface
     w, h = surface.viewport
     height_px = max(1, round(width_px * h / w))

@@ -136,6 +136,10 @@ def wavefront_return_oracle(t: float, h: float) -> float:
     """
     if not (math.isfinite(t) and t > 0 and math.isfinite(h) and h > 0):
         raise PreconditionError(f"need finite t > 0 and h > 0, got t={t!r} h={h!r}")
+    if t > COUNT_BUDGET_RADIUS:
+        raise NumericalFailureError(
+            f"radius {t} exceeds the enumeration budget {COUNT_BUDGET_RADIUS:g}"
+        )
     best = t  # the origin
     m_hi = math.ceil(t + best)
     for m in range(0, m_hi + 1):

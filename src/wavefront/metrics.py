@@ -96,7 +96,6 @@ class _NearestFront:
     """KD trees, one per chart, answering min geodesic distance to live samples."""
 
     def __init__(self, front: Front):
-        front.ensure_evaluated()
         self.surface = front.surface
         clouds = self.surface.sample_clouds(front.pos, front.face, front.alive)
         self._trees = [cKDTree(c) if c.shape[0] else None for c in clouds]
@@ -240,7 +239,6 @@ def density_report(front: Front, eps: float) -> DensityReport:
             f"eps={eps!r}: must be finite and at least 4*h_max for a "
             "meaningful occupancy grid"
         )
-    front.ensure_evaluated()
     total, nhit, centers, center_faces = _occupancy(front, eps)
 
     if front.alive.any() and centers.shape[0]:

@@ -43,8 +43,8 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Budget for face-crossing / reflection events in a single evaluation.
-EVENT_BUDGET = 10**7
+# Most face crossings one cube ray may make in a single evaluation.
+EVENT_BUDGET = 10**5
 
 # A cube ray passing closer than this (times side) to a vertex is discarded.
 CORNER_TOL = 1e-9
@@ -73,7 +73,7 @@ class _Surface:
 
     charts = 1  # eps-grids are laid on each chart
     coordinate_width = 2  # snapshot coordinates per sample
-    delta_t_check = 0.5  # default checkpoint spacing of coverage scans
+    delta_t_check = 0.5  # default recorded in snapshots; no computation reads it
 
     def __post_init__(self):
         values = [getattr(self, f.name) for f in fields(self)]
@@ -826,9 +826,6 @@ class GeodesicBatch:
     face: np.ndarray | None = None
     sheet: np.ndarray | None = None
 
-    def __len__(self) -> int:
-        return self.pos.shape[0]
-
     def insert(self, positions, other: "GeodesicBatch") -> "GeodesicBatch":
         """``other``'s rows inserted before rows ``positions`` (np.insert)."""
         return GeodesicBatch(**{
@@ -867,6 +864,11 @@ def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t, on_cross=None
     ``on_cross``, if given, receives the faces entered at each iteration.
     """
     side = surface.side
+    # a developed ray crosses at most sqrt(2)*t/side + 2 lines of the side lattice
+    if not math.sqrt(2.0) * t / side + 2.0 <= EVENT_BUDGET:
+        raise NumericalFailureError(
+            f"cube rays to t={t!r} can cross more than EVENT_BUDGET={EVENT_BUDGET} faces"
+        )
     delta = CORNER_TOL * side
     n = thetas.shape[0]
 
@@ -892,7 +894,7 @@ def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t, on_cross=None
         events += 1
         if events > EVENT_BUDGET:
             raise NumericalFailureError(
-                f"cube tracing exceeded {EVENT_BUDGET} face crossings per ray"
+                f"cube tracing exceeded EVENT_BUDGET={EVENT_BUDGET} face crossings per ray"
             )
         idx = np.nonzero(active)[0]
         fu, fv = pu[idx], pv[idx]

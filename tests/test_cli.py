@@ -208,6 +208,9 @@ def test_numerical_failure_exit_2(monkeypatch, capsys):
         (["tau", "--surface", "torus:1,1", "--p", "0.2,0.3", "--r", "0.25",
           "--t-max", "3", "--dt", "0.5"], "CHECKPOINT_BUDGET=5"),
         (["verify-theorem1", "--t-grid", "10:10:1"], "RECT_POINT_BUDGET=1000"),
+        # the cube walk is bounded before it starts
+        (["simulate", "--surface", "cube:1", "--p", "U/0.5/0.5", "--t", "1e9"],
+         "EVENT_BUDGET"),
     ):
         code, _, err = run(argv, capsys)
         assert code == 2, argv

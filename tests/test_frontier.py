@@ -31,10 +31,10 @@ from wavefront import (
 )
 from wavefront.frontier import (
     FULL_CIRCLE,
+    Front,
     FrontComponent,
     _assemble_components,
     _find_parents,
-    _make_front,
     _unwitnessed_tears,
 )
 from wavefront.surfaces import FACE_INDEX, GeodesicBatch
@@ -367,8 +367,8 @@ def _cross_sheet_pair(gap):
     arc = ArcInterval(0.0, 2.0)
     parent = FrontComponent(interval=arc, split_time=0.25, segments=((0, 2),))
     comps = _assemble_components(cube, arc, 3.0, thetas, batch, params, [parent])
-    front = _make_front(cube, CubePoint("U", 0.5, 0.5), 3.0, arc, params,
-                        thetas, batch, comps)
+    front = Front(surface=cube, source=CubePoint("U", 0.5, 0.5), t=3.0, arc=arc,
+                  params=params, thetas=thetas, components=comps, **vars(batch))
     return cube, params, batch, front
 
 

@@ -1,15 +1,17 @@
 """Snapshot round trips, CSV emission and SVG rendering.
 
 The round-trip law is bitwise: floats are serialized as shortest
-round-trip decimals, dead sample positions are left out and recomputed
-lazily (evaluation is pure), and emitting a parsed front reproduces the
-original bytes exactly.
+round-trip decimals, dead sample positions are left out, parsing evaluates
+the document's directions (evaluation is pure) and rejects a document that
+evaluation contradicts, and emitting a parsed front reproduces the original
+bytes exactly.
 """
 
 import copy
 import hashlib
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from wavefront import (
     CubeSurface,
     DiskBilliard,
     KleinBottle,
+    PropagationParams,
     RectBilliard,
     Torus,
     component_count,
@@ -68,10 +71,8 @@ def test_snapshot_round_trip(surface, src, t):
         assert a.interval == b.interval
         assert a.split_time == b.split_time
         assert a.segments == b.segments
-    # live positions come back bitwise from the document
-    assert np.array_equal(f.pos[f.alive], g.pos[f.alive])
-    # lazy recomputation restores the rest bitwise (evaluation is pure)
-    g.ensure_evaluated()
+    # parsing evaluates every direction, dead ones included, bitwise
+    # (evaluation is pure)
     assert np.array_equal(f.pos, g.pos)
     # double round trip is byte-identical
     assert emit_snapshot(g) == blob
@@ -103,6 +104,7 @@ def test_snapshot_schema_rejections():
 
     reject(lambda d: d.update(extra=1), "unknown key")
     reject(lambda d: d.update(version=2), "version")
+    reject(lambda d: d.update(version=True), "version")  # a boolean is not 1
     reject(lambda d: d.pop("source"), "missing key")
     reject(lambda d: d["params"].update(bogus=1), "unknown key")
     reject(lambda d: d["params"].pop("h_max"), "missing key")
@@ -160,6 +162,18 @@ def valid_docs():
     }
 
 
+def _render(data, tmp_path, capsys):
+    """Exit code and stderr of ``render`` on snapshot bytes."""
+    snap = tmp_path / "in.json"
+    snap.write_bytes(data)
+    code = cli.run(["render", "--in", str(snap), "--out", str(tmp_path / "x.svg")])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == "" if code == 0 else (
+        err.startswith("wavefront: error: ") and err.count("\n") == 1)
+    return code, err
+
+
 @pytest.mark.parametrize("kind,name,mutate", _SHAPE_CASES,
                          ids=[name for _, name, _ in _SHAPE_CASES])
 def test_snapshot_shape_errors(kind, name, mutate, valid_docs, tmp_path, capsys):
@@ -169,13 +183,90 @@ def test_snapshot_shape_errors(kind, name, mutate, valid_docs, tmp_path, capsys)
     with pytest.raises(SnapshotError):
         parse_snapshot(data)
     # the CLI reports it as a snapshot error: exit 3, one diagnostic line
-    snap = tmp_path / "bad.json"
-    snap.write_bytes(data)
-    code = cli.run(["render", "--in", str(snap), "--out", str(tmp_path / "x.svg")])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert err.startswith("wavefront: error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert _render(data, tmp_path, capsys)[0] == 3
+
+
+def _flag_dead(doc):
+    theta = _sample(doc)[0]
+    _sample(doc)[2] = False
+    doc["dead_directions"].append([theta, 0.75])
+
+
+# each mutation keeps the document well formed but forges a value that
+# evaluating its directions at its time contradicts
+FORGERIES = {
+    "live-x-one-ulp": ("torus", lambda d: _sample(d)[1].__setitem__(
+        0, math.nextafter(_sample(d)[1][0], math.inf))),
+    "cube-sample-on-another-face": ("cube", lambda d: _sample(d)[1].__setitem__(
+        0, "U" if _sample(d)[1][0] != "U" else "D")),
+    "live-sample-flagged-dead": ("torus", _flag_dead),
+    "death-time-changed": ("cube", lambda d: d["dead_directions"][0].__setitem__(
+        1, d["dead_directions"][0][1] + 0.01)),
+}
+
+
+@pytest.mark.parametrize("name", list(FORGERIES))
+def test_snapshot_forgery_rejected(name, valid_docs, tmp_path, capsys):
+    kind, mutate = FORGERIES[name]
+    doc = copy.deepcopy(valid_docs[kind])
+    mutate(doc)
+    data = json.dumps(doc).encode()
+    with pytest.raises(SnapshotError, match="differs from evaluation"):
+        parse_snapshot(data)
+    code, err = _render(data, tmp_path, capsys)
+    assert code == 3 and "differs from evaluation" in err
+
+
+def _fuzz_key(node, rng):
+    return rng.choice(range(len(node)) if isinstance(node, list) else list(node))
+
+
+_OTHER_TYPES = (None, "x", 1, 0.5, True, [], {})
+
+
+def _fuzz_mutate(doc, rng):
+    """Apply one seeded mutation to a JSON document in place."""
+    # walk down from the root, so the top-level fields are picked as often
+    # as the whole component list
+    node, key = doc, _fuzz_key(doc, rng)
+    while isinstance(node[key], (list, dict)) and node[key] and rng.random() < 0.7:
+        node, key = node[key], _fuzz_key(node[key], rng)
+    value = node[key]
+    ops = ["retype", "remove"]
+    if type(value) in (int, float):
+        ops += ["ulp", "unit"]
+    if type(value) is bool:
+        ops += ["flip"]
+    op = rng.choice(ops)
+    if op == "remove":
+        del node[key]  # drop a list element or delete a key
+    elif op == "retype":
+        node[key] = rng.choice([v for v in _OTHER_TYPES if type(v) is not type(value)])
+    elif op == "ulp":
+        node[key] = math.nextafter(value, rng.choice((-math.inf, math.inf)))
+    elif op == "unit":
+        node[key] = value + rng.choice((-1, 1))
+    else:
+        node[key] = not value
+
+
+def test_snapshot_mutation_fuzz(tmp_path, capsys):
+    # every mutation of a valid snapshot renders, or ends in one diagnostic
+    # line with exit 2 (numerical) or 3 (snapshot), never a traceback
+    rng = random.Random(0)
+    params = PropagationParams(h_max=0.1)
+    codes = []
+    for surface, src in ((Torus(1.0, 1.0), (0.2, 0.3)),
+                         (CubeSurface(1.0), CubePoint("F", 0.3, 0.6))):
+        f = propagate(init_front(surface, src, n0=16, params=params), 1.0)
+        doc = json.loads(emit_snapshot(f))
+        for _ in range(100):
+            bad = copy.deepcopy(doc)
+            _fuzz_mutate(bad, rng)
+            code, _ = _render(json.dumps(bad).encode(), tmp_path, capsys)
+            assert code in (0, 2, 3), bad
+            codes.append(code)
+    assert {0, 3} <= set(codes)
 
 
 def test_snapshot_malformed_json_reports_position():
@@ -188,17 +279,22 @@ def test_snapshot_malformed_json_reports_position():
 
 
 def test_snapshot_dead_sample_merges_with_component_entry():
-    # a dead direction listed inside a component (rectangle-style fronts)
-    # merges with its dead_directions record instead of duplicating
-    doc = json.loads(emit_snapshot(_front(Torus(1.0, 1.0), (0.2, 0.3), 1.0)))
-    doc["components"][0]["samples"][3][2] = False
-    theta = doc["components"][0]["samples"][3][0]
-    doc["dead_directions"].append([theta, 0.75])
+    # a dead direction also listed inside a component merges with its
+    # dead_directions record instead of duplicating
+    f = _front(CubeSurface(1.0), CubePoint("F", 0.5, 0.5), 1.2)
+    comps = sorted(f.components, key=lambda c: c.interval.theta_lo)  # document order
+    k, comp = next((k, c) for k, c in enumerate(comps) if len(c.segments) == 1
+                   and not f.alive[c.segments[0][1]])
+    (start, i), = comp.segments  # sample i is the dead direction just past it
+    doc = json.loads(emit_snapshot(f))
+    theta, death = float(f.thetas[i]), float(f.death_time[i])
+    assert [theta, death] in doc["dead_directions"]
+    coords = [c[0] for c in f.surface.coordinate_columns(f.pos[i:i + 1], f.face[i:i + 1])]
+    doc["components"][k]["samples"].append([theta, coords, False])
     g = parse_snapshot(json.dumps(doc).encode())
-    i = int(np.searchsorted(g.thetas, theta))
-    assert not g.alive[i]
-    assert g.death_time[i] == 0.75
-    assert g.components[0].segments == ((0, g.sample_count),)
+    assert g.sample_count == f.sample_count
+    assert not g.alive[i] and g.death_time[i] == death
+    assert g.components[k].segments == ((start, i + 1),)
 
 
 def test_snapshot_dead_sample_without_death_time_rejected():

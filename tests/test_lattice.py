@@ -144,6 +144,8 @@ def test_return_oracle_exact_hits():
     for t in (math.inf, math.nan):
         with pytest.raises(PreconditionError, match=f"t={t!r}"):
             wavefront_return_oracle(t, 1.0)
+    with pytest.raises(NumericalFailureError, match="budget"):
+        wavefront_return_oracle(1e12, 1.0)
 
 
 def test_return_oracle_matches_simulator():

@@ -27,6 +27,7 @@ from wavefront import (
     propagate,
 )
 from wavefront.metrics import NOT_ACHIEVED, _grid_axis
+from wavefront.surfaces import _fold
 
 TWO_PI = 2.0 * math.pi
 
@@ -191,3 +192,31 @@ def test_growth_curve_preconditions():
         length_growth_curve(Torus(1.0, 1.0), (0.2, 0.3), [5.0, 5.0])
     with pytest.raises(PreconditionError):
         length_growth_curve(KleinBottle(), (0.2, 0.3), [5.0, 4.0])
+
+
+# --- corollaries as covering maps -------------------------------------------
+
+
+@pytest.mark.parametrize("t", [5.0, 25.0])
+def test_quotient_fronts_agree_with_their_torus_covers(t):
+    # the square billiard is the torus 2x2 folded by reflections, and the
+    # Klein bottle the torus 1x2 reduced by its glide: the covers refine to
+    # the same directions, their positions map onto the quotients', and the
+    # quotient front covers its surface at least as well
+    params = PropagationParams(h_max=0.005)
+
+    def front(surface):
+        return propagate(init_front(surface, (0.2, 0.3), params=params), t)
+
+    rect, torus22 = front(RectBilliard(1.0, 1.0)), front(Torus(2.0, 2.0))
+    klein, torus12 = front(KleinBottle()), front(Torus(1.0, 2.0))
+    assert np.array_equal(rect.thetas, torus22.thetas)
+    assert np.array_equal(klein.thetas, torus12.thetas)
+    assert np.array_equal(rect.pos, _fold(torus22.pos, 1.0))
+    x, y = KleinBottle()._reduce(torus12.pos[:, 0], torus12.pos[:, 1])
+    dx = np.mod(x - klein.pos[:, 0] + 0.5, 1.0) - 0.5
+    assert np.abs(dx).max() <= 1e-12
+    assert np.abs(y - klein.pos[:, 1]).max() <= 1e-12
+    radius = [density_report(f, 0.05).covering_radius
+              for f in (rect, torus22, klein, torus12)]
+    assert radius[0] <= radius[1] and radius[2] <= radius[3]
