@@ -189,8 +189,8 @@ def init_front(
                  thetas=thetas, components=[comp], **vars(batch))
 
 
-def _refine(surface, source, tt, thetas, batch, params):
-    """Bisect direction gaps until every adjacent live pair is resolved.
+def _needs_bisection(surface, tt, thetas, batch, params) -> np.ndarray:
+    """Mask of the adjacent direction pairs that refinement bisects.
 
     A pair needs bisection when its development chord exceeds h_max (the
     chord bounds the surface distance, and unlike the surface distance it
@@ -199,25 +199,31 @@ def _refine(surface, source, tt, thetas, batch, params):
     normally ending in a dead witness direction), or across a
     reflection-count change, which only the disk has (the front has a
     corner there that chords can cut; rays a gap apart end at most
-    (t + width) * gap apart).  Midpoints are exact dyadic averages, so the
-    refined direction set is independent of the order in which gaps are
-    processed.
+    (t + width) * gap apart).  A pair flanking a dead direction is bisected
+    toward the tear, so the component's samples extend all the way to the
+    vanished direction.  No pair closer than theta_min is bisected.  A
+    refined front is a fixed point: no pair of it needs bisection.
     """
     h = params.h_max
-    width = surface.box[1]
+    alive2 = batch.alive[:-1] & batch.alive[1:]
+    gap = np.diff(thetas)
+    chord = np.hypot(np.diff(batch.cover[:, 0]), np.diff(batch.cover[:, 1]))
+    same = _same_sheet(batch.sheet, slice(None, -1), slice(1, None))
+    need = ((same & (chord > h)) | ~same) & alive2
+    kink = (batch.refl[:-1] != batch.refl[1:]) & ((tt + surface.box[1]) * gap > h)
+    need |= kink & alive2
+    need |= batch.alive[:-1] ^ batch.alive[1:]
+    return need & (gap > params.theta_min)
+
+
+def _refine(surface, source, tt, thetas, batch, params):
+    """Bisect direction gaps until no adjacent pair needs bisection.
+
+    Midpoints are exact dyadic averages, so the refined direction set is
+    independent of the order in which gaps are processed.
+    """
     while True:
-        alive2 = batch.alive[:-1] & batch.alive[1:]
-        gap = np.diff(thetas)
-        chord = np.hypot(np.diff(batch.cover[:, 0]), np.diff(batch.cover[:, 1]))
-        same = _same_sheet(batch.sheet, slice(None, -1), slice(1, None))
-        need = ((same & (chord > h)) | ~same) & alive2
-        kink = (batch.refl[:-1] != batch.refl[1:]) & ((tt + width) * gap > h)
-        need |= kink & alive2
-        # pairs flanking a dead direction: bisect toward the tear so the
-        # component's samples extend all the way to the vanished direction
-        need |= batch.alive[:-1] ^ batch.alive[1:]
-        need &= gap > params.theta_min
-        idx = np.nonzero(need)[0]
+        idx = np.nonzero(_needs_bisection(surface, tt, thetas, batch, params))[0]
         if idx.size == 0:
             return thetas, batch
         if thetas.size + idx.size > params.sample_budget:

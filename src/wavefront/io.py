@@ -6,7 +6,8 @@ bit for bit.  Sample positions are stored only for live directions; dead
 directions carry their death time.  Parsing evaluates the document's
 directions at its time (evaluation is pure) and rejects a document whose
 alive flags, live positions, cube faces or death times differ from that
-evaluation.
+evaluation, with a direction outside its arc or a split time outside
+[0, t], or whose direction gaps refinement would bisect further.
 
 Renders are static SVG: flat surfaces in their rectangular viewport, the
 disk in its bounding square with the rim drawn, the cube as a cross net
@@ -23,6 +24,7 @@ import reprlib
 import numpy as np
 
 from .frontier import ArcInterval, Front, FrontComponent, PropagationParams
+from .frontier import _needs_bisection
 from .metrics import DensityReport
 from .lattice import LatticeCount
 from .surfaces import PreconditionError, evaluate_batch, format_surface, parse_surface
@@ -132,8 +134,9 @@ def parse_snapshot(data: bytes) -> Front:
     """Reconstruct a front from snapshot bytes.
 
     The front is the evaluation of the document's directions at its time.
-    Unknown keys, values of the wrong shape or type, and samples that the
-    evaluation contradicts are all rejected with a SnapshotError.
+    Unknown keys, values of the wrong shape or type, samples that the
+    evaluation contradicts or that lie outside the arc, split times outside
+    [0, t] and gaps that refinement would bisect raise a SnapshotError.
     """
     try:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
@@ -254,30 +257,37 @@ def _parse_front(doc: dict) -> Front:
             runs = [runs[1], runs[0]]  # wrap-around: high-theta run first
         elif len(runs) > 1:
             raise SnapshotError("component samples are not contiguous")
+        split_time = _real(comp["split_time"], "split_time")
+        if not 0.0 <= split_time <= t:
+            raise SnapshotError(f"split_time {split_time!r} lies outside [0, t]")
         components.append(
             FrontComponent(
                 interval=interval,
-                split_time=_real(comp["split_time"], "split_time"),
+                split_time=split_time,
                 segments=tuple(runs),
                 theta_first=float(thetas[runs[0][0]]),
                 theta_last=float(thetas[runs[-1][1] - 1]),
             )
         )
 
-    # the front is the evaluation; the document must agree with it bitwise
+    # the front is the evaluation; the document must agree with it bitwise,
+    # keep to its arc and be refined (a fixed point of bisection)
     batch = evaluate_batch(surface, source, thetas, t)
     live, pos = batch.alive, np.column_stack((xs, ys))[order]
     moved = (pos != batch.pos) | (np.signbit(pos) != np.signbit(batch.pos))
     charts = surface.sample_charts(batch.face, thetas.shape[0])
-    for what, differs in (
-        ("alive flag", alive != live),
-        ("position", live & moved.any(axis=1)),
-        ("face", live & (np.array(faces)[order] != charts)),
-        ("death time", ~live & (death != batch.death_time)),
+    need = _needs_bisection(surface, t, thetas, batch, params)
+    for what, bad in (
+        ("alive flag differs from evaluation", alive != live),
+        ("position differs from evaluation", live & moved.any(axis=1)),
+        ("face differs from evaluation", live & (np.array(faces)[order] != charts)),
+        ("death time differs from evaluation", ~live & (death != batch.death_time)),
+        ("outside the arc", (thetas < arc.theta_lo) | (thetas > arc.theta_hi)),
+        ("gap to the next sample needs bisection", np.append(need, False)),
     ):
-        if differs.any():
-            theta = float(thetas[np.argmax(differs)])
-            raise SnapshotError(f"sample {what} at theta={theta!r} differs from evaluation")
+        if bad.any():
+            theta = float(thetas[np.argmax(bad)])
+            raise SnapshotError(f"sample at theta={theta!r}: {what}")
     return Front(surface=surface, source=source, t=t, arc=arc, params=params,
                  thetas=thetas, components=components, **vars(batch))
 
@@ -336,10 +346,8 @@ def _path_data(plane: np.ndarray, breaks: np.ndarray, height: float) -> str:
     return "".join(parts)
 
 
-def render_svg(
-    front: Front, width_px: int = 1600, color_by_component: bool = True
-) -> bytes:
-    """Render a front as SVG bytes, one path per component.
+def render_svg(front: Front, width_px: int = 1600) -> bytes:
+    """Render a front as SVG bytes, one path per component in its own colour.
 
     Identification seams and the gaps between components are pen-up moves,
     so torn fronts are never visually joined.  The source is marked with a
@@ -372,7 +380,7 @@ def render_svg(
         if idx.size == 0:
             continue
         plane = plane_all[idx]
-        color = _PALETTE[k % len(_PALETTE)] if color_by_component else _PALETTE[0]
+        color = _PALETTE[k % len(_PALETTE)]
         if idx.size == 1:
             x, y = float(plane[0, 0]), h - float(plane[0, 1])
             lines.append(

@@ -19,7 +19,9 @@ distance; the box its eps-grids tile, the charts they are laid on, and the
 rule that wraps a cell index back into the grid (torus mod, Klein glide,
 clamp elsewhere); and the plane map, viewport, outline and seam rule of its
 renders.  ``frontier``, ``metrics`` and ``io`` ask the model and hold no
-per-surface branches.
+per-surface branches.  The torus and the Klein bottle declare only their
+deck group; ``_FlatQuotient`` derives their box, reduction, deck images,
+segment lift and cell wrap from it.
 
 Conventions:
 
@@ -149,7 +151,16 @@ class _Surface:
     # -- distance
 
     def images(self, pts: np.ndarray) -> np.ndarray:
-        """Images of query points, shape (k, n, 2); see ``point_images``."""
+        """Deck images of query points for exact nearest-distance queries.
+
+        Shape (k, n, 2): each point's k relevant images in the plane of the
+        fundamental domain, chord distance to the nearest of which is the
+        geodesic distance on the torus and Klein bottle.  The rectangle and
+        disk need no images, since a chord inside a convex table is already
+        a geodesic.  The cube returns the points themselves: its sample
+        clouds are developed into each query chart instead
+        (``CubeSurface.sample_clouds``).
+        """
         return pts[None, :, :]
 
     def distance(self, q1, q2) -> float:
@@ -197,7 +208,54 @@ class _Surface:
 
 
 class _FlatQuotient(_Surface):
-    """A quotient of the plane by a deck group: torus or Klein bottle."""
+    """The plane modulo the deck group generated by x -> x + alpha and a step
+    y -> y + beta that also mirrors x -> alpha - x when ``glide`` is set.
+    Every rule below derives from these three declarations."""
+
+    glide = False
+
+    @property
+    def box(self) -> tuple:
+        return 0.0, self.alpha, self.beta
+
+    def _mirror(self, steps, x, flip):
+        """``flip - x`` where a glide's y-step count is odd, else ``x``."""
+        return np.where(steps % 2 == 1, flip - x, x) if self.glide else x
+
+    def _reduce(self, x, y):
+        if self.glide:
+            steps, y = np.divmod(y, self.beta)
+            return np.mod(self._mirror(steps, x, self.alpha), self.alpha), y
+        return np.mod(x, self.alpha), np.mod(y, self.beta)
+
+    def images(self, pts):
+        out = []
+        y = pts[:, 1]
+        for j in (-1.0, 0.0, 1.0):
+            x = self._mirror(j, pts[:, 0], self.alpha)
+            for i in (-1.0, 0.0, 1.0):
+                out.append(np.stack([x + i * self.alpha, y + j * self.beta], axis=1))
+        return np.stack(out)
+
+    def lift_near(self, pa, pb):
+        """The image of each ``pb`` nearest to ``pa``, in closed form.
+
+        Rounds the y step count, mirrors on an odd glide count, then rounds
+        the x step count.  Without a glide this is exact at any distance,
+        with one for pairs closer than half the shorter period.  That holds
+        in ``density_report``: adjacent samples lie within h_max <= eps/4,
+        so a Klein pair 0.5 apart means eps >= 2: one cell, whatever the lift.
+        """
+        j = np.round((pa[:, 1] - pb[:, 1]) / self.beta)
+        x = self._mirror(j, pb[:, 0], self.alpha)
+        i = np.round((pa[:, 0] - x) / self.alpha)
+        return np.stack([x + i * self.alpha, pb[:, 1] + j * self.beta], axis=1)
+
+    def wrap_cells(self, i, j, nx, ny):
+        if self.glide:  # a row index past the top re-enters mirrored
+            steps, j = np.divmod(j, ny)
+            return self._mirror(steps, i, -1) % nx, j
+        return i % nx, j % ny
 
     def distance(self, q1, q2) -> float:
         def one_way(a, b):
@@ -220,68 +278,17 @@ class Torus(_FlatQuotient):
     beta: float
     kind = "torus"
 
-    @property
-    def box(self) -> tuple:
-        return 0.0, self.alpha, self.beta
-
-    def _reduce(self, x, y):
-        return np.mod(x, self.alpha), np.mod(y, self.beta)
-
-    def images(self, pts):
-        out = []
-        for i in (-1.0, 0.0, 1.0):
-            for j in (-1.0, 0.0, 1.0):
-                out.append(pts + np.array([i * self.alpha, j * self.beta]))
-        return np.stack(out)
-
-    def lift_near(self, pa, pb):
-        disp = pb - pa
-        disp[:, 0] -= self.alpha * np.round(disp[:, 0] / self.alpha)
-        disp[:, 1] -= self.beta * np.round(disp[:, 1] / self.beta)
-        return pa + disp
-
-    def wrap_cells(self, i, j, nx, ny):
-        return i % nx, j % ny
-
 
 @dataclass(frozen=True)
 class KleinBottle(_FlatQuotient):
     """Flat Klein bottle: unit square, (x, y+1) ~ (1-x, y), (x+1, y) ~ (x, y).
 
-    The glide group is generated by a:(x,y)->(x+1,y) and b:(x,y)->(1-x,y+1);
-    the orientation double cover is the 1 x 2 torus.
+    The orientation double cover is the 1 x 2 torus.
     """
 
     kind = "klein"
-    box = (0.0, 1.0, 1.0)
-
-    def _reduce(self, x_lift, y_lift):
-        # quotient by <a, b>: strip off b^m (glide, so odd m flips x), then a^k
-        m = np.floor(y_lift)
-        y = y_lift - m
-        odd = np.mod(m, 2.0) == 1.0
-        x = np.mod(np.where(odd, 1.0 - x_lift, x_lift), 1.0)
-        return x, y
-
-    def images(self, pts):
-        out = []
-        for j in (-1.0, 0.0, 1.0):
-            flipped = j in (-1.0, 1.0)
-            base_x = 1.0 - pts[:, 0] if flipped else pts[:, 0]
-            for i in (-1.0, 0.0, 1.0):
-                out.append(np.stack([base_x + i, pts[:, 1] + j], axis=1))
-        return np.stack(out)
-
-    def lift_near(self, pa, pb):
-        imgs = self.images(pb)
-        d2 = ((imgs - pa[None, :, :]) ** 2).sum(axis=2)
-        return imgs[np.argmin(d2, axis=0), np.arange(pb.shape[0])]
-
-    def wrap_cells(self, i, j, nx, ny):
-        # a row index past the top re-enters through the glide, mirrored
-        m = np.floor_divide(j, ny)
-        i = np.where(m % 2 == 1, -1 - i, i)
-        return i % nx, j - m * ny
+    alpha = beta = 1.0
+    glide = True
 
 
 @dataclass(frozen=True)
@@ -1044,28 +1051,6 @@ def trace_cube_ray(side: float, source: CubePoint, theta: float, t: float):
 
 # ---------------------------------------------------------------------------
 # geodesic distance
-
-
-def point_images(surface: SurfaceModel, pts: np.ndarray) -> np.ndarray:
-    """Orbit images of points needed for exact nearest-distance queries.
-
-    Returns an array of shape (k, n, 2): for each of the n points, its k
-    relevant images in the plane of the fundamental domain.  Planar chord
-    distance to the nearest image equals geodesic distance for the torus and
-    Klein bottle; the rectangular billiard and disk need no images because
-    the straight chord inside the (convex) domain is already a geodesic.
-    The cube returns the points themselves: its sample clouds are developed
-    into each query chart instead (``CubeSurface.sample_clouds``).
-    """
-    return surface.images(np.atleast_2d(np.asarray(pts, dtype=np.float64)))
-
-
-def nearest_image(surface: SurfaceModel, base, other):
-    """Image of ``other`` nearest to ``base`` in the domain plane."""
-    imgs = point_images(surface, np.asarray([other], dtype=np.float64))[:, 0, :]
-    b = np.asarray(base, dtype=np.float64)
-    k = int(np.argmin(np.hypot(imgs[:, 0] - b[0], imgs[:, 1] - b[1])))
-    return imgs[k]
 
 
 def cube_geodesic_distance(side: float, q1: CubePoint, q2: CubePoint) -> float:

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -192,6 +193,11 @@ def _flag_dead(doc):
     doc["dead_directions"].append([theta, 0.75])
 
 
+def _drop_every_other_sample(doc):
+    samples = doc["components"][0]["samples"]
+    samples[:] = samples[::2]
+
+
 # each mutation keeps the document well formed but forges a value that
 # evaluating its directions at its time contradicts
 FORGERIES = {
@@ -203,18 +209,31 @@ FORGERIES = {
     "death-time-changed": ("cube", lambda d: d["dead_directions"][0].__setitem__(
         1, d["dead_directions"][0][1] + 0.01)),
 }
+# and these forge metadata that no propagated front has, with the message
+# each is rejected with
+METADATA_FORGERIES = {
+    "samples-below-the-arc": ("torus", lambda d: d.update(arc=[1.0, 2 * math.pi]),
+                              "outside the arc"),
+    "negative-split-time": ("cube", lambda d: d["components"][0].update(
+        split_time=-0.078), r"outside \[0, t\]"),
+    "every-other-sample-dropped": ("torus", _drop_every_other_sample, "needs bisection"),
+}
+_FORGERY_CASES = {
+    **{name: (*case, "differs from evaluation") for name, case in FORGERIES.items()},
+    **METADATA_FORGERIES,
+}
 
 
-@pytest.mark.parametrize("name", list(FORGERIES))
+@pytest.mark.parametrize("name", list(_FORGERY_CASES))
 def test_snapshot_forgery_rejected(name, valid_docs, tmp_path, capsys):
-    kind, mutate = FORGERIES[name]
+    kind, mutate, match = _FORGERY_CASES[name]
     doc = copy.deepcopy(valid_docs[kind])
     mutate(doc)
     data = json.dumps(doc).encode()
-    with pytest.raises(SnapshotError, match="differs from evaluation"):
+    with pytest.raises(SnapshotError, match=match):
         parse_snapshot(data)
     code, err = _render(data, tmp_path, capsys)
-    assert code == 3 and "differs from evaluation" in err
+    assert code == 3 and re.search(match, err)
 
 
 def _fuzz_key(node, rng):

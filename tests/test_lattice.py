@@ -24,7 +24,6 @@ from wavefront import (
     theorem1_rectangle_check,
     wavefront_return_oracle,
 )
-from wavefront.surfaces import point_images
 
 
 def _brute_count(t: float) -> int:
@@ -154,6 +153,6 @@ def test_return_oracle_matches_simulator():
     for t in rng.uniform(1.0, 60.0, size=6):
         predicted = wavefront_return_oracle(float(t), 1.0 / math.sqrt(t))
         f = propagate(init_front(tor, (0.0, 0.0)), float(t))
-        imgs = point_images(tor, f.pos[f.alive])
+        imgs = tor.images(f.pos[f.alive])
         measured = float(np.hypot(imgs[..., 0], imgs[..., 1]).min())
         assert abs(measured - predicted) <= f.params.h_max

@@ -26,13 +26,7 @@ from wavefront import (
     surface_distance,
     trace_cube_ray,
 )
-from wavefront.surfaces import (
-    evaluate_batch,
-    format_point,
-    nearest_image,
-    parse_point,
-    point_images,
-)
+from wavefront.surfaces import evaluate_batch, format_point, parse_point
 
 
 # --- descriptors -----------------------------------------------------------
@@ -475,11 +469,76 @@ def test_tent_projection_is_1_lipschitz():
 
 def test_nearest_image_wraparound():
     tor = Torus(1.0, 1.0)
-    img = nearest_image(tor, (0.1, 0.5), (0.9, 0.5))
+    img = tor.lift_near(np.array([[0.1, 0.5]]), np.array([[0.9, 0.5]]))[0]
     assert abs(np.hypot(img[0] - 0.1, img[1] - 0.5) - 0.2) < 1e-12
     assert img[0] == pytest.approx(-0.1, abs=1e-12)
-    imgs = point_images(tor, np.array([[0.5, 0.5]]))
+    imgs = tor.images(np.array([[0.5, 0.5]]))
     assert imgs.shape[0] == 9  # 3x3 translate block
+
+
+# oracles for the rules derived from a deck declaration: the Klein
+# bottle's reduction and cell wrap written out by hand, and the nearest of
+# the nine images
+
+
+def _klein_reduce_oracle(x_lift, y_lift):
+    m = np.floor(y_lift)
+    y = y_lift - m
+    odd = np.mod(m, 2.0) == 1.0
+    x = np.mod(np.where(odd, 1.0 - x_lift, x_lift), 1.0)
+    return x, y
+
+
+def _klein_wrap_cells_oracle(i, j, nx, ny):
+    m = np.floor_divide(j, ny)
+    i = np.where(m % 2 == 1, -1 - i, i)
+    return i % nx, j - m * ny
+
+
+def _argmin_lift_oracle(surface, pa, pb):
+    imgs = surface.images(pb)
+    d2 = ((imgs - pa[None, :, :]) ** 2).sum(axis=2)
+    return imgs[np.argmin(d2, axis=0), np.arange(pb.shape[0])]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype == np.float64:
+        a, b = a.view(np.uint64), b.view(np.uint64)
+    return a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("text", ["klein", "torus:2,0.5"])
+def test_deck_rules_match_the_hand_written_oracles(text):
+    surface = parse_surface(text)
+    rng = np.random.default_rng(8)
+    n = 100_000
+    x, y = rng.uniform(-1e3, 1e3, (2, n))
+    y[::7] = np.round(y[::7])  # lifts on the seams
+    x[::11] = np.round(x[::11])
+    rx, ry = surface._reduce(x, y)
+    if surface.glide:
+        ox, oy = _klein_reduce_oracle(x, y)
+    else:
+        ox, oy = np.mod(x, surface.alpha), np.mod(y, surface.beta)
+    assert _same_bits(rx, ox) and _same_bits(ry, oy)
+
+    i, j = rng.integers(-300, 301, (2, n))
+    for nx, ny in ((50, 50), (7, 13)):
+        wi, wj = surface.wrap_cells(i, j, nx, ny)
+        if surface.glide:
+            oi, oj = _klein_wrap_cells_oracle(i, j, nx, ny)
+        else:
+            oi, oj = i % nx, j % ny
+        assert _same_bits(wi, oi) and _same_bits(wj, oj)
+
+    # pairs closer than half the shorter period, so the nearest image is unique
+    _, w, h = surface.box
+    pa = rng.uniform(0.0, 1.0, (n, 2)) * [w, h]
+    r = rng.uniform(0.0, 0.999 * 0.5 * min(w, h), n)
+    a = rng.uniform(0.0, 2 * math.pi, n)
+    pb = np.stack(surface._reduce(pa[:, 0] + r * np.cos(a), pa[:, 1] + r * np.sin(a)), axis=1)
+    assert _same_bits(surface.lift_near(pa, pb), _argmin_lift_oracle(surface, pa, pb))
 
 
 def test_disk_long_time_closed_form():
