@@ -8,7 +8,8 @@ curve whose slope, column height and covering radius are all controlled.
 
 Everything here is arithmetic on integers plus closed-form geometry; the
 module deliberately shares no code with the front simulator so the two can
-check each other.
+check each other.  The one shared piece is ``wavefront.nearest``, the exact
+nearest-sample index, which its tests check against brute force.
 """
 
 from __future__ import annotations
@@ -17,14 +18,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
+from .nearest import CellIndex
 from .surfaces import NumericalFailureError, PreconditionError
 
 COUNT_BUDGET_RADIUS = 1.0e4
 
 # Most sampled circle points, or cell centres, one rectangle check may allocate.
 RECT_POINT_BUDGET = 4 * 10**6
+
+# Side, in centres, of the blocks the rectangle check's maximum starts from.
+RECT_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -194,18 +198,11 @@ def theorem1_rectangle_check(t: float, h_max: float = 0.005) -> RectCheckReport:
     proj = np.mod(pts, 1.0)
 
     # geodesic distances on the unit torus via the 3x3 translate block
-    tree = cKDTree(proj)
     m = max(2, int(math.ceil(1.0 / h_max)))
-    c = (np.arange(m) + 0.5) / m
-    centers = np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1).reshape(-1, 2)
-    shifts = [(i, j) for i in (-1.0, 0.0, 1.0) for j in (-1.0, 0.0, 1.0)]
-    dmin = np.full(centers.shape[0], np.inf)
-    for sx, sy in shifts:
-        d = tree.query(centers + np.array([sx, sy]))[0]
-        dmin = np.minimum(dmin, d)
+    dmin = _torus_distance(CellIndex(proj), m)
     # min-distance is 1-Lipschitz, so the sup over the torus is at most the
     # max over cell centers plus the cell circumradius: a true upper bound
-    covering = float(dmin.max()) + math.sqrt(2.0) / (2.0 * m)
+    covering = _lipschitz_max(dmin, m) + math.sqrt(2.0) / (2.0 * m)
 
     passed = (
         slope_max <= bound
@@ -221,3 +218,65 @@ def theorem1_rectangle_check(t: float, h_max: float = 0.005) -> RectCheckReport:
         projected_covering_radius=covering,
         passed=passed,
     )
+
+
+def _torus_distance(index: CellIndex, m: int):
+    """Distance on the unit torus from the centres ((i + 0.5)/m, (j + 0.5)/m)
+    to the indexed samples, as a function of the index arrays i and j.
+
+    The nine translates by -1, 0, 1 in each coordinate are searched, the
+    untranslated one first and the rest capped at the running minimum.
+    """
+    c = (np.arange(m) + 0.5) / m
+    shifts = [(i, j) for i in (-1.0, 0.0, 1.0) for j in (-1.0, 0.0, 1.0)]
+    home = shifts.pop(len(shifts) // 2)
+
+    def dmin(i, j):
+        centers = np.stack([c[i], c[j]], axis=1)
+        d = index.query(centers + np.array(home))
+        for shift in shifts:
+            d = np.minimum(d, index.query(centers + np.array(shift), cap=d))
+        return d
+
+    return dmin
+
+
+def _lipschitz_max(f, m: int) -> float:
+    """Exact max of a 1-Lipschitz f over the m x m centres spaced 1/m apart.
+
+    ``f(i, j)`` evaluates the centres of index arrays i and j.  The grid is
+    cut into blocks of ``RECT_BLOCK`` x ``RECT_BLOCK`` centres and f is
+    evaluated at each block's middle centre, its anchor.  Every centre of a
+    block lies within ``reach`` of the anchor, so f stays below f(anchor) +
+    reach there; a block whose bound (widened by 1e-9 for rounding) falls
+    below the largest value seen cannot hold the maximum and is dropped.
+    The others are halved until they are single centres, so the maximising
+    centre is always evaluated and the result equals f's maximum over all
+    m^2 centres bitwise (a pruned directed-Hausdorff maximum, Taha &
+    Hanbury, IEEE TPAMI 37(11), 2015).
+    """
+    starts = np.arange(0, m, RECT_BLOCK)
+    i0, j0 = (a.ravel() for a in np.meshgrid(starts, starts, indexing="ij"))
+    ni = np.minimum(RECT_BLOCK, m - i0)
+    nj = np.minimum(RECT_BLOCK, m - j0)
+    value = np.full((m, m), np.nan)
+    best = -math.inf
+    while i0.size:
+        ai, aj = i0 + (ni - 1) // 2, j0 + (nj - 1) // 2
+        new = np.isnan(value[ai, aj])
+        value[ai[new], aj[new]] = f(ai[new], aj[new])
+        v = value[ai, aj]
+        best = max(best, float(v.max()))
+        reach = np.hypot(np.maximum(ai - i0, i0 + ni - 1 - ai),
+                         np.maximum(aj - j0, j0 + nj - 1 - aj)) / m
+        keep = ((v + reach) * (1.0 + 1e-9) >= best) & (ni * nj > 1)
+        i0, j0, ni, nj = i0[keep], j0[keep], ni[keep], nj[keep]
+        # halve each axis longer than one centre: up to four children
+        hi, hj = (ni + 1) // 2, (nj + 1) // 2
+        i0 = np.concatenate([i0, i0 + hi, i0, i0 + hi])
+        j0 = np.concatenate([j0, j0, j0 + hj, j0 + hj])
+        ni = np.concatenate([hi, ni - hi, hi, ni - hi])
+        nj = np.concatenate([hj, hj, nj - hj, nj - hj])
+        child = (ni > 0) & (nj > 0)
+        i0, j0, ni, nj = i0[child], j0[child], ni[child], nj[child]
+    return best

@@ -12,7 +12,8 @@ Three views of how a front fills its surface:
 
 Distances are geodesic: wrap images on the torus and Klein bottle, straight
 chords inside the convex billiards, and on the cube chords to samples
-developed into the query's face (see ``_NearestFront.query``).  A reported
+developed into the query's face (see ``_NearestFront.query``), each found
+exactly by the cell-grid index of ``wavefront.nearest``.  A reported
 covering radius is the largest nearest-sample distance over the eps-cell
 centres, not a bound on the front's covering radius sup_x d(x, W_t): points
 between centres can lie farther from the front.
@@ -24,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .frontier import (
     Front,
@@ -35,6 +35,7 @@ from .frontier import (
     init_front,
     propagate,
 )
+from .nearest import CellIndex
 from .surfaces import NumericalFailureError, PreconditionError
 
 NOT_ACHIEVED = "not achieved by t_max"
@@ -93,30 +94,40 @@ def _grid_axis(extent: float, eps: float):
 
 
 class _NearestFront:
-    """KD trees, one per chart, answering min geodesic distance to live samples."""
+    """One exact cell index per chart, answering min geodesic distance to
+    live samples (``wavefront.nearest.CellIndex``)."""
 
     def __init__(self, front: Front):
         self.surface = front.surface
         clouds = self.surface.sample_clouds(front.pos, front.face, front.alive)
-        self._trees = [cKDTree(c) if c.shape[0] else None for c in clouds]
+        self._indexes = [CellIndex(c) for c in clouds]
 
     def query(self, pts: np.ndarray, charts: np.ndarray):
         """Min distance from each query point to the front's live samples.
 
-        ``charts`` gives the chart of each query point.  On the cube each
-        sample is searched as developed across at most two edges into the
-        query's face.  Each such chord is at least the geodesic distance, so
-        the result is never below the exact one, and it is exact whenever the
-        exact distance is below one side length: a shortest path that short
-        crosses at most two edges.  Beyond that it can be too long.
+        ``charts`` gives the chart of each query point.  The identity deck
+        image (the middle one of ``images``) is searched first and every
+        other image with the running minimum as cap, so the result is the
+        minimum over all images and far images cost next to nothing.
+
+        On the cube each sample is searched as developed across at most two
+        edges into the query's face.  Each such chord is at least the
+        geodesic distance, so the result is never below the exact one, and
+        it is exact whenever the exact distance is below one side length: a
+        shortest path that short crosses at most two edges.  Beyond that it
+        can be too long.
         """
         out = np.full(pts.shape[0], np.inf)
-        for chart, tree in enumerate(self._trees):
+        for chart, index in enumerate(self._indexes):
             m = charts == chart
-            if tree is not None and m.any():
+            if m.any():
                 imgs = self.surface.images(pts[m])
-                d = tree.query(imgs.reshape(-1, 2))[0]
-                out[m] = d.reshape(imgs.shape[0], -1).min(axis=0)
+                home = imgs.shape[0] // 2
+                best = index.query(imgs[home])
+                for k, img in enumerate(imgs):
+                    if k != home:
+                        best = np.minimum(best, index.query(img, cap=best))
+                out[m] = best
         return out
 
 

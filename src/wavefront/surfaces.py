@@ -48,6 +48,10 @@ TWO_PI = 2.0 * math.pi
 # Most face crossings one cube ray may make in a single evaluation.
 EVENT_BUDGET = 10**5
 
+# Most face crossings one cube evaluation may walk over all its rays, each
+# counted at the per-ray bound sqrt(2)*t/side + 2.
+WALK_BUDGET = 5 * 10**7
+
 # A cube ray passing closer than this (times side) to a vertex is discarded.
 CORNER_TOL = 1e-9
 
@@ -872,12 +876,18 @@ def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t, on_cross=None
     """
     side = surface.side
     # a developed ray crosses at most sqrt(2)*t/side + 2 lines of the side lattice
-    if not math.sqrt(2.0) * t / side + 2.0 <= EVENT_BUDGET:
+    per_ray = math.sqrt(2.0) * t / side + 2.0
+    if not per_ray <= EVENT_BUDGET:
         raise NumericalFailureError(
             f"cube rays to t={t!r} can cross more than EVENT_BUDGET={EVENT_BUDGET} faces"
         )
     delta = CORNER_TOL * side
     n = thetas.shape[0]
+    if n * per_ray > WALK_BUDGET:
+        raise NumericalFailureError(
+            f"{n} cube rays to t={t!r} can cross {n * per_ray:.3g} faces in all, "
+            f"more than WALK_BUDGET={WALK_BUDGET}"
+        )
 
     face = np.full(n, FACE_INDEX[source.face], dtype=np.int64)
     pu = np.full(n, float(source.u))

@@ -199,6 +199,7 @@ def test_numerical_failure_exit_2(monkeypatch, capsys):
     monkeypatch.setattr(cli, "T_GRID_BUDGET", 10)
     monkeypatch.setattr(wavefront.metrics, "CHECKPOINT_BUDGET", 5)
     monkeypatch.setattr(wavefront.lattice, "RECT_POINT_BUDGET", 1000)
+    monkeypatch.setattr(wavefront.surfaces, "WALK_BUDGET", 10**5)
     for argv, budget in (
         (["lattice", "--t-grid", "20000:20000:1"], "budget"),
         # rejected before the initial directions are allocated
@@ -211,6 +212,9 @@ def test_numerical_failure_exit_2(monkeypatch, capsys):
         # the cube walk is bounded before it starts
         (["simulate", "--surface", "cube:1", "--p", "U/0.5/0.5", "--t", "1e9"],
          "EVENT_BUDGET"),
+        # so is the total walk: 1024 rays of up to ~99,000 crossings each
+        (["simulate", "--surface", "cube:1", "--p", "U/0.5/0.5", "--t", "70000"],
+         "WALK_BUDGET=100000"),
     ):
         code, _, err = run(argv, capsys)
         assert code == 2, argv
@@ -274,6 +278,15 @@ def test_module_entry_point_end_to_end(tmp_path):
     assert bad.returncode == 3
     assert bad.stderr.startswith("wavefront: error: ")
     assert "Traceback" not in bad.stderr
+
+
+def test_cli_import_needs_no_scipy():
+    # the runtime depends on numpy alone; scipy is a test-only oracle
+    env = dict(os.environ, PYTHONPATH=str(Path(wavefront.__file__).parents[1]))
+    code = "import sys, wavefront.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0 and result.stdout.strip() == "False"
 
 
 def test_console_script_end_to_end():
