@@ -3,9 +3,13 @@
 A front is the set of geodesic endpoints exp_P(t * v(theta)) for theta in a
 direction arc.  It is represented by an ordered set of sampled directions,
 refined by bisection until adjacent surface images are within ``h_max`` of
-each other.  Because evaluation is exact at any time (see ``surfaces``),
-propagation re-evaluates samples rather than stepping them, so results are
-pure functions of (surface, source, arc, parameters, target time).
+each other.  Refinement keeps a worklist of the gaps still open: each round
+evaluates their midpoints in one batch and re-tests only the two halves of
+each bisected gap, and the midpoints of all rounds are merged into the
+front once, at the end.  Because evaluation is exact at any time (see
+``surfaces``), propagation re-evaluates samples rather than stepping them,
+so results are pure functions of (surface, source, arc, parameters, target
+time).
 
 On the cube the flow is discontinuous at vertex-hitting directions: the
 front tears there.  Tears are detected by comparing the development-sheet
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -189,8 +194,27 @@ def init_front(
                  thetas=thetas, components=[comp], **vars(batch))
 
 
-def _needs_bisection(surface, tt, thetas, batch, params) -> np.ndarray:
-    """Mask of the adjacent direction pairs that refinement bisects.
+class _Ends(NamedTuple):
+    """One end of each of a list of direction pairs: its theta and the
+    columns of its evaluation that the bisection test reads."""
+
+    theta: np.ndarray
+    alive: np.ndarray
+    cover: np.ndarray
+    refl: np.ndarray
+    sheet: np.ndarray | None
+
+    @classmethod
+    def of(cls, thetas, batch, rows=slice(None)):
+        sheet = None if batch.sheet is None else batch.sheet[rows]
+        return cls(thetas[rows], batch.alive[rows], batch.cover[rows], batch.refl[rows], sheet)
+
+    def take(self, rows):
+        return _Ends(*(None if col is None else col[rows] for col in self))
+
+
+def _pair_needs_bisection(surface, tt, params, a: _Ends, b: _Ends) -> np.ndarray:
+    """Mask of the direction pairs (a[i], b[i]) that refinement bisects.
 
     A pair needs bisection when its development chord exceeds h_max (the
     chord bounds the surface distance, and unlike the surface distance it
@@ -201,42 +225,110 @@ def _needs_bisection(surface, tt, thetas, batch, params) -> np.ndarray:
     corner there that chords can cut; rays a gap apart end at most
     (t + width) * gap apart).  A pair flanking a dead direction is bisected
     toward the tear, so the component's samples extend all the way to the
-    vanished direction.  No pair closer than theta_min is bisected.  A
-    refined front is a fixed point: no pair of it needs bisection.
+    vanished direction.  No pair closer than theta_min is bisected.  The
+    test reads the pair alone, so its answer does not depend on the rest
+    of the front.
     """
     h = params.h_max
-    alive2 = batch.alive[:-1] & batch.alive[1:]
-    gap = np.diff(thetas)
-    chord = np.hypot(np.diff(batch.cover[:, 0]), np.diff(batch.cover[:, 1]))
-    same = _same_sheet(batch.sheet, slice(None, -1), slice(1, None))
+    alive2 = a.alive & b.alive
+    gap = b.theta - a.theta
+    chord = np.hypot(b.cover[:, 0] - a.cover[:, 0], b.cover[:, 1] - a.cover[:, 1])
+    same = np.True_ if a.sheet is None else _sheets_match(a.sheet, b.sheet)
     need = ((same & (chord > h)) | ~same) & alive2
-    kink = (batch.refl[:-1] != batch.refl[1:]) & ((tt + surface.box[1]) * gap > h)
+    kink = (a.refl != b.refl) & ((tt + surface.box[1]) * gap > h)
     need |= kink & alive2
-    need |= batch.alive[:-1] ^ batch.alive[1:]
+    need |= a.alive ^ b.alive
     return need & (gap > params.theta_min)
+
+
+def _needs_bisection(surface, tt, thetas, batch, params) -> np.ndarray:
+    """Mask of the adjacent direction pairs that refinement bisects (the
+    rule of ``_pair_needs_bisection``).  A refined front is a fixed point:
+    no pair of it needs bisection."""
+    return _pair_needs_bisection(
+        surface, tt, params,
+        _Ends.of(thetas, batch, slice(None, -1)), _Ends.of(thetas, batch, slice(1, None)),
+    )
 
 
 def _refine(surface, source, tt, thetas, batch, params):
     """Bisect direction gaps until no adjacent pair needs bisection.
 
+    Each round evaluates the midpoints of the pending gaps in one batch and
+    re-tests only the two halves of each: a gap that passed the test keeps
+    passing it, since the test reads the pair alone.  The halves that still
+    need bisection, in theta order, are the next round's pending gaps.
     Midpoints are exact dyadic averages, so the refined direction set is
-    independent of the order in which gaps are processed.
+    independent of the order in which gaps are processed; the midpoints of
+    all rounds are merged into the front once, at the end.
     """
-    while True:
-        idx = np.nonzero(_needs_bisection(surface, tt, thetas, batch, params))[0]
-        if idx.size == 0:
-            return thetas, batch
-        if thetas.size + idx.size > params.sample_budget:
-            j = int(idx[0])
+    lo = _Ends.of(thetas, batch, slice(None, -1))
+    hi = _Ends.of(thetas, batch, slice(1, None))
+    pending = np.flatnonzero(_pair_needs_bisection(surface, tt, params, lo, hi))
+    lo, hi = lo.take(pending), hi.take(pending)
+    count = thetas.size
+    rounds = []
+    while lo.theta.size:
+        if count + lo.theta.size > params.sample_budget:
             raise NumericalFailureError(
                 f"sample budget {params.sample_budget} exceeded while refining "
-                f"near theta in [{float(thetas[j])!r}, {float(thetas[j + 1])!r}] "
+                f"near theta in [{float(lo.theta[0])!r}, {float(hi.theta[0])!r}] "
                 f"at t={float(tt)!r}"
             )
-        mids = 0.5 * (thetas[idx] + thetas[idx + 1])
+        count += lo.theta.size
+        mids = 0.5 * (lo.theta + hi.theta)
         mid_batch = evaluate_batch(surface, source, mids, tt)
-        thetas = np.insert(thetas, idx + 1, mids)
-        batch = batch.insert(idx + 1, mid_batch)
+        rounds.append((mids, mid_batch))
+        mid = _Ends.of(mids, mid_batch)
+        halves = np.column_stack((
+            _pair_needs_bisection(surface, tt, params, lo, mid),
+            _pair_needs_bisection(surface, tt, params, mid, hi),
+        ))
+        # pending half k is half k % 2 of gap k // 2: (lo, mid) or (mid, hi)
+        k = np.flatnonzero(halves)
+        gap, upper = k >> 1, (k & 1).astype(bool)
+        lo, hi = _pick(upper, mid, lo, gap), _pick(upper, hi, mid, gap)
+    if not rounds:
+        return thetas, batch
+    return _merge(thetas, batch, rounds)
+
+
+def _pick(upper, when_upper: _Ends, otherwise: _Ends, gap) -> _Ends:
+    """Row ``gap[i]`` of ``when_upper`` where ``upper[i]``, else of ``otherwise``."""
+    out = otherwise.take(gap)
+    rows = gap[upper]
+    for col, src in zip(out, when_upper):
+        if col is not None:
+            col[upper] = src[rows]
+    return out
+
+
+def _merge(thetas, batch, rounds):
+    """The front with every round's midpoints merged in, in theta order."""
+    mids = np.concatenate([m for m, _ in rounds])
+    order = np.argsort(mids)
+    # the i-th midpoint in theta order lands after the i midpoints before it
+    # and the samples below it; the samples fill the remaining rows
+    dest = np.empty_like(order)
+    dest[order] = np.searchsorted(thetas, mids[order]) + np.arange(mids.size)
+    keep = np.ones(thetas.size + mids.size, dtype=bool)
+    keep[dest] = False
+
+    def merged(old, parts):
+        out = np.empty((keep.size,) + old.shape[1:], dtype=old.dtype)
+        out[keep] = old
+        start = 0
+        for part in parts:
+            out[dest[start:start + part.shape[0]]] = part
+            start += part.shape[0]
+        return out
+
+    columns = {
+        name: None if col is None
+        else merged(col, [getattr(b, name) for _, b in rounds])
+        for name, col in vars(batch).items()
+    }
+    return merged(thetas, [m for m, _ in rounds]), GeodesicBatch(**columns)
 
 
 def _same_sheet(sheet, a, b):
@@ -245,7 +337,12 @@ def _same_sheet(sheet, a, b):
     sheets (every surface but the cube) never leave their one sheet."""
     if sheet is None:
         return np.True_
-    return (sheet[a, 0] == sheet[b, 0]) & (sheet[a, 1] == sheet[b, 1])
+    return _sheets_match(sheet[a], sheet[b])
+
+
+def _sheets_match(sa, sb):
+    """Whether sheet rows ``sa`` and ``sb`` (equal shapes) are equal."""
+    return (sa[..., 0] == sb[..., 0]) & (sa[..., 1] == sb[..., 1])
 
 
 def _gap(surface, arrays, i, j) -> float:

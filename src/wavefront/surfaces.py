@@ -48,9 +48,14 @@ TWO_PI = 2.0 * math.pi
 # Most face crossings one cube ray may make in a single evaluation.
 EVENT_BUDGET = 10**5
 
-# Most face crossings one cube evaluation may walk over all its rays, each
-# counted at the per-ray bound sqrt(2)*t/side + 2.
+# Most face crossings one cube evaluation may be charged for: its rays plus
+# WALK_ITERATION_RAYS, each counted at the per-ray bound sqrt(2)*t/side + 2.
 WALK_BUDGET = 5 * 10**7
+
+# The fixed cost of one walk iteration, in rays.  A walk's time follows its
+# iteration count as well as its ray count: an iteration costs about 90 us
+# plus 0.2 us per active ray (numpy 2.4, 2-CPU x86-64 box).
+WALK_ITERATION_RAYS = 500
 
 # A cube ray passing closer than this (times side) to a vertex is discarded.
 CORNER_TOL = 1e-9
@@ -837,14 +842,6 @@ class GeodesicBatch:
     face: np.ndarray | None = None
     sheet: np.ndarray | None = None
 
-    def insert(self, positions, other: "GeodesicBatch") -> "GeodesicBatch":
-        """``other``'s rows inserted before rows ``positions`` (np.insert)."""
-        return GeodesicBatch(**{
-            name: None if col is None
-            else np.insert(col, positions, getattr(other, name), axis=0)
-            for name, col in vars(self).items()
-        })
-
 
 def _empty_planar_batch(pos, cover, refl=None) -> GeodesicBatch:
     n = pos.shape[0]
@@ -872,7 +869,10 @@ def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t, on_cross=None
     development rotation r and shift (giving cover coordinates), and a
     rolling hash of the face sequence (the development sheet).  Rays whose
     exit point falls within the corner tolerance of a vertex die there.
-    ``on_cross``, if given, receives the faces entered at each iteration.
+    The working arrays hold the active rays only, in ray order: a ray's
+    final values are written out when it ends, and the arrays are compacted
+    in the iterations where some ray ended.  ``on_cross``, if given,
+    receives the faces entered at each iteration, in ray order.
     """
     side = surface.side
     # a developed ray crosses at most sqrt(2)*t/side + 2 lines of the side lattice
@@ -883,122 +883,115 @@ def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t, on_cross=None
         )
     delta = CORNER_TOL * side
     n = thetas.shape[0]
-    if n * per_ray > WALK_BUDGET:
+    charge = (n + WALK_ITERATION_RAYS) * per_ray
+    if charge > WALK_BUDGET:
         raise NumericalFailureError(
-            f"{n} cube rays to t={t!r} can cross {n * per_ray:.3g} faces in all, "
+            f"{n} cube rays to t={t!r} cost {charge:.3g} face crossings "
+            f"(each iteration counted as {WALK_ITERATION_RAYS} more rays), "
             f"more than WALK_BUDGET={WALK_BUDGET}"
         )
 
-    face = np.full(n, FACE_INDEX[source.face], dtype=np.int64)
-    pu = np.full(n, float(source.u))
-    pv = np.full(n, float(source.v))
-    du = np.cos(thetas)
-    dv = np.sin(thetas)
-    rot = np.zeros(n, dtype=np.int64)
-    tvu = np.zeros(n)
-    tvv = np.zeros(n)
-    trem = np.full(n, float(t))
-    tgone = np.zeros(n)
+    # final values, per ray
+    face0 = FACE_INDEX[source.face]
+    end_pu = np.full(n, float(source.u))
+    end_pv = np.full(n, float(source.v))
+    end_face = np.full(n, face0, dtype=np.int64)
+    end_rot = np.zeros(n, dtype=np.int64)
+    end_tvu = np.zeros(n)
+    end_tvv = np.zeros(n)
+    end_hh = (np.full(n, _HASH_SEED, dtype=np.uint64) * _HASH_PRIME) ^ np.uint64(face0 + 1)
+    end_hl = np.ones(n, dtype=np.int64)
     alive = np.ones(n, dtype=bool)
     death = np.full(n, np.inf)
-    hh = np.full(n, _HASH_SEED, dtype=np.uint64)
-    hh = (hh * _HASH_PRIME) ^ np.uint64(FACE_INDEX[source.face] + 1)
-    hl = np.ones(n, dtype=np.int64)
-    active = trem > 0.0
+
+    # working values, per active ray
+    m = n if t > 0.0 else 0
+    ray = np.arange(m)
+    face = np.full(m, face0, dtype=np.int64)
+    pu = np.full(m, float(source.u))
+    pv = np.full(m, float(source.v))
+    du = np.cos(thetas[:m])
+    dv = np.sin(thetas[:m])
+    rot = np.zeros(m, dtype=np.int64)
+    tvu = np.zeros(m)
+    tvv = np.zeros(m)
+    trem = np.full(m, float(t))
+    tgone = np.zeros(m)
+    hh = end_hh[:m].copy()
+    hl = np.ones(m, dtype=np.int64)
 
     events = 0
-    while np.any(active):
+    while ray.size:
         events += 1
         if events > EVENT_BUDGET:
             raise NumericalFailureError(
                 f"cube tracing exceeded EVENT_BUDGET={EVENT_BUDGET} face crossings per ray"
             )
-        idx = np.nonzero(active)[0]
-        fu, fv = pu[idx], pv[idx]
-        gu, gv = du[idx], dv[idx]
         with np.errstate(divide="ignore", invalid="ignore"):
-            su = np.where(gu > 0, (side - fu) / gu, np.where(gu < 0, -fu / gu, np.inf))
-            sv = np.where(gv > 0, (side - fv) / gv, np.where(gv < 0, -fv / gv, np.inf))
-        s_exit = np.minimum(su, sv)
-        cross_u = su <= sv
-
-        rem = trem[idx]
-        done = rem <= s_exit
-        if np.any(done):
-            j = idx[done]
-            pu[j] = pu[j] + rem[done] * du[j]
-            pv[j] = pv[j] + rem[done] * dv[j]
-            tgone[j] += rem[done]
-            trem[j] = 0.0
-            active[j] = False
-
-        move = ~done
-        if not np.any(move):
-            continue
-        j = idx[move]
-        s = s_exit[move]
-        cu = cross_u[move]
+            su = np.where(du > 0, (side - pu) / du, np.where(du < 0, -pu / du, np.inf))
+            sv = np.where(dv > 0, (side - pv) / dv, np.where(dv < 0, -pv / dv, np.inf))
+        s = np.minimum(su, sv)
+        cu = su <= sv
+        done = trem <= s
         # exit point, with the crossed coordinate snapped onto the wall
-        peu = np.where(cu, np.where(du[j] > 0, side, 0.0), pu[j] + s * du[j])
-        pev = np.where(cu, pv[j] + s * dv[j], np.where(dv[j] > 0, side, 0.0))
+        peu = np.where(cu, np.where(du > 0, side, 0.0), pu + s * du)
+        pev = np.where(cu, pv + s * dv, np.where(dv > 0, side, 0.0))
         along = np.where(cu, pev, peu)
+        hit_corner = ~done & ((along < delta) | (along > side - delta))
+        ended = done | hit_corner
 
-        hit_corner = (along < delta) | (along > side - delta)
-        if np.any(hit_corner):
-            k = j[hit_corner]
-            pu[k] = peu[hit_corner]
-            pv[k] = pev[hit_corner]
-            death[k] = tgone[k] + s[hit_corner]
-            tgone[k] = death[k]
-            trem[k] = 0.0
-            alive[k] = False
-            active[k] = False
+        if np.any(ended):
+            k, fin = ray[ended], done[ended]
+            end_pu[k] = np.where(fin, pu[ended] + trem[ended] * du[ended], peu[ended])
+            end_pv[k] = np.where(fin, pv[ended] + trem[ended] * dv[ended], pev[ended])
+            end_face[k], end_rot[k] = face[ended], rot[ended]
+            end_tvu[k], end_tvv[k] = tvu[ended], tvv[ended]
+            end_hh[k], end_hl[k] = hh[ended], hl[ended]
+            if np.any(hit_corner):
+                alive[ray[hit_corner]] = False
+                death[ray[hit_corner]] = tgone[hit_corner] + s[hit_corner]
+            go = ~ended
+            ray, face, pu, pv, du, dv = (a[go] for a in (ray, face, pu, pv, du, dv))
+            rot, tvu, tvv, trem, tgone = (a[go] for a in (rot, tvu, tvv, trem, tgone))
+            hh, hl, s, cu, peu, pev = (a[go] for a in (hh, hl, s, cu, peu, pev))
+            if not ray.size:
+                break
 
-        go = ~hit_corner
-        if not np.any(go):
-            continue
-        j = j[go]
-        s = s[go]
-        peu, pev = peu[go], pev[go]
-        cu = cu[go]
-        edge = np.where(cu, np.where(du[j] > 0, 1, 0), np.where(dv[j] > 0, 3, 2))
-
-        f2 = _NEXT_FACE[face[j], edge]
+        edge = np.where(cu, np.where(du > 0, 1, 0), np.where(dv > 0, 3, 2))
+        f2 = _NEXT_FACE[face, edge]
         if on_cross is not None:
             on_cross(f2)
-        rt = _TRANS_ROT[face[j], edge]
-        cshift = _TRANS_SHIFT[face[j], edge] * side
+        rt = _TRANS_ROT[face, edge]
+        cshift = _TRANS_SHIFT[face, edge] * side
         c, sn = _ROT2_COS[rt], _ROT2_SIN[rt]
-        npu = np.clip(c * peu - sn * pev + cshift[:, 0], 0.0, side)
-        npv = np.clip(sn * peu + c * pev + cshift[:, 1], 0.0, side)
-        ndu = c * du[j] - sn * dv[j]
-        ndv = sn * du[j] + c * dv[j]
-        nrot = np.mod(rot[j] - rt, 4)
-        rc, rs = _ROT2_COS[nrot], _ROT2_SIN[nrot]
-        tvu[j] = tvu[j] - (rc * cshift[:, 0] - rs * cshift[:, 1])
-        tvv[j] = tvv[j] - (rs * cshift[:, 0] + rc * cshift[:, 1])
-        pu[j], pv[j] = npu, npv
-        du[j], dv[j] = ndu, ndv
-        rot[j] = nrot
-        face[j] = f2
-        hh[j] = (hh[j] * _HASH_PRIME) ^ (f2 + 1).astype(np.uint64)
-        hl[j] += 1
-        tgone[j] += s
-        trem[j] -= s
+        pu = np.clip(c * peu - sn * pev + cshift[:, 0], 0.0, side)
+        pv = np.clip(sn * peu + c * pev + cshift[:, 1], 0.0, side)
+        du, dv = c * du - sn * dv, sn * du + c * dv
+        rot = np.mod(rot - rt, 4)
+        rc, rs = _ROT2_COS[rot], _ROT2_SIN[rot]
+        tvu = tvu - (rc * cshift[:, 0] - rs * cshift[:, 1])
+        tvv = tvv - (rs * cshift[:, 0] + rc * cshift[:, 1])
+        face = f2
+        hh = (hh * _HASH_PRIME) ^ (f2 + 1).astype(np.uint64)
+        hl += 1
+        tgone += s
+        trem -= s
 
-    rc, rs = _ROT2_COS[rot], _ROT2_SIN[rot]
-    cover = np.stack([rc * pu - rs * pv + tvu, rs * pu + rc * pv + tvv], axis=1)
-    inv0 = _INV24[_FRAME_IDX[FACE_INDEX[source.face], 0]]
-    group = _MUL24[_FRAME_IDX[face, rot], inv0]
-    sheet = np.stack([hh, hl.astype(np.uint64)], axis=1)
+    rc, rs = _ROT2_COS[end_rot], _ROT2_SIN[end_rot]
+    cover = np.stack(
+        [rc * end_pu - rs * end_pv + end_tvu, rs * end_pu + rc * end_pv + end_tvv], axis=1
+    )
+    inv0 = _INV24[_FRAME_IDX[face0, 0]]
+    group = _MUL24[_FRAME_IDX[end_face, end_rot], inv0]
+    sheet = np.stack([end_hh, end_hl.astype(np.uint64)], axis=1)
     return GeodesicBatch(
-        pos=np.stack([pu, pv], axis=1),
+        pos=np.stack([end_pu, end_pv], axis=1),
         cover=cover,
         alive=alive,
         death_time=death,
         refl=np.zeros(n, dtype=np.int64),
         group=group,
-        face=face,
+        face=end_face,
         sheet=sheet,
     )
 

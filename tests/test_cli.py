@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import wavefront
@@ -219,6 +220,19 @@ def test_numerical_failure_exit_2(monkeypatch, capsys):
         code, _, err = run(argv, capsys)
         assert code == 2, argv
         assert budget in err and err.count("\n") == 1, argv
+
+
+def test_long_cube_walk_refused_before_it_starts(capsys):
+    # with the real WALK_BUDGET: 1024 rays of up to ~42,400 crossings each
+    # are charged for their iterations too, so the first walk is refused
+    # at once rather than run for tens of seconds
+    start = time.perf_counter()
+    code, _, err = run(
+        ["simulate", "--surface", "cube:1", "--p", "U/0.5/0.5", "--t", "30000"], capsys
+    )
+    assert code == 2
+    assert f"WALK_BUDGET={wavefront.surfaces.WALK_BUDGET}" in err and err.count("\n") == 1
+    assert time.perf_counter() - start < 5.0
 
 
 def test_io_errors_exit_3(tmp_path, capsys):

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import wavefront.frontier as frontier
 from wavefront import (
     ArcInterval,
     CubePoint,
@@ -35,9 +36,11 @@ from wavefront.frontier import (
     FrontComponent,
     _assemble_components,
     _find_parents,
+    _needs_bisection,
+    _refine,
     _unwitnessed_tears,
 )
-from wavefront.surfaces import FACE_INDEX, GeodesicBatch
+from wavefront.surfaces import FACE_INDEX, GeodesicBatch, evaluate_batch
 
 TWO_PI = 2.0 * math.pi
 
@@ -234,6 +237,109 @@ def test_sample_budget_enforced():
     f = init_front(Torus(1.0, 1.0), (0.2, 0.3), params=params)
     with pytest.raises(NumericalFailureError):
         propagate(f, 50.0)
+
+
+def _refine_by_rounds(surface, source, tt, thetas, batch, params):
+    """Reference refinement: every round re-tests all adjacent pairs and
+    inserts that round's midpoints into each column with np.insert.  It
+    evaluates through the frontier module, as ``_refine`` does."""
+    while True:
+        idx = np.nonzero(_needs_bisection(surface, tt, thetas, batch, params))[0]
+        if idx.size == 0:
+            return thetas, batch
+        if thetas.size + idx.size > params.sample_budget:
+            j = int(idx[0])
+            raise NumericalFailureError(
+                f"sample budget {params.sample_budget} exceeded while refining "
+                f"near theta in [{float(thetas[j])!r}, {float(thetas[j + 1])!r}] "
+                f"at t={float(tt)!r}"
+            )
+        mids = 0.5 * (thetas[idx] + thetas[idx + 1])
+        mid_batch = frontier.evaluate_batch(surface, source, mids, tt)
+        thetas = np.insert(thetas, idx + 1, mids)
+        batch = GeodesicBatch(**{
+            name: None if col is None
+            else np.insert(col, idx + 1, getattr(mid_batch, name), axis=0)
+            for name, col in vars(batch).items()
+        })
+
+
+def _refine_both(monkeypatch, surface, source, thetas, tt, params):
+    """Run both refinements on the evaluation of ``thetas`` at ``tt``;
+    returns each one's result and the sizes of its evaluation calls."""
+    out = []
+    for refine in (_refine, _refine_by_rounds):
+        sizes = []
+
+        def counted(surface, source, thetas, t):
+            sizes.append(thetas.size)
+            return evaluate_batch(surface, source, thetas, t)
+
+        batch = evaluate_batch(surface, source, thetas, tt)
+        monkeypatch.setattr(frontier, "evaluate_batch", counted)
+        try:
+            out.append((refine(surface, source, tt, thetas, batch, params), sizes))
+        finally:
+            monkeypatch.undo()
+    return out
+
+
+_REFINE_CASES = [
+    # cube fronts with tears, from a face center and from a generic point
+    (CubeSurface(1.0), CubePoint("F", 0.5, 0.5), FULL_CIRCLE, (1.0, 2.5)),
+    (CubeSurface(1.0), CubePoint("U", 0.23, 0.61), FULL_CIRCLE, (3.0,)),
+    # the disk's reflection kinks, and a disk front through the center
+    (DiskBilliard(1.0), (0.4, 0.1), FULL_CIRCLE, (2.0, 5.0)),
+    (DiskBilliard(1.0), (0.0, 0.0), FULL_CIRCLE, (2.0,)),
+    # partial arcs
+    (Torus(1.0, 1.0), (0.2, 0.3), ArcInterval(0.3, 2.9), (4.0, 9.0)),
+    (CubeSurface(2.0), CubePoint("D", 0.7, 1.1), ArcInterval(1.0, 2.5), (4.0,)),
+    (KleinBottle(), (0.25, 0.5), FULL_CIRCLE, (3.0, 6.0)),
+    (RectBilliard(1.0, 2.0), (0.3, 0.7), FULL_CIRCLE, (5.0,)),
+    # a front that needs no bisection
+    (Torus(1.0, 1.0), (0.2, 0.3), FULL_CIRCLE, (1e-3,)),
+]
+
+
+@pytest.mark.parametrize("surface,source,arc,times", _REFINE_CASES)
+def test_refine_matches_round_by_round_insertion(monkeypatch, surface, source, arc, times):
+    front = init_front(surface, source, arc=arc)
+    source, params, thetas = front.source, front.params, front.thetas
+    for tt in times:
+        ((thetas, batch), sizes), ((ref_thetas, ref_batch), ref_sizes) = _refine_both(
+            monkeypatch, surface, source, thetas, tt, params
+        )
+        # the same rays, evaluated in the same rounds
+        assert sizes == ref_sizes, (surface, tt)
+        assert thetas.tobytes() == ref_thetas.tobytes()
+        for name, col in vars(ref_batch).items():
+            got = getattr(batch, name)
+            if col is None:
+                assert got is None, name
+            else:
+                assert got.dtype == col.dtype and got.shape == col.shape, name
+                assert got.tobytes() == col.tobytes(), name
+    if times == (1e-3,):
+        assert sizes == [] and thetas.size == front.thetas.size
+
+
+@pytest.mark.parametrize("surface,source,tt,budget", [
+    (CubeSurface(1.0), CubePoint("F", 0.5, 0.5), 2.5, 1500),
+    (CubeSurface(1.0), CubePoint("F", 0.5, 0.5), 2.5, 4000),
+    (Torus(1.0, 1.0), (0.2, 0.3), 20.0, 10_000),
+    (DiskBilliard(1.0), (0.4, 0.1), 20.0, 3000),
+])
+def test_refine_budget_error_matches_round_by_round(monkeypatch, surface, source, tt, budget):
+    params = PropagationParams(h_max=0.005 * surface.min_extent, sample_budget=budget)
+    front = init_front(surface, source, params=params)
+    messages = []
+    for refine in (_refine, _refine_by_rounds):
+        batch = evaluate_batch(surface, front.source, front.thetas, tt)
+        with pytest.raises(NumericalFailureError) as err:
+            refine(surface, front.source, tt, front.thetas, batch, params)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert f"sample budget {budget} exceeded" in messages[0]
 
 
 def test_full_circle_constant():

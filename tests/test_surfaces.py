@@ -26,7 +26,26 @@ from wavefront import (
     surface_distance,
     trace_cube_ray,
 )
-from wavefront.surfaces import evaluate_batch, format_point, parse_point
+from wavefront.surfaces import (
+    _FRAME_IDX,
+    _HASH_PRIME,
+    _HASH_SEED,
+    _INV24,
+    _MUL24,
+    _NEXT_FACE,
+    _ROT2_COS,
+    _ROT2_SIN,
+    _TRANS_ROT,
+    _TRANS_SHIFT,
+    CORNER_TOL,
+    FACE_INDEX,
+    FACE_NAMES,
+    GeodesicBatch,
+    _eval_cube,
+    evaluate_batch,
+    format_point,
+    parse_point,
+)
 
 
 # --- descriptors -----------------------------------------------------------
@@ -260,6 +279,159 @@ def test_cube_straight_loops_close():
         assert len(history) == 5
         assert group == g0
         assert surface_distance(cube, src, point) == pytest.approx(0.0, abs=1e-9)
+
+
+def _eval_cube_by_gather(side, source, thetas, t, on_cross=None):
+    """Reference cube walk: full-length state arrays, gathered and scattered
+    through the indices of the active rays in every iteration."""
+    delta = CORNER_TOL * side
+    n = thetas.shape[0]
+    face = np.full(n, FACE_INDEX[source.face], dtype=np.int64)
+    pu = np.full(n, float(source.u))
+    pv = np.full(n, float(source.v))
+    du = np.cos(thetas)
+    dv = np.sin(thetas)
+    rot = np.zeros(n, dtype=np.int64)
+    tvu = np.zeros(n)
+    tvv = np.zeros(n)
+    trem = np.full(n, float(t))
+    tgone = np.zeros(n)
+    alive = np.ones(n, dtype=bool)
+    death = np.full(n, np.inf)
+    hh = np.full(n, _HASH_SEED, dtype=np.uint64)
+    hh = (hh * _HASH_PRIME) ^ np.uint64(FACE_INDEX[source.face] + 1)
+    hl = np.ones(n, dtype=np.int64)
+    active = trem > 0.0
+    while np.any(active):
+        idx = np.nonzero(active)[0]
+        fu, fv = pu[idx], pv[idx]
+        gu, gv = du[idx], dv[idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            su = np.where(gu > 0, (side - fu) / gu, np.where(gu < 0, -fu / gu, np.inf))
+            sv = np.where(gv > 0, (side - fv) / gv, np.where(gv < 0, -fv / gv, np.inf))
+        s_exit = np.minimum(su, sv)
+        cross_u = su <= sv
+        rem = trem[idx]
+        done = rem <= s_exit
+        if np.any(done):
+            j = idx[done]
+            pu[j] = pu[j] + rem[done] * du[j]
+            pv[j] = pv[j] + rem[done] * dv[j]
+            tgone[j] += rem[done]
+            trem[j] = 0.0
+            active[j] = False
+        move = ~done
+        if not np.any(move):
+            continue
+        j = idx[move]
+        s = s_exit[move]
+        cu = cross_u[move]
+        peu = np.where(cu, np.where(du[j] > 0, side, 0.0), pu[j] + s * du[j])
+        pev = np.where(cu, pv[j] + s * dv[j], np.where(dv[j] > 0, side, 0.0))
+        along = np.where(cu, pev, peu)
+        hit_corner = (along < delta) | (along > side - delta)
+        if np.any(hit_corner):
+            k = j[hit_corner]
+            pu[k] = peu[hit_corner]
+            pv[k] = pev[hit_corner]
+            death[k] = tgone[k] + s[hit_corner]
+            tgone[k] = death[k]
+            trem[k] = 0.0
+            alive[k] = False
+            active[k] = False
+        go = ~hit_corner
+        if not np.any(go):
+            continue
+        j = j[go]
+        s = s[go]
+        peu, pev = peu[go], pev[go]
+        cu = cu[go]
+        edge = np.where(cu, np.where(du[j] > 0, 1, 0), np.where(dv[j] > 0, 3, 2))
+        f2 = _NEXT_FACE[face[j], edge]
+        if on_cross is not None:
+            on_cross(f2)
+        rt = _TRANS_ROT[face[j], edge]
+        cshift = _TRANS_SHIFT[face[j], edge] * side
+        c, sn = _ROT2_COS[rt], _ROT2_SIN[rt]
+        npu = np.clip(c * peu - sn * pev + cshift[:, 0], 0.0, side)
+        npv = np.clip(sn * peu + c * pev + cshift[:, 1], 0.0, side)
+        ndu = c * du[j] - sn * dv[j]
+        ndv = sn * du[j] + c * dv[j]
+        nrot = np.mod(rot[j] - rt, 4)
+        rc, rs = _ROT2_COS[nrot], _ROT2_SIN[nrot]
+        tvu[j] = tvu[j] - (rc * cshift[:, 0] - rs * cshift[:, 1])
+        tvv[j] = tvv[j] - (rs * cshift[:, 0] + rc * cshift[:, 1])
+        pu[j], pv[j] = npu, npv
+        du[j], dv[j] = ndu, ndv
+        rot[j] = nrot
+        face[j] = f2
+        hh[j] = (hh[j] * _HASH_PRIME) ^ (f2 + 1).astype(np.uint64)
+        hl[j] += 1
+        tgone[j] += s
+        trem[j] -= s
+    rc, rs = _ROT2_COS[rot], _ROT2_SIN[rot]
+    cover = np.stack([rc * pu - rs * pv + tvu, rs * pu + rc * pv + tvv], axis=1)
+    inv0 = _INV24[_FRAME_IDX[FACE_INDEX[source.face], 0]]
+    return GeodesicBatch(
+        pos=np.stack([pu, pv], axis=1),
+        cover=cover,
+        alive=alive,
+        death_time=death,
+        refl=np.zeros(n, dtype=np.int64),
+        group=_MUL24[_FRAME_IDX[face, rot], inv0],
+        face=face,
+        sheet=np.stack([hh, hl.astype(np.uint64)], axis=1),
+    )
+
+
+_WALK_CASES = [
+    (1.0, CubePoint("F", 0.5, 0.5)),  # corner-aimed directions among the samples
+    (1.0, CubePoint("U", 0.23, 0.61)),
+    (2.5, CubePoint("D", 0.1, 2.3)),
+    (1.0, CubePoint("L", 0.0, 0.4)),  # on an edge
+]
+
+
+@pytest.mark.parametrize("side,source", _WALK_CASES)
+@pytest.mark.parametrize("t", [0.0, 0.3, 2.5, 17.0])
+def test_cube_walk_matches_gather_scatter_walk(side, source, t):
+    thetas = np.concatenate([
+        np.linspace(0.0, 2.0 * math.pi, 2049),
+        np.arange(8) * (math.pi / 4),  # axis-parallel and diagonal rays
+        np.random.default_rng(7).uniform(0.0, 2.0 * math.pi, 500),
+    ])
+    got = _eval_cube(CubeSurface(side), source, thetas, t)
+    want = _eval_cube_by_gather(side, source, thetas, t)
+    if t == 17.0 and source.u == 0.5:
+        assert not want.alive.all()  # some ray died at a corner
+    for name, col in vars(want).items():
+        mine = getattr(got, name)
+        assert mine.dtype == col.dtype and mine.shape == col.shape, name
+        assert mine.tobytes() == col.tobytes(), name
+
+
+@pytest.mark.parametrize("side,source", _WALK_CASES)
+def test_trace_cube_ray_history_matches_gather_scatter_walk(side, source):
+    for theta in (0.0, 0.3, math.pi / 4, 1.9, 4.0, 2.0 * math.pi):
+        for t in (0.0, 1.0, 9.5):
+            history = [FACE_INDEX[source.face]]
+            _eval_cube_by_gather(
+                side, source, np.array([theta]), t,
+                on_cross=lambda faces: history.extend(faces.tolist()),
+            )
+            _, faces, _, _ = trace_cube_ray(side, source, theta, t)
+            assert faces == tuple(FACE_NAMES[f] for f in history), (theta, t)
+
+
+def test_cube_walk_reports_crossings_in_ray_order():
+    side, source, t = 1.0, CubePoint("U", 0.23, 0.61), 6.0
+    thetas = np.linspace(0.0, 2.0 * math.pi, 301)
+    got, want = [], []
+    _eval_cube(CubeSurface(side), source, thetas, t, on_cross=got.append)
+    _eval_cube_by_gather(side, source, thetas, t, on_cross=want.append)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 def test_cube_group_is_order_24():
