@@ -36,7 +36,6 @@ from .metrics import density_report, estimate_tau, length_growth_curve
 from .surfaces import (
     NumericalFailureError,
     PreconditionError,
-    parse_point,
     parse_surface,
 )
 
@@ -101,7 +100,7 @@ def _write_out(data: bytes, out: str | None) -> None:
 def _front_series(args):
     """Yield fronts over the time grid, reusing samples between times."""
     surface = parse_surface(args.surface)
-    source = parse_point(surface, args.p)
+    source = surface.parse_point(args.p)
     front = init_front(surface, source)
     for t in _t_grid(args.t_grid):
         front = propagate(front, t)
@@ -116,7 +115,7 @@ def _cmd_simulate(args) -> int:
     if not (math.isfinite(args.t) and args.t >= 0.0):
         raise UsageError(f"--t must be finite and nonnegative, got {args.t!r}")
     surface = parse_surface(args.surface)
-    source = parse_point(surface, args.p)
+    source = surface.parse_point(args.p)
     params = default_params(surface)
     if args.hmax is not None:
         params = dataclasses.replace(params, h_max=args.hmax)
@@ -145,7 +144,7 @@ def _cmd_density(args) -> int:
 
 def _cmd_tau(args) -> int:
     surface = parse_surface(args.surface)
-    source = parse_point(surface, args.p)
+    source = surface.parse_point(args.p)
     est = estimate_tau(surface, source, args.r, args.t_max, args.dt)
     lines = [
         f"# surface={args.surface} p={args.p} r={args.r!r} "
@@ -161,7 +160,7 @@ def _cmd_tau(args) -> int:
 
 def _cmd_length(args) -> int:
     surface = parse_surface(args.surface)
-    source = parse_point(surface, args.p)
+    source = surface.parse_point(args.p)
     curve = length_growth_curve(surface, source, _t_grid(args.t_grid))
     lines = [f"# surface={args.surface} p={args.p} t_grid={args.t_grid}"]
     lines.append("t,length")

@@ -139,7 +139,8 @@ class Front(GeodesicBatch):
 
     The per-sample columns (a ``GeodesicBatch``) are ordered by ``thetas``
     and include dead directions; the components index into them.  Every
-    front holds all of them, those read back from snapshots included.
+    front holds all of them, those read back from snapshots included.  Its
+    ``params.theta_min`` is below the arc width, however it was built.
     """
 
     surface: SurfaceModel
@@ -149,6 +150,10 @@ class Front(GeodesicBatch):
     params: PropagationParams
     thetas: np.ndarray
     components: list
+
+    def __post_init__(self):
+        if self.params.theta_min >= self.arc.width:
+            raise PreconditionError("theta_min must be smaller than the arc width")
 
     @property
     def sample_count(self) -> int:
@@ -181,8 +186,6 @@ def init_front(
     source = surface.validate_point(source, forbid_vertex=True)
     if params is None:
         params = default_params(surface)
-    if params.theta_min >= arc.width:
-        raise PreconditionError("theta_min must be smaller than the arc width")
     if n0 > params.sample_budget:
         raise NumericalFailureError(
             f"sample budget {params.sample_budget} exceeded by n0={n0}"
@@ -428,10 +431,12 @@ def _find_parents(parents, thetas) -> list:
     A direction belongs to the first parent, in list order, whose interval
     holds it under one of the shifts 0, +2*pi or -2*pi; failing that, to
     the first parent with the smallest gap between a shifted direction and
-    either interval end.  Assembled parents are sorted and disjoint, so a
-    binary search over the interval starts finds the one candidate per
-    shift.  Parents read from a snapshot follow document order and may
-    overlap; directions the search cannot settle take ``_nearest_parent``.
+    either interval end.  The parents of a propagated or parsed front are
+    assembled, so sorted and disjoint, and a binary search over the
+    interval starts finds the one candidate per shift.  A hand-built
+    component list may be unsorted or overlap; directions the search
+    cannot settle (outside every parent, or among such parents) take
+    ``_nearest_parent``.
     """
     if not parents:
         return [None] * len(thetas)

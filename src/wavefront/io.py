@@ -7,7 +7,9 @@ directions carry their death time.  Parsing evaluates the document's
 directions at its time (evaluation is pure) and rejects a document whose
 alive flags, live positions, cube faces or death times differ from that
 evaluation, with a direction outside its arc or a split time outside
-[0, t], or whose direction gaps refinement would bisect further.
+[0, t], or whose direction gaps refinement would bisect further.  Its
+components must be the evaluated front's assembly (the one propagation
+uses), listed as ``emit_snapshot`` writes it; only split times are read.
 
 Renders are static SVG: flat surfaces in their rectangular viewport, the
 disk in its bounding square with the rim drawn, the cube as a cross net
@@ -23,8 +25,8 @@ import reprlib
 
 import numpy as np
 
-from .frontier import ArcInterval, Front, FrontComponent, PropagationParams
-from .frontier import _needs_bisection
+from .frontier import ArcInterval, Front, PropagationParams
+from .frontier import _assemble_components, _needs_bisection
 from .metrics import DensityReport
 from .lattice import LatticeCount
 from .surfaces import PreconditionError, evaluate_batch, format_surface, parse_surface
@@ -133,10 +135,12 @@ def _real(x, what: str) -> float:
 def parse_snapshot(data: bytes) -> Front:
     """Reconstruct a front from snapshot bytes.
 
-    The front is the evaluation of the document's directions at its time.
-    Unknown keys, values of the wrong shape or type, samples that the
-    evaluation contradicts or that lie outside the arc, split times outside
-    [0, t] and gaps that refinement would bisect raise a SnapshotError.
+    The front is the evaluation of the document's directions at its time,
+    with the components ``frontier`` assembles from it.  Unknown keys,
+    values of the wrong shape or type, samples that the evaluation
+    contradicts or that lie outside the arc, split times outside [0, t],
+    gaps that refinement would bisect and a component list other than the
+    assembly raise a SnapshotError.
     """
     try:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
@@ -183,14 +187,12 @@ def _parse_front(doc: dict) -> Front:
     t = _real(doc["t"], "t")
     doc_comps = _require_list(doc["components"], None, "components")
 
-    # one row per sample direction, sorted by theta below; each component's
+    # one row per sample direction, sorted by theta below; each entry's
     # samples are checked and converted a column at a time
     thetas, xs, ys, faces, alive, owner = [], [], [], [], [], []
     for ci, comp in enumerate(doc_comps):
         _require_keys(comp, ("interval", "split_time", "samples"), "component")
         samples = _require_list(comp["samples"], None, "component samples")
-        if not samples:
-            continue  # reported below as a component with no samples
         _require_lists(samples, 3, "sample")
         theta, coords, live = _columns(samples, 3)
         _require_lists(coords, surface.coordinate_width, "sample coordinates")
@@ -233,42 +235,8 @@ def _parse_front(doc: dict) -> Front:
     thetas = np.array(thetas)[order]
     alive = np.array(alive, dtype=bool)[order]
     death = np.array(death)[order]
-    owner = np.array(owner)[order]
     if np.any(~alive & ~np.isfinite(death)):
         raise SnapshotError("dead sample without a death time")
-
-    # maximal runs of one owner, in theta order, grouped by component
-    cut = np.flatnonzero(owner[1:] != owner[:-1]) + 1
-    starts = [0, *cut.tolist()]
-    stops = [*cut.tolist(), owner.shape[0]]
-    comp_runs = [[] for _ in doc_comps]
-    for start, stop, ci in zip(starts, stops, owner[starts].tolist()):
-        if ci >= 0:
-            comp_runs[ci].append((start, stop))
-
-    components = []
-    for comp, runs in zip(doc_comps, comp_runs):
-        if not runs:
-            raise SnapshotError("component with no samples")
-        lo, hi = _require_list(comp["interval"], 2, "component interval")
-        interval = ArcInterval(_real(lo, "component interval"),
-                               _real(hi, "component interval"))
-        if len(runs) == 2 and interval.theta_hi > arc.theta_hi:
-            runs = [runs[1], runs[0]]  # wrap-around: high-theta run first
-        elif len(runs) > 1:
-            raise SnapshotError("component samples are not contiguous")
-        split_time = _real(comp["split_time"], "split_time")
-        if not 0.0 <= split_time <= t:
-            raise SnapshotError(f"split_time {split_time!r} lies outside [0, t]")
-        components.append(
-            FrontComponent(
-                interval=interval,
-                split_time=split_time,
-                segments=tuple(runs),
-                theta_first=float(thetas[runs[0][0]]),
-                theta_last=float(thetas[runs[-1][1] - 1]),
-            )
-        )
 
     # the front is the evaluation; the document must agree with it bitwise,
     # keep to its arc and be refined (a fixed point of bisection)
@@ -288,6 +256,30 @@ def _parse_front(doc: dict) -> Front:
         if bad.any():
             theta = float(thetas[np.argmax(bad)])
             raise SnapshotError(f"sample at theta={theta!r}: {what}")
+
+    # the components are the front's assembly, listed in emit order; only
+    # their split times, which depend on history, come from the document
+    components = _assemble_components(surface, arc, t, thetas, batch, params, [])
+    if len(doc_comps) != len(components):
+        raise SnapshotError(
+            f"{len(doc_comps)} components listed, {len(components)} assembled")
+    assembled = np.full(thetas.shape[0], -1)
+    for k, (entry, comp) in enumerate(zip(doc_comps, components)):
+        lo, hi = _require_list(entry["interval"], 2, "component interval")
+        interval = _reals([lo, hi], "component interval")
+        if list(map(float.hex, interval)) != [comp.interval.theta_lo.hex(),
+                                              comp.interval.theta_hi.hex()]:
+            raise SnapshotError(f"component {k}: interval differs from assembly")
+        comp.split_time = _real(entry["split_time"], "split_time")
+        if not 0.0 <= comp.split_time <= t:
+            raise SnapshotError(f"split_time {comp.split_time!r} lies outside [0, t]")
+        assembled[comp.sample_indices] = k
+    listed = np.array(owner)[order]
+    stray = live & (listed != assembled)
+    if stray.any():
+        i = int(np.argmax(stray))
+        raise SnapshotError(f"sample at theta={float(thetas[i])!r}: listed in "
+                            f"component {listed[i]}, assembled into {assembled[i]}")
     return Front(surface=surface, source=source, t=t, arc=arc, params=params,
                  thetas=thetas, components=components, **vars(batch))
 

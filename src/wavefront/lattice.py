@@ -224,19 +224,15 @@ def _torus_distance(index: CellIndex, m: int):
     """Distance on the unit torus from the centres ((i + 0.5)/m, (j + 0.5)/m)
     to the indexed samples, as a function of the index arrays i and j.
 
-    The nine translates by -1, 0, 1 in each coordinate are searched, the
-    untranslated one first and the rest capped at the running minimum.
+    The nine translates by -1, 0, 1 in each coordinate are its images; the
+    untranslated one is the middle one (``CellIndex.query_images``).
     """
     c = (np.arange(m) + 0.5) / m
-    shifts = [(i, j) for i in (-1.0, 0.0, 1.0) for j in (-1.0, 0.0, 1.0)]
-    home = shifts.pop(len(shifts) // 2)
+    shifts = np.array([(i, j) for i in (-1.0, 0.0, 1.0) for j in (-1.0, 0.0, 1.0)])
 
     def dmin(i, j):
         centers = np.stack([c[i], c[j]], axis=1)
-        d = index.query(centers + np.array(home))
-        for shift in shifts:
-            d = np.minimum(d, index.query(centers + np.array(shift), cap=d))
-        return d
+        return index.query_images(centers + shifts[:, None, :])
 
     return dmin
 

@@ -105,10 +105,9 @@ class _NearestFront:
     def query(self, pts: np.ndarray, charts: np.ndarray):
         """Min distance from each query point to the front's live samples.
 
-        ``charts`` gives the chart of each query point.  The identity deck
-        image (the middle one of ``images``) is searched first and every
-        other image with the running minimum as cap, so the result is the
-        minimum over all images and far images cost next to nothing.
+        ``charts`` gives the chart of each query point.  The result is the
+        minimum over all deck images of the query (``surface.images``,
+        searched by ``CellIndex.query_images``).
 
         On the cube each sample is searched as developed across at most two
         edges into the query's face.  Each such chord is at least the
@@ -121,13 +120,7 @@ class _NearestFront:
         for chart, index in enumerate(self._indexes):
             m = charts == chart
             if m.any():
-                imgs = self.surface.images(pts[m])
-                home = imgs.shape[0] // 2
-                best = index.query(imgs[home])
-                for k, img in enumerate(imgs):
-                    if k != home:
-                        best = np.minimum(best, index.query(img, cap=best))
-                out[m] = best
+                out[m] = index.query_images(self.surface.images(pts[m]))
         return out
 
 

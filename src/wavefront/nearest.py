@@ -12,7 +12,8 @@ cell lies at least ``cap`` away.  The answer is still exact wherever it is
 below the cap; elsewhere it is some distance at least the cap (possibly
 ``inf``).  Minimising over deck images of a query with the running minimum
 as cap therefore gives the exact minimum over all of them, while images far
-from the cloud end without visiting a cell.
+from the cloud end without visiting a cell; ``CellIndex.query_images`` does
+that, starting from the middle image.
 
 The module needs numpy only and knows nothing of surfaces or fronts.
 """
@@ -101,6 +102,21 @@ class CellIndex:
             chunk = slice(s, s + QUERY_CHUNK)
             out[chunk] = self._search(q[chunk], cap[chunk])
         return out
+
+    def query_images(self, images) -> np.ndarray:
+        """Least distance from each query point to the cloud over its images.
+
+        ``images`` has shape (k, n, 2): k images of n query points, the
+        untranslated one in the middle.  That one is searched first and
+        every other image with the running minimum as cap, so the result is
+        the exact minimum over all k images.
+        """
+        home = len(images) // 2
+        best = self.query(images[home])
+        for k, img in enumerate(images):
+            if k != home:
+                best = np.minimum(best, self.query(img, cap=best))
+        return best
 
     def _search(self, q, cap):
         u, v = self._coords(q)

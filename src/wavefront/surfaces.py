@@ -590,20 +590,6 @@ def format_surface(surface: SurfaceModel) -> str:
     return f"{surface.kind}:{values}" if values else surface.kind
 
 
-def parse_point(surface: SurfaceModel, text: str):
-    """Parse ``x,y`` (planar surfaces) or ``FACE/u/v`` (cube)."""
-    return surface.parse_point(text)
-
-
-def format_point(surface: SurfaceModel, point) -> str:
-    return surface.format_point(point)
-
-
-def validate_point(surface: SurfaceModel, point, forbid_vertex: bool = False):
-    """Check a point lies in the fundamental domain (see ``_Surface``)."""
-    return surface.validate_point(point, forbid_vertex)
-
-
 # ---------------------------------------------------------------------------
 # cube charts, transitions and the order-24 rotation group
 #

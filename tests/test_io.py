@@ -41,7 +41,6 @@ from wavefront.io import (
 )
 from wavefront.lattice import lattice_count
 from wavefront.metrics import density_report
-from wavefront.surfaces import parse_point
 
 CASES = [
     (Torus(1.0, 1.0), (0.2, 0.3), 3.0),
@@ -198,6 +197,23 @@ def _drop_every_other_sample(doc):
     samples[:] = samples[::2]
 
 
+def _split_first_component(doc):
+    comp = doc["components"][0]
+    half = len(comp["samples"]) // 2
+    doc["components"].insert(1, {**comp, "samples": comp["samples"][half:]})
+    comp["samples"] = comp["samples"][:half]
+
+
+def _merge_first_two_components(doc):
+    second = doc["components"].pop(1)
+    doc["components"][0]["samples"] += second["samples"]
+
+
+def _move_middle_sample(doc):
+    samples = doc["components"][0]["samples"]
+    doc["components"][1]["samples"].append(samples.pop(len(samples) // 2))
+
+
 # each mutation keeps the document well formed but forges a value that
 # evaluating its directions at its time contradicts
 FORGERIES = {
@@ -217,6 +233,18 @@ METADATA_FORGERIES = {
     "negative-split-time": ("cube", lambda d: d["components"][0].update(
         split_time=-0.078), r"outside \[0, t\]"),
     "every-other-sample-dropped": ("torus", _drop_every_other_sample, "needs bisection"),
+    "torus-component-split": ("torus", _split_first_component,
+                              "2 components listed, 1 assembled"),
+    "cube-components-merged": ("cube", _merge_first_two_components,
+                               "components listed, 4 assembled"),
+    "cube-components-reversed": ("cube", lambda d: d["components"].reverse(),
+                                 "component 0: interval differs from assembly"),
+    "torus-interval-rewritten": ("torus", lambda d: d["components"][0].update(
+        interval=[0.5, 2 * math.pi]), "component 0: interval differs from assembly"),
+    "cube-sample-in-another-component": ("cube", _move_middle_sample,
+                                         "listed in component 1, assembled into 0"),
+    "theta-min-above-arc-width": ("torus", lambda d: d["params"].update(theta_min=7.0),
+                                  "theta_min must be smaller than the arc width"),
 }
 _FORGERY_CASES = {
     **{name: (*case, "differs from evaluation") for name, case in FORGERIES.items()},
@@ -304,7 +332,7 @@ def test_snapshot_dead_sample_merges_with_component_entry():
     comps = sorted(f.components, key=lambda c: c.interval.theta_lo)  # document order
     k, comp = next((k, c) for k, c in enumerate(comps) if len(c.segments) == 1
                    and not f.alive[c.segments[0][1]])
-    (start, i), = comp.segments  # sample i is the dead direction just past it
+    (_, i), = comp.segments  # sample i is the dead direction just past it
     doc = json.loads(emit_snapshot(f))
     theta, death = float(f.thetas[i]), float(f.death_time[i])
     assert [theta, death] in doc["dead_directions"]
@@ -313,7 +341,8 @@ def test_snapshot_dead_sample_merges_with_component_entry():
     g = parse_snapshot(json.dumps(doc).encode())
     assert g.sample_count == f.sample_count
     assert not g.alive[i] and g.death_time[i] == death
-    assert g.components[k].segments == ((start, i + 1),)
+    assert g.components[k].segments == comp.segments
+    assert emit_snapshot(g) == emit_snapshot(f)
 
 
 def test_snapshot_dead_sample_without_death_time_rejected():
@@ -463,7 +492,7 @@ _PINNED = {
 def test_artifact_bytes_pinned(case):
     desc, point, t, eps = case
     surface = parse_surface(desc)
-    half = propagate(init_front(surface, parse_point(surface, point)), t / 2)
+    half = propagate(init_front(surface, surface.parse_point(point)), t / 2)
     front = propagate(half, t)
     csv = emit_series(
         [density_report(half, eps), density_report(front, eps)],

@@ -43,8 +43,6 @@ from wavefront.surfaces import (
     GeodesicBatch,
     _eval_cube,
     evaluate_batch,
-    format_point,
-    parse_point,
 )
 
 
@@ -68,21 +66,21 @@ def test_surface_descriptor_rejects_garbage():
 
 def test_point_descriptor_round_trip():
     tor = Torus(1.0, 1.0)
-    assert parse_point(tor, "0.25,0.75") == (0.25, 0.75)
-    assert parse_point(tor, format_point(tor, (0.1, 0.9))) == (0.1, 0.9)
+    assert tor.parse_point("0.25,0.75") == (0.25, 0.75)
+    assert tor.parse_point(tor.format_point((0.1, 0.9))) == (0.1, 0.9)
     cube = CubeSurface(1.0)
-    p = parse_point(cube, "F/0.25/0.5")
+    p = cube.parse_point("F/0.25/0.5")
     assert p == CubePoint("F", 0.25, 0.5)
-    assert parse_point(cube, format_point(cube, p)) == p
+    assert cube.parse_point(cube.format_point(p)) == p
 
 
 def test_point_descriptor_rejects_garbage():
     cube = CubeSurface(1.0)
     for text in ("X/0.5/0.5", "F/0.5", "F/2/0.5", "0.5,0.5"):
         with pytest.raises((PreconditionError, ValueError)):
-            parse_point(cube, text)
+            cube.parse_point(text)
     with pytest.raises((PreconditionError, ValueError)):
-        parse_point(DiskBilliard(1.0), "2,0")
+        DiskBilliard(1.0).parse_point("2,0")
 
 
 # --- exponential map, closed forms ----------------------------------------
