@@ -12,13 +12,13 @@ a single machine-parsable line on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
 from .frontier import (
     FULL_CIRCLE,
     ArcInterval,
+    PropagationParams,
     component_count,
     default_params,
     init_front,
@@ -118,7 +118,7 @@ def _cmd_simulate(args) -> int:
     source = surface.parse_point(args.p)
     params = default_params(surface)
     if args.hmax is not None:
-        params = dataclasses.replace(params, h_max=args.hmax)
+        params = PropagationParams(args.hmax)
     arc = _parse_arc(args.arc) if args.arc is not None else FULL_CIRCLE
     front = init_front(surface, source, arc=arc, n0=args.n0, params=params)
     if args.t > 0.0:

@@ -15,7 +15,7 @@ On the cube the flow is discontinuous at vertex-hitting directions: the
 front tears there.  Tears are detected by comparing the development-sheet
 identity (face-history hash) of adjacent samples and bisecting divergent
 pairs until a dead witness direction is found (or the gap closes to
-``theta_min``).  Components are maximal direction runs whose image has
+``THETA_MIN``).  Components are maximal direction runs whose image has
 stayed connected; each split is timed by the death time of the ray that
 witnessed it, so split times are exact rather than quantized.
 
@@ -46,6 +46,11 @@ from .surfaces import (
 
 _FULL_TOL = 1e-12
 
+# Smallest direction gap bisection may produce.
+THETA_MIN = 1e-12
+# Most samples one front may hold.
+SAMPLE_BUDGET = 2**22
+
 
 @dataclass(frozen=True)
 class ArcInterval:
@@ -74,32 +79,24 @@ FULL_CIRCLE = ArcInterval(0.0, TWO_PI)
 
 @dataclass(frozen=True)
 class PropagationParams:
-    """Resolution and budget knobs for front propagation.
+    """The one free propagation parameter.
 
     h_max: target spatial resolution between adjacent samples.
-    theta_min: smallest direction gap bisection may produce.
-    delta_t_check: a checkpoint spacing recorded in snapshots and SVG
-        comments; no computation reads it (``estimate_tau`` takes its own
-        ``delta_t``, and propagation times splits by ray death).
-    sample_budget: hard cap on samples per front.
+
+    The direction gap floor ``THETA_MIN`` and the cap ``SAMPLE_BUDGET`` are
+    fixed values of this module.
     """
 
     h_max: float
-    theta_min: float = 1e-12
-    delta_t_check: float = 0.5
-    sample_budget: int = 2**22
 
     def __post_init__(self):
-        values = (self.h_max, self.theta_min, self.delta_t_check, self.sample_budget)
-        if not all(math.isfinite(v) and v > 0 for v in values):
-            raise PreconditionError("propagation parameters must be positive and finite")
+        if not (math.isfinite(self.h_max) and self.h_max > 0):
+            raise PreconditionError("h_max must be positive and finite")
 
 
 def default_params(surface: SurfaceModel) -> PropagationParams:
     """Default parameters scaled to the surface size."""
-    return PropagationParams(
-        h_max=0.005 * surface.min_extent, delta_t_check=surface.delta_t_check
-    )
+    return PropagationParams(0.005 * surface.min_extent)
 
 
 @dataclass
@@ -140,7 +137,7 @@ class Front(GeodesicBatch):
     The per-sample columns (a ``GeodesicBatch``) are ordered by ``thetas``
     and include dead directions; the components index into them.  Every
     front holds all of them, those read back from snapshots included.  Its
-    ``params.theta_min`` is below the arc width, however it was built.
+    arc is wider than ``THETA_MIN``, however it was built.
     """
 
     surface: SurfaceModel
@@ -152,8 +149,8 @@ class Front(GeodesicBatch):
     components: list
 
     def __post_init__(self):
-        if self.params.theta_min >= self.arc.width:
-            raise PreconditionError("theta_min must be smaller than the arc width")
+        if not self.arc.width > THETA_MIN:
+            raise PreconditionError(f"arc width must exceed THETA_MIN={THETA_MIN!r}")
 
     @property
     def sample_count(self) -> int:
@@ -186,10 +183,8 @@ def init_front(
     source = surface.validate_point(source, forbid_vertex=True)
     if params is None:
         params = default_params(surface)
-    if n0 > params.sample_budget:
-        raise NumericalFailureError(
-            f"sample budget {params.sample_budget} exceeded by n0={n0}"
-        )
+    if n0 > SAMPLE_BUDGET:
+        raise NumericalFailureError(f"sample budget {SAMPLE_BUDGET} exceeded by n0={n0}")
     thetas = np.linspace(arc.theta_lo, arc.theta_hi, n0)
     batch = evaluate_batch(surface, source, thetas, 0.0)
     comp = FrontComponent(interval=arc, split_time=0.0, segments=((0, n0),))
@@ -228,7 +223,7 @@ def _pair_needs_bisection(surface, tt, params, a: _Ends, b: _Ends) -> np.ndarray
     corner there that chords can cut; rays a gap apart end at most
     (t + width) * gap apart).  A pair flanking a dead direction is bisected
     toward the tear, so the component's samples extend all the way to the
-    vanished direction.  No pair closer than theta_min is bisected.  The
+    vanished direction.  No pair closer than THETA_MIN is bisected.  The
     test reads the pair alone, so its answer does not depend on the rest
     of the front.
     """
@@ -241,7 +236,7 @@ def _pair_needs_bisection(surface, tt, params, a: _Ends, b: _Ends) -> np.ndarray
     kink = (a.refl != b.refl) & ((tt + surface.box[1]) * gap > h)
     need |= kink & alive2
     need |= a.alive ^ b.alive
-    return need & (gap > params.theta_min)
+    return need & (gap > THETA_MIN)
 
 
 def _needs_bisection(surface, tt, thetas, batch, params) -> np.ndarray:
@@ -272,9 +267,9 @@ def _refine(surface, source, tt, thetas, batch, params):
     count = thetas.size
     rounds = []
     while lo.theta.size:
-        if count + lo.theta.size > params.sample_budget:
+        if count + lo.theta.size > SAMPLE_BUDGET:
             raise NumericalFailureError(
-                f"sample budget {params.sample_budget} exceeded while refining "
+                f"sample budget {SAMPLE_BUDGET} exceeded while refining "
                 f"near theta in [{float(lo.theta[0])!r}, {float(hi.theta[0])!r}] "
                 f"at t={float(tt)!r}"
             )
@@ -363,13 +358,13 @@ def _gap(surface, arrays, i, j) -> float:
 def _unwitnessed_tears(thetas, batch, params, surface) -> np.ndarray:
     """Mask of live adjacent pairs severed without a dead sample between.
 
-    These are cross-sheet gaps bisected down to theta_min whose images stay
+    These are cross-sheet gaps bisected down to THETA_MIN whose images stay
     farther apart than h_max: the tear is declared between the two samples
     even though no witness direction died.  (Cross-sheet pairs whose images
     are within h_max are left connected: the histories diverged but the
     curve shows no gap.)
     """
-    tear = batch.alive[:-1] & batch.alive[1:] & (np.diff(thetas) <= params.theta_min)
+    tear = batch.alive[:-1] & batch.alive[1:] & (np.diff(thetas) <= THETA_MIN)
     tear &= ~_same_sheet(batch.sheet, slice(None, -1), slice(1, None))
     for i in np.flatnonzero(tear).tolist():
         tear[i] = _gap(surface, batch, i, i + 1) > params.h_max

@@ -7,7 +7,8 @@ directions carry their death time.  Parsing evaluates the document's
 directions at its time (evaluation is pure) and rejects a document whose
 alive flags, live positions, cube faces or death times differ from that
 evaluation, with a direction outside its arc or a split time outside
-[0, t], or whose direction gaps refinement would bisect further.  Its
+[0, t], whose direction gaps refinement would bisect further, or whose
+propagation values other than ``h_max`` differ from the fixed ones.  Its
 components must be the evaluated front's assembly (the one propagation
 uses), listed as ``emit_snapshot`` writes it; only split times are read.
 
@@ -25,7 +26,7 @@ import reprlib
 
 import numpy as np
 
-from .frontier import ArcInterval, Front, PropagationParams
+from .frontier import SAMPLE_BUDGET, THETA_MIN, ArcInterval, Front, PropagationParams
 from .frontier import _assemble_components, _needs_bisection
 from .metrics import DensityReport
 from .lattice import LatticeCount
@@ -45,6 +46,12 @@ class SnapshotError(ValueError):
 
 # ---------------------------------------------------------------------------
 # snapshots
+
+
+def _fixed_params(surface) -> dict:
+    """The propagation values recorded beside ``h_max``; no one sets them."""
+    return {"theta_min": THETA_MIN, "delta_t_check": surface.delta_t_check,
+            "sample_budget": SAMPLE_BUDGET}
 
 
 def emit_snapshot(front: Front) -> bytes:
@@ -71,12 +78,7 @@ def emit_snapshot(front: Front) -> bytes:
         "source": front.surface.format_point(front.source),
         "t": front.t,
         "arc": [front.arc.theta_lo, front.arc.theta_hi],
-        "params": {
-            "h_max": front.params.h_max,
-            "theta_min": front.params.theta_min,
-            "delta_t_check": front.params.delta_t_check,
-            "sample_budget": front.params.sample_budget,
-        },
+        "params": {"h_max": front.params.h_max, **_fixed_params(front.surface)},
         "components": comps,
         "dead_directions": [list(pair) for pair in front.dead_directions],
     }
@@ -137,9 +139,9 @@ def parse_snapshot(data: bytes) -> Front:
 
     The front is the evaluation of the document's directions at its time,
     with the components ``frontier`` assembles from it.  Unknown keys,
-    values of the wrong shape or type, samples that the evaluation
-    contradicts or that lie outside the arc, split times outside [0, t],
-    gaps that refinement would bisect and a component list other than the
+    values of the wrong shape or type, fixed propagation values other than
+    their own, samples that the evaluation contradicts or that lie outside
+    the arc, split times outside [0, t], gaps that refinement would bisect and a component list other than the
     assembly raise a SnapshotError.
     """
     try:
@@ -174,14 +176,13 @@ def _parse_front(doc: dict) -> Front:
             raise SnapshotError(f"{key} must be a string, got {reprlib.repr(doc[key])}")
     surface = parse_surface(doc["surface"])
     source = surface.parse_point(doc["source"])
-    _require_keys(
-        doc["params"],
-        ("h_max", "theta_min", "delta_t_check", "sample_budget"),
-        "params",
-    )
+    fixed = _fixed_params(surface)
+    _require_keys(doc["params"], ("h_max", *fixed), "params")
     for key, value in doc["params"].items():
         _real(value, f"params {key}")
-    params = PropagationParams(**doc["params"])
+        if key in fixed and value != fixed[key]:
+            raise SnapshotError(f"params {key} must be {fixed[key]!r}, got {value!r}")
+    params = PropagationParams(doc["params"]["h_max"])
     lo, hi = _require_list(doc["arc"], 2, "arc")
     arc = ArcInterval(_real(lo, "arc"), _real(hi, "arc"))
     t = _real(doc["t"], "t")
@@ -357,9 +358,8 @@ def render_svg(front: Front, width_px: int = 1600) -> bytes:
         f'height="{height_px}" viewBox="0 0 {w!r} {h!r}">',
         f"<!-- surface={format_surface(surface)} "
         f"source={surface.format_point(front.source)} t={front.t!r} "
-        f"h_max={front.params.h_max!r} theta_min={front.params.theta_min!r} "
-        f"delta_t_check={front.params.delta_t_check!r} "
-        f"sample_budget={front.params.sample_budget} -->",
+        f"h_max={front.params.h_max!r} "
+        + "".join(f"{k}={v!r} " for k, v in _fixed_params(surface).items()) + "-->",
         f'<rect width="{w!r}" height="{h!r}" fill="white"/>',
     ]
     lines += surface.svg_outline(

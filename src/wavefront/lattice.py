@@ -183,15 +183,15 @@ def theorem1_rectangle_check(t: float, h_max: float = 0.005) -> RectCheckReport:
         return np.sqrt(t * t - x * x)
 
     slope_max = 2.0 / math.sqrt(t - 4.0)  # |f'| peaks at x = a
-    height = float(f(np.array(b)) - f(np.array(a)))
-
     dx = h_max / math.sqrt(1.0 + slope_max * slope_max)
-    # n samples below and m x m cell centres: each at most the budget
+    # n samples below and m x m cell centres: each at most the budget (and
+    # checked before t*t is formed, which overflows at huge t)
     if b - a > (RECT_POINT_BUDGET - 1) * dx or h_max * math.isqrt(RECT_POINT_BUDGET) < 1.0:
         raise NumericalFailureError(
             f"rectangle check at t={t!r}, h_max={h_max!r} needs more samples or "
             f"cell centres than the budget RECT_POINT_BUDGET={RECT_POINT_BUDGET}"
         )
+    height = float(f(np.array(b)) - f(np.array(a)))
     n = int(math.ceil((b - a) / dx)) + 1
     xs = np.linspace(a, b, n)
     pts = np.stack([xs, f(xs)], axis=1)

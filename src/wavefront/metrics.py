@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frontier import (
+    SAMPLE_BUDGET,
     Front,
     PropagationParams,
     component_count,
@@ -173,10 +174,16 @@ def _grid(surface, spacing: float):
 
     Returns the per-axis (count, size) pairs, the cell centres lo + s*(k+0.5)
     as an (nx, ny, 2) array, and the masks of the cells that meet the
-    domain and that lie inside it.  The grid is laid on every chart.
+    domain and that lie inside it.  The grid is laid on every chart, and
+    its cells on all charts together number at most ``SAMPLE_BUDGET``.
     """
     lo, width, height = surface.box
     (nx, sx), (ny, sy) = _grid_axis(width, spacing), _grid_axis(height, spacing)
+    if nx * ny * surface.charts > SAMPLE_BUDGET:
+        raise NumericalFailureError(
+            f"grid of spacing {spacing!r} has {nx * ny * surface.charts} cells, more "
+            f"than the budget SAMPLE_BUDGET={SAMPLE_BUDGET}"
+        )
     cx = lo + sx * (np.arange(nx) + 0.5)
     cy = lo + sy * (np.arange(ny) + 0.5)
     centers = np.stack(np.meshgrid(cx, cy, indexing="ij"), axis=-1)

@@ -84,7 +84,7 @@ class _Surface:
 
     charts = 1  # eps-grids are laid on each chart
     coordinate_width = 2  # snapshot coordinates per sample
-    delta_t_check = 0.5  # default recorded in snapshots; no computation reads it
+    delta_t_check = 0.5  # recorded in snapshots and SVG comments; no computation reads it
 
     def __post_init__(self):
         values = [getattr(self, f.name) for f in fields(self)]
@@ -424,7 +424,7 @@ class CubeSurface(_Surface):
         return 0.0, self.side, self.side
 
     @property
-    def delta_t_check(self) -> float:
+    def delta_t_check(self) -> float:  # the value snapshots and SVG comments record
         return 0.1 * self.side
 
     def parse_point(self, text):

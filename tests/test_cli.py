@@ -11,6 +11,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import wavefront
 
 from wavefront import cli
@@ -195,6 +197,8 @@ def test_invalid_arguments_exit_1(capsys):
         assert name in err, argv
 
 
+# a numpy warning would print lines of its own before the diagnostic
+@pytest.mark.filterwarnings("error")
 def test_numerical_failure_exit_2(monkeypatch, capsys):
     # size budgets, lowered so that no large grid or sample array is built
     monkeypatch.setattr(cli, "T_GRID_BUDGET", 10)
@@ -210,6 +214,13 @@ def test_numerical_failure_exit_2(monkeypatch, capsys):
         (["tau", "--surface", "torus:1,1", "--p", "0.2,0.3", "--r", "0.25",
           "--t-max", "3", "--dt", "0.5"], "CHECKPOINT_BUDGET=5"),
         (["verify-theorem1", "--t-grid", "10:10:1"], "RECT_POINT_BUDGET=1000"),
+        # refused before t*t overflows
+        (["verify-theorem1", "--t-grid", "1e300:1e300:1"], "RECT_POINT_BUDGET=1000"),
+        # eps-grids and ball grids are sized before any array is allocated
+        (["density", "--surface", "torus:1e9,1", "--p", "0.3,0.3", "--t-grid", "1:1:1",
+          "--eps", "0.02"], "2500000000000 cells, more than the budget SAMPLE_BUDGET="),
+        (["tau", "--surface", "rect:1e9,1", "--p", "0.3,0.3", "--r", "0.5",
+          "--t-max", "1", "--dt", "1"], "cells, more than the budget SAMPLE_BUDGET="),
         # the cube walk is bounded before it starts
         (["simulate", "--surface", "cube:1", "--p", "U/0.5/0.5", "--t", "1e9"],
          "EVENT_BUDGET"),

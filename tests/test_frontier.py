@@ -25,6 +25,7 @@ from wavefront import (
     Torus,
     component_count,
     component_lengths,
+    default_params,
     front_length,
     init_front,
     propagate,
@@ -232,9 +233,9 @@ def test_propagation_is_deterministic():
     assert [c.interval for c in f1.components] == [c.interval for c in f2.components]
 
 
-def test_sample_budget_enforced():
-    params = PropagationParams(h_max=0.005, sample_budget=10_000)
-    f = init_front(Torus(1.0, 1.0), (0.2, 0.3), params=params)
+def test_sample_budget_enforced(monkeypatch):
+    monkeypatch.setattr(frontier, "SAMPLE_BUDGET", 10_000)
+    f = init_front(Torus(1.0, 1.0), (0.2, 0.3), params=PropagationParams(h_max=0.005))
     with pytest.raises(NumericalFailureError):
         propagate(f, 50.0)
 
@@ -242,15 +243,16 @@ def test_sample_budget_enforced():
 def _refine_by_rounds(surface, source, tt, thetas, batch, params):
     """Reference refinement: every round re-tests all adjacent pairs and
     inserts that round's midpoints into each column with np.insert.  It
-    evaluates through the frontier module, as ``_refine`` does."""
+    evaluates and reads its budget through the frontier module, as
+    ``_refine`` does."""
     while True:
         idx = np.nonzero(_needs_bisection(surface, tt, thetas, batch, params))[0]
         if idx.size == 0:
             return thetas, batch
-        if thetas.size + idx.size > params.sample_budget:
+        if thetas.size + idx.size > frontier.SAMPLE_BUDGET:
             j = int(idx[0])
             raise NumericalFailureError(
-                f"sample budget {params.sample_budget} exceeded while refining "
+                f"sample budget {frontier.SAMPLE_BUDGET} exceeded while refining "
                 f"near theta in [{float(thetas[j])!r}, {float(thetas[j + 1])!r}] "
                 f"at t={float(tt)!r}"
             )
@@ -330,7 +332,8 @@ def test_refine_matches_round_by_round_insertion(monkeypatch, surface, source, a
     (DiskBilliard(1.0), (0.4, 0.1), 20.0, 3000),
 ])
 def test_refine_budget_error_matches_round_by_round(monkeypatch, surface, source, tt, budget):
-    params = PropagationParams(h_max=0.005 * surface.min_extent, sample_budget=budget)
+    monkeypatch.setattr(frontier, "SAMPLE_BUDGET", budget)
+    params = PropagationParams(h_max=0.005 * surface.min_extent)
     front = init_front(surface, source, params=params)
     messages = []
     for refine in (_refine, _refine_by_rounds):
@@ -455,11 +458,12 @@ def test_component_runs_match_scan_on_cube_propagation():
 
 
 def _cross_sheet_pair(gap):
-    """Two live cube samples theta_min apart on different development
-    sheets, ``gap`` apart on the surface but far apart in the development."""
+    """Two live cube samples less than THETA_MIN apart on different
+    development sheets, ``gap`` apart on the surface but far apart in the
+    development."""
     cube = CubeSurface(1.0)
-    params = PropagationParams(h_max=0.01, theta_min=2.0**-30)
-    thetas = np.array([1.0, 1.0 + 2.0**-30])
+    params = default_params(cube)
+    thetas = np.array([1.0, 1.0 + 2.0**-40])
     batch = GeodesicBatch(
         pos=np.array([[0.5, 0.5], [0.5, 0.5 + gap]]),
         cover=np.array([[0.0, 0.0], [5.0, 5.0]]),

@@ -197,6 +197,21 @@ def _drop_every_other_sample(doc):
     samples[:] = samples[::2]
 
 
+def _hide_dropped_samples(doc):
+    # a gap floor wider than the sample spacing exempts every gap from the
+    # refinement check; the last sample keeps the component's interval
+    doc["params"].update(theta_min=1.000000000001)
+    samples = doc["components"][0]["samples"]
+    samples[:] = samples[:-1:4] + samples[-1:]
+
+
+def _zero_width_arc(doc):
+    # one sample on an arc of width 0, which THETA_MIN exceeds
+    sample = _sample(doc)
+    doc.update(arc=[sample[0]] * 2, dead_directions=[], components=[
+        {"interval": [sample[0]] * 2, "split_time": 0.0, "samples": [sample]}])
+
+
 def _split_first_component(doc):
     comp = doc["components"][0]
     half = len(comp["samples"]) // 2
@@ -244,7 +259,15 @@ METADATA_FORGERIES = {
     "cube-sample-in-another-component": ("cube", _move_middle_sample,
                                          "listed in component 1, assembled into 0"),
     "theta-min-above-arc-width": ("torus", lambda d: d["params"].update(theta_min=7.0),
-                                  "theta_min must be smaller than the arc width"),
+                                  "params theta_min must be 1e-12, got 7.0"),
+    "theta-min-raised-to-hide-dropped-samples": ("torus", _hide_dropped_samples,
+                                                 "params theta_min must be 1e-12"),
+    "sample-budget-below-sample-count": ("torus", lambda d: d["params"].update(
+        sample_budget=5), "params sample_budget must be 4194304, got 5$"),
+    "delta-t-check-changed": ("torus", lambda d: d["params"].update(delta_t_check=0.3),
+                              "params delta_t_check must be 0.5, got 0.3"),
+    "arc-narrower-than-theta-min": ("torus", _zero_width_arc,
+                                    "arc width must exceed THETA_MIN=1e-12"),
 }
 _FORGERY_CASES = {
     **{name: (*case, "differs from evaluation") for name, case in FORGERIES.items()},
