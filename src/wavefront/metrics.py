@@ -89,8 +89,18 @@ class GrowthCurve:
 
 
 def _grid_axis(extent: float, eps: float):
-    """Cell count and size for one axis: uniform cells no wider than eps."""
-    n = max(1, math.ceil(extent / eps - 1e-9))
+    """Cell count and size for one axis: uniform cells no wider than eps.
+
+    A count too large for a float is refused here; ``_grid`` bounds the
+    others by ``SAMPLE_BUDGET``.
+    """
+    cells = extent / eps - 1e-9
+    if not math.isfinite(cells):
+        raise NumericalFailureError(
+            f"grid of spacing {eps!r} over an extent of {extent!r} has more cells "
+            f"than a float holds, more than the budget SAMPLE_BUDGET={SAMPLE_BUDGET}"
+        )
+    n = max(1, math.ceil(cells))
     return n, extent / n
 
 
@@ -129,16 +139,39 @@ class _NearestFront:
 # occupancy grids
 
 
-def _live_pairs(front: Front):
-    """Index pairs (i, i+1) of adjacent live samples within components."""
-    first = []
+def _segment_pairs(front: Front, ci, cj, charts, nx: int, ny: int):
+    """First indices i of the segments (i, i+1) that can hit a cell their
+    endpoints do not.
+
+    A segment joins adjacent live samples of one component on one chart
+    (a pair straddling a cube edge draws none).  ``ci`` and ``cj`` are every
+    sample's unwrapped cell, floored as ``_mark_chart_cells`` floors a
+    segment end, and each endpoint cell is already marked by its sample.
+    So a segment can add a cell only
+
+    * at the corner it cuts, when its end cells differ on both axes, or
+    * when ``lift_near`` moves its end to another image across a flat
+      quotient's seam: the moved end is floored afresh, and its cell need
+      not wrap back onto the sample's.
+
+    Any other end is the next sample itself and marks nothing new.  A lift
+    on an axis needs the two coordinates to differ by at least half its
+    period (``lift_near`` rounds their difference over the period; on the
+    Klein bottle a lift in x alone leaves x unmirrored).  With n >= 5 cells
+    on that axis their cells then differ by at least 2 (more than n/2 - 1,
+    with half a cell to spare for rounding), which is selected.  A grid
+    with fewer cells on an axis draws every segment.  Neither rule reads
+    the spacing of the samples, so pairs that refinement left far apart
+    (``THETA_MIN``) are covered too.
+    """
+    live = np.zeros(max(charts.shape[0] - 1, 0), dtype=bool)
     for comp in front.components:
         for start, stop in comp.segments:
-            if stop - start >= 2:
-                first.append(np.arange(start, stop - 1))
-    if not first:
-        return np.empty(0, dtype=int)
-    return np.concatenate(first)
+            live[start:stop - 1] = True
+    di, dj = np.diff(ci), np.diff(cj)
+    add = ((di != 0) & (dj != 0)) | (np.abs(di) > 1) | (np.abs(dj) > 1)
+    add |= min(nx, ny) < 5
+    return np.flatnonzero(add & live & (charts[:-1] == charts[1:]))
 
 
 def _mark_chart_cells(pa, pb, chart, lo, sx, sy):
@@ -199,40 +232,47 @@ def _on_charts(surface, centers: np.ndarray):
     return np.tile(centers, (k, 1)), np.repeat(np.arange(k), centers.shape[0])
 
 
-def _occupancy(front: Front, eps: float):
-    """Cells hit by the front, and the covering-radius centres.
+def _hit_cells(front: Front, x_axis, y_axis) -> np.ndarray:
+    """Mask (chart, i, j) of the cells of a grid that the front hits.
 
-    A cell is hit when a live sample lands in it or a segment between
+    ``x_axis`` and ``y_axis`` are the (count, size) pairs of ``_grid``.  A
+    cell is hit when a live sample lands in it or a segment between
     adjacent live samples crosses it; segments are drawn toward the image
     of the next sample nearest to the current one, and cell indices past
-    the grid are wrapped back by the surface's rule.
+    the grid are wrapped back by the surface's rule.  Only the segments of
+    ``_segment_pairs`` are drawn: no other can add a cell.
     """
     surface = front.surface
     lo = surface.box[0]
-    (nx, sx), (ny, sy), centers, meets, inside = _grid(surface, eps)
+    (nx, sx), (ny, sy) = x_axis, y_axis
     hit = np.zeros((surface.charts, nx, ny), dtype=bool)
 
     pos = front.pos
     charts = surface.sample_charts(front.face, pos.shape[0])
-    li = np.nonzero(front.alive)[0]
-    i0 = np.floor((pos[li, 0] - lo) / sx).astype(np.int64)
-    j0 = np.floor((pos[li, 1] - lo) / sy).astype(np.int64)
-    i0, j0 = surface.wrap_cells(i0, j0, nx, ny)
+    ci = np.floor((pos[:, 0] - lo) / sx).astype(np.int64)
+    cj = np.floor((pos[:, 1] - lo) / sy).astype(np.int64)
+    li = np.flatnonzero(front.alive)
+    i0, j0 = surface.wrap_cells(ci[li], cj[li], nx, ny)
     hit[charts[li], i0, j0] = True
 
-    pairs = _live_pairs(front)
-    # only same-chart pairs draw a segment; the few pairs straddling a cube
-    # edge already mark both endpoint cells above
-    pairs = pairs[charts[pairs] == charts[pairs + 1]]
+    pairs = _segment_pairs(front, ci, cj, charts, nx, ny)
     if pairs.size:
         pa = pos[pairs]
         pb = surface.lift_near(pa, pos[pairs + 1])
         for c, i, j in _mark_chart_cells(pa, pb, charts[pairs], (lo, lo), sx, sy):
             i, j = surface.wrap_cells(i, j, nx, ny)
             hit[c, i, j] = True
+    return hit
 
+
+def _occupancy(front: Front, eps: float):
+    """Cells on the eps-grid, cells hit by the front (``_hit_cells``), and
+    the covering-radius centres."""
+    surface = front.surface
+    x_axis, y_axis, centers, meets, inside = _grid(surface, eps)
     total = surface.charts * int(meets.sum())
-    return total, int(hit.sum()), *_on_charts(surface, centers[inside])
+    nhit = int(_hit_cells(front, x_axis, y_axis).sum())
+    return total, nhit, *_on_charts(surface, centers[inside])
 
 
 def density_report(front: Front, eps: float) -> DensityReport:

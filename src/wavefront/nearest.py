@@ -65,7 +65,8 @@ class CellIndex:
         nx, ny = self._shape
         ix, iy = self._cells(pts)
         key = ix * ny + iy
-        order = np.argsort(key, kind="stable")
+        del ix, iy  # freed before the sort and the copies below
+        order = _stable_order(key)
         self._counts = np.bincount(key, minlength=nx * ny)
         self._starts = np.concatenate([[0], np.cumsum(self._counts)[:-1]])
         self._x = np.ascontiguousarray(pts[order, 0])
@@ -197,6 +198,16 @@ class CellIndex:
             seg = np.flatnonzero(np.concatenate([[True], rep[1:] != rep[:-1]]))
             who_seg = rep[seg]
             best[who_seg] = np.minimum(best[who_seg], np.minimum.reduceat(d, seg))
+
+
+def _stable_order(key):
+    """``np.argsort(key, kind="stable")`` for keys below 2**32, by two
+    stable passes over 16-bit digits, low digit first (numpy radix-sorts
+    16-bit keys; the cast to uint16 keeps the low digit).  Cell keys are
+    below (MAX_CELLS_PER_AXIS + 1)**2."""
+    low = np.argsort(key.astype(np.uint16), kind="stable")
+    high = (key >> 16).astype(np.uint16)
+    return low[np.argsort(high[low], kind="stable")]
 
 
 def _box_distance(u, v, x0, x1, y0, y1):

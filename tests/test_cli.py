@@ -233,6 +233,21 @@ def test_numerical_failure_exit_2(monkeypatch, capsys):
         assert budget in err and err.count("\n") == 1, argv
 
 
+@pytest.mark.filterwarnings("error")
+def test_grid_too_large_for_a_float_exit_2(capsys):
+    # extent/spacing overflows to inf, which no integer cell count holds
+    for argv in (
+        ["tau", "--surface", "torus:1e300,1e-10", "--p", "0.3,1e-11", "--r", "1e-10",
+         "--t-max", "1", "--dt", "1"],
+        ["density", "--surface", "torus:1e300,1e-10", "--p", "0.3,1e-11",
+         "--t-grid", "0:0:1", "--eps", "2e-12"],
+    ):
+        code, _, err = run(argv, capsys)
+        assert code == 2, argv
+        assert err.startswith("wavefront: error: grid of spacing "), argv
+        assert "SAMPLE_BUDGET=" in err and err.count("\n") == 1, argv
+
+
 def test_long_cube_walk_refused_before_it_starts(capsys):
     # with the real WALK_BUDGET: 1024 rays of up to ~42,400 crossings each
     # are charged for their iterations too, so the first walk is refused

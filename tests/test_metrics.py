@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from wavefront import (
+    ArcInterval,
     CubePoint,
     CubeSurface,
     DiskBilliard,
@@ -26,7 +27,14 @@ from wavefront import (
     length_growth_curve,
     propagate,
 )
-from wavefront.metrics import NOT_ACHIEVED, _grid_axis
+from wavefront.metrics import (
+    NOT_ACHIEVED,
+    _grid,
+    _grid_axis,
+    _hit_cells,
+    _mark_chart_cells,
+    _segment_pairs,
+)
 from wavefront.surfaces import _fold
 
 TWO_PI = 2.0 * math.pi
@@ -130,6 +138,94 @@ def test_segment_crossing_counts_cells_without_samples():
     ij = np.minimum((live // s).astype(int), n - 1)
     sample_cells = len(set(map(tuple, ij.tolist())))
     assert rep.cells_hit >= sample_cells
+
+
+# --- occupancy against all-pairs marking -------------------------------------
+
+
+def _all_pairs_hits(front, x_axis, y_axis):
+    """The reference occupancy: every live sample's cell, and every segment
+    between adjacent live samples of a component on one chart drawn toward
+    the lifted next sample (``lift_near``, ``_mark_chart_cells``).  Also
+    returns the pairs whose lifted end is not the next sample itself."""
+    surface = front.surface
+    lo = surface.box[0]
+    (nx, sx), (ny, sy) = x_axis, y_axis
+    hit = np.zeros((surface.charts, nx, ny), dtype=bool)
+    pos = front.pos
+    charts = surface.sample_charts(front.face, pos.shape[0])
+    li = np.nonzero(front.alive)[0]
+    i0 = np.floor((pos[li, 0] - lo) / sx).astype(np.int64)
+    j0 = np.floor((pos[li, 1] - lo) / sy).astype(np.int64)
+    i0, j0 = surface.wrap_cells(i0, j0, nx, ny)
+    hit[charts[li], i0, j0] = True
+    pairs = np.concatenate([np.arange(start, stop - 1, dtype=np.int64)
+                            for comp in front.components
+                            for start, stop in comp.segments] + [np.zeros(0, np.int64)])
+    pairs = pairs[charts[pairs] == charts[pairs + 1]]
+    pa = pos[pairs]
+    pb = surface.lift_near(pa, pos[pairs + 1])
+    for c, i, j in _mark_chart_cells(pa, pb, charts[pairs], (lo, lo), sx, sy):
+        i, j = surface.wrap_cells(i, j, nx, ny)
+        hit[c, i, j] = True
+    return hit, pairs[np.any(pb != pos[pairs + 1], axis=1)]
+
+
+def _drawn_pairs(front, x_axis, y_axis):
+    """The pairs ``_segment_pairs`` draws on this grid."""
+    lo = front.surface.box[0]
+    (nx, sx), (ny, sy) = x_axis, y_axis
+    ci = np.floor((front.pos[:, 0] - lo) / sx).astype(np.int64)
+    cj = np.floor((front.pos[:, 1] - lo) / sy).astype(np.int64)
+    charts = front.surface.sample_charts(front.face, front.pos.shape[0])
+    return _segment_pairs(front, ci, cj, charts, nx, ny)
+
+
+# eps from 4*h_max up to grids of 3, 2 and 1 cells per axis
+OCCUPANCY_FRONTS = [
+    (Torus(1.0, 1.0), (0.37, 0.61), (0.5, 3.0, 12.0), (0.02, 0.05, 0.34, 0.5, 1.0)),
+    (Torus(1.0, 0.3), (0.2, 0.1), (0.5, 3.0, 12.0), (0.006, 0.05, 0.34, 0.5)),
+    (KleinBottle(), (0.2, 0.3), (0.5, 3.0, 12.0), (0.02, 0.05, 0.21, 0.34, 0.5, 1.0)),
+    (RectBilliard(1.0, 0.7), (0.3, 0.2), (0.5, 3.0, 12.0), (0.014, 0.05, 0.34, 0.5, 1.0)),
+    (DiskBilliard(1.0), (0.3, -0.2), (0.5, 3.0, 12.0), (0.02, 0.05, 0.7, 1.0, 2.0)),
+    (CubeSurface(1.0), CubePoint("F", 0.23, 0.61), (1.0, 2.5, 6.0), (0.02, 0.05, 0.34, 0.5, 1.0)),
+]
+
+
+@pytest.mark.parametrize("surface,source,times,eps_list", OCCUPANCY_FRONTS,
+                         ids=["torus", "thin-torus", "klein", "rect", "disk", "cube"])
+def test_occupancy_equals_all_pairs_marking(surface, source, times, eps_list):
+    # drawing only the segments that can add a cell hits the same cells,
+    # and every segment whose end is lifted across a seam is drawn
+    front = init_front(surface, source)
+    assert eps_list[0] == pytest.approx(4.0 * front.params.h_max)
+    dead = 0
+    for t in times:
+        front = propagate(front, t)
+        dead += int((~front.alive).sum())
+        for eps in eps_list:
+            x_axis, y_axis, *_ = _grid(surface, eps)
+            expect, lifted = _all_pairs_hits(front, x_axis, y_axis)
+            assert np.array_equal(_hit_cells(front, x_axis, y_axis), expect), (t, eps)
+            assert np.isin(lifted, _drawn_pairs(front, x_axis, y_axis)).all(), (t, eps)
+    assert (dead > 0) == (surface.kind == "cube")  # the cube fronts have dead samples
+
+
+def test_occupancy_with_far_apart_samples():
+    # at huge t on a narrow arc, refinement stops at THETA_MIN with adjacent
+    # samples ~0.3 apart; this Klein front has a pair whose lift crosses the
+    # y seam between neighbouring rows of a 3-cell grid and cuts a corner
+    # cell no sample lands in
+    klein = KleinBottle()
+    front = propagate(init_front(
+        klein, (0.5681923142926266, 0.8999457934389484),
+        arc=ArcInterval(2.68715017193246, 2.68715017193246 + 3e-11), n0=4,
+    ), 668790778107.7816)
+    for eps in (0.21, 0.26, 0.34, 0.5):
+        x_axis, y_axis, *_ = _grid(klein, eps)
+        expect, lifted = _all_pairs_hits(front, x_axis, y_axis)
+        assert np.array_equal(_hit_cells(front, x_axis, y_axis), expect), eps
+        assert np.isin(lifted, _drawn_pairs(front, x_axis, y_axis)).all(), eps
 
 
 # --- coverage time -----------------------------------------------------------

@@ -23,7 +23,7 @@ from wavefront import (
 )
 from wavefront import lattice
 from wavefront.metrics import _NearestFront
-from wavefront.nearest import CellIndex
+from wavefront.nearest import CellIndex, _stable_order
 
 
 def brute(cloud, q):
@@ -103,6 +103,30 @@ def test_queries_span_chunks(monkeypatch):
     cloud = rng.random((400, 2))
     q = rng.random((500, 2)) * 2.0 - 0.5
     assert np.array_equal(CellIndex(cloud).query(q), brute(cloud, q))
+
+
+@pytest.mark.parametrize("cloud", [
+    np.random.default_rng(8).random((300_000, 2)),  # more than 2**16 cells
+    np.repeat(np.random.default_rng(9).random((5_000, 2)), 40, axis=0),  # duplicates
+    np.random.default_rng(10).random((7, 2)),
+    np.array([[0.25, 0.75], [0.25, 0.75], [0.0, 0.0]]),
+], ids=["many-cells", "duplicates", "seven-points", "three-points"])
+def test_stored_order_is_the_stable_argsort(cloud):
+    index = CellIndex(cloud)
+    nx, ny = index._shape
+    ix, iy = index._cells(cloud)
+    key = ix * ny + iy
+    order = np.argsort(key, kind="stable")
+    assert np.array_equal(index._x, cloud[order, 0])
+    assert np.array_equal(index._y, cloud[order, 1])
+    assert np.array_equal(index._counts, np.bincount(key, minlength=nx * ny))
+
+
+def test_stable_order_on_wide_keys():
+    rng = np.random.default_rng(11)
+    for key in (rng.integers(0, 4097**2, 50_000), rng.integers(0, 3, 1_000),
+                np.zeros(5, dtype=np.int64), np.arange(70_000)[::-1] * 257):
+        assert np.array_equal(_stable_order(key), np.argsort(key, kind="stable"))
 
 
 def test_empty_cloud_gives_inf():
