@@ -6,6 +6,7 @@ so the circle of directions tears into 4 arcs once t passes that radius
 and stays 4-torn until the next vertex ring (beyond t = 1.5).
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -41,6 +42,7 @@ from wavefront.frontier import (
     _refine,
     _unwitnessed_tears,
 )
+from wavefront.io import emit_snapshot, parse_snapshot
 from wavefront.surfaces import FACE_INDEX, GeodesicBatch, evaluate_batch
 
 TWO_PI = 2.0 * math.pi
@@ -503,3 +505,47 @@ def test_cross_sheet_pair_within_h_max_is_measured_on_the_surface():
     d = surface_distance(cube, *ends)
     assert component_lengths(f) == [d]
     assert d == pytest.approx(0.004, abs=1e-12)
+
+
+# --- split times across steps ------------------------------------------------
+
+
+def _components_digest(front):
+    """sha256 of every component's interval, split time and index runs."""
+    rows = [
+        (c.interval.theta_lo.hex(), c.interval.theta_hi.hex(), c.split_time.hex(), c.segments)
+        for c in front.components
+    ]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+# one digest per front: a full-circle cube front through three steps, the t = 10
+# front read back from its snapshot and stepped once more, and a partial arc
+# stepped across the first two vertex rings
+_PINNED_SPLITS = {
+    "full t=5": "01c98d6a3911b3f3bf11655b7c33628ddc7b63cccc4157d86859a7afc739cfdd",
+    "full t=10": "ee1ab5da0c45e68a4838d0d9465096df6e44215e37fd5ee6c02a6f8fe80336cf",
+    "full t=15": "49d455b3fc3ab5c35af8a090fec23de92755e8219607d06ed3625cca37dd96cd",
+    "parsed t=10 -> 10.5": "19522ff7ca8de69ae76860ed408916ba1ab5398ba060d3b4b4829418812d779b",
+    "arc t=0.5": "f8a272db5be7318129468ee83c18467add2e5ffb021ba0f77bc50acb685f1659",
+    "arc t=1": "c7aefafe9bbb5ec0fdbdbbfd09458666a4e3c110f6ed9e64dfcb5987de89f254",
+    "arc t=1.5": "1e52f2aeb2b6e45a24505f4597b07ca691b7cf9e798ac3db9ea1798faf2f46a0",
+    "arc t=2": "53bfd99662f4647aaf68d8271af26ce6e68901ee2a89ab50b1418a28b8293e0f",
+}
+
+
+def test_split_times_pinned_across_steps():
+    cube = CubeSurface(1.0)
+    got = {}
+    front = init_front(cube, CubePoint("U", 0.31, 0.47))
+    for t in (5.0, 10.0, 15.0):
+        front = propagate(front, t)
+        got[f"full t={t:g}"] = _components_digest(front)
+        if t == 10.0:
+            parsed = parse_snapshot(emit_snapshot(front))
+            got["parsed t=10 -> 10.5"] = _components_digest(propagate(parsed, 10.5))
+    front = init_front(cube, CubePoint("U", 0.5, 0.5), arc=ArcInterval(0.3, 2.9))
+    for t in (0.5, 1.0, 1.5, 2.0):
+        front = propagate(front, t)
+        got[f"arc t={t:g}"] = _components_digest(front)
+    assert got == _PINNED_SPLITS
