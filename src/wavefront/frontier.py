@@ -17,7 +17,11 @@ identity (face-history hash) of adjacent samples and bisecting divergent
 pairs until a dead witness direction is found (or the gap closes to
 ``THETA_MIN``).  Components are maximal direction runs whose image has
 stayed connected; each split is timed by the death time of the ray that
-witnessed it, so split times are exact rather than quantized.
+witnessed it, so split times are exact rather than quantized.  A run
+inherits split times from the previous front's component that owns the
+last previous sample at or below the run's first direction.  This is
+exact because propagation only adds directions and never bisects a
+previous gap across a cut.
 
 Torus, Klein bottle, rectangle and disk flows are continuous in the
 direction, so their fronts are always a single component; only the cube
@@ -29,7 +33,7 @@ so no tear is declared and the one live run is the whole front.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -106,18 +110,15 @@ class FrontComponent:
     ``interval`` spans the run; wrap-around components (live across the
     theta = 0 seam of a full-circle arc) use theta_hi > 2*pi.  ``segments``
     are index ranges into the front's global sample arrays (two ranges for
-    a wrap-around component, otherwise one).  ``theta_first`` and
-    ``theta_last`` are the directions of its first and last live samples
-    (None on a component that no assembly step has produced, such as the
-    initial one); the next step compares them with its children's edges to
-    tell new boundaries from inherited ones.
+    a wrap-around component, otherwise one).  The next step's runs find
+    their parent by these segments: it owns the last sample at or below a
+    run's first direction, and its segment ends tell inherited boundaries
+    from new ones.
     """
 
     interval: ArcInterval
     split_time: float
     segments: tuple
-    theta_first: float | None = field(default=None, repr=False, compare=False)
-    theta_last: float | None = field(default=None, repr=False, compare=False)
 
     @property
     def live_sample_count(self) -> int:
@@ -372,18 +373,26 @@ def _unwitnessed_tears(thetas, batch, params, surface) -> np.ndarray:
 
 
 def _assemble_components(
-    surface, arc, tt, thetas, batch, params, parents
+    surface, arc, tt, thetas, batch, params, prev_thetas=(), parents=()
 ) -> list:
     """Group samples into components and carry split times forward.
 
     Components are maximal runs of live samples not severed by a dead
     direction or an unwitnessed tear.  On a full-circle arc the first and
     last runs wrap together (theta = 0 and 2*pi are the same direction).
-    Each run inherits the split time of the parent component containing it;
-    a run flanked by a boundary that did not exist in the parent takes the
-    boundary's time (the witness's death time when there is one, the
-    checkpoint time for an unwitnessed tear).  A flank at an arc end, or at
-    the parent's own edge direction, predates this step and is skipped.
+    Each run inherits the split time of its parent: the component of the
+    previous front (``prev_thetas``, ``parents``) whose segments hold the
+    last previous sample at or below the run's first direction.  That
+    direction is a previous sample (live then, as death is permanent) or
+    the midpoint of a previous gap bisected now, whose lower end is a live
+    sample of the same previous run: refinement never bisects across a
+    previous cut, since pairs flanking a dead sample or a tear are at most
+    THETA_MIN apart and dead-dead pairs are never bisected.  A run flanked
+    by a boundary that did not exist in the parent takes the boundary's
+    time (the witness's death time when there is one, the checkpoint time
+    for an unwitnessed tear).  A flank at an arc end, or at the parent's
+    own first or last live direction, predates this step and is skipped.
+    Without parents (a snapshot being read) every split time is 0.
     """
     n = thetas.shape[0]
     alive, death = batch.alive, batch.death_time
@@ -395,7 +404,7 @@ def _assemble_components(
     children = [(run,) for run in runs]
     if arc.is_full_circle and len(runs) >= 2 and runs[0][0] == 0 and runs[-1][1] == n:
         children = children[1:-1] + [(runs[-1], runs[0])]
-    found = _find_parents(parents, [float(thetas[c[0][0]]) for c in children])
+    found = _owning_parents(prev_thetas, parents, thetas[[c[0][0] for c in children]])
     comps = []
     for segments, parent in zip(children, found):
         s, e = segments[0][0], segments[-1][1]
@@ -403,65 +412,31 @@ def _assemble_components(
         split = 0.0
         if parent is not None:
             split = parent.split_time
-            if s > 0 and first != parent.theta_first:
+            if s > 0 and first != prev_thetas[parent.segments[0][0]]:
                 split = max(split, tt if tear[s - 1] else float(death[s - 1]))
-            if e < n and last != parent.theta_last:
+            if e < n and last != prev_thetas[parent.segments[-1][1] - 1]:
                 split = max(split, tt if tear[e - 1] else float(death[e]))
         comps.append(FrontComponent(
             interval=ArcInterval(first, last + TWO_PI if len(segments) == 2 else last),
             split_time=split,
             segments=segments,
-            theta_first=first,
-            theta_last=last,
         ))
     return comps
 
 
-_SHIFTS = np.array([0.0, TWO_PI, -TWO_PI])
-
-
-def _find_parents(parents, thetas) -> list:
-    """The parent component of each child direction in ``thetas``.
-
-    A direction belongs to the first parent, in list order, whose interval
-    holds it under one of the shifts 0, +2*pi or -2*pi; failing that, to
-    the first parent with the smallest gap between a shifted direction and
-    either interval end.  The parents of a propagated or parsed front are
-    assembled, so sorted and disjoint, and a binary search over the
-    interval starts finds the one candidate per shift.  A hand-built
-    component list may be unsorted or overlap; directions the search
-    cannot settle (outside every parent, or among such parents) take
-    ``_nearest_parent``.
+def _owning_parents(prev_thetas, parents, firsts) -> list:
+    """The parent of each child run with first direction in ``firsts``
+    (the rule of ``_assemble_components``), or None, for a split time of 0,
+    where no parent owns that previous sample: only hand-built fronts do.
     """
-    if not parents:
-        return [None] * len(thetas)
-    n = len(parents)
-    lo = np.array([p.interval.theta_lo for p in parents])
-    hi = np.array([p.interval.theta_hi for p in parents])
-    shifted = np.asarray(thetas, dtype=float)[:, None] + _SHIFTS
-    first = np.full(shifted.shape[0], n)
-    order = np.argsort(lo, kind="stable")
-    slo, shi = lo[order], hi[order]
-    if np.all(shi[:-1] < slo[1:]):
-        k = np.searchsorted(slo, shifted, side="right") - 1
-        kc = np.maximum(k, 0)
-        inside = (k >= 0) & (shifted <= shi[kc])
-        first = np.where(inside, order[kc], n).min(axis=1)
-    return [
-        parents[j if j < n else _nearest_parent(lo, hi, row)]
-        for j, row in zip(first.tolist(), shifted)
-    ]
-
-
-def _nearest_parent(lo, hi, shifted) -> int:
-    """Index of the parent for one direction's three shifted copies, by a
-    scan vectorised over the parents (same rule as ``_find_parents``)."""
-    lo, hi = lo[:, None], hi[:, None]
-    inside = ((lo <= shifted) & (shifted <= hi)).any(axis=1)
-    if inside.any():
-        return int(np.argmax(inside))
-    gap = np.minimum(np.abs(shifted - lo), np.abs(shifted - hi)).min(axis=1)
-    return int(np.argmin(gap))
+    # owner[i + 1] is the parent holding previous sample i; owner[0] stands
+    # for a direction below every previous sample
+    owner = np.full(len(prev_thetas) + 1, -1)
+    for k, parent in enumerate(parents):
+        for start, stop in parent.segments:
+            owner[start + 1:stop + 1] = k
+    below = owner[np.searchsorted(prev_thetas, firsts, side="right")]
+    return [parents[k] if k >= 0 else None for k in below.tolist()]
 
 
 def propagate(front: Front, t_target: float) -> Front:
@@ -484,7 +459,7 @@ def propagate(front: Front, t_target: float) -> Front:
     batch = evaluate_batch(surface, source, thetas, tt)
     thetas, batch = _refine(surface, source, tt, thetas, batch, params)
     components = _assemble_components(
-        surface, front.arc, tt, thetas, batch, params, front.components
+        surface, front.arc, tt, thetas, batch, params, front.thetas, front.components
     )
     return Front(surface=surface, source=source, t=tt, arc=front.arc, params=params,
                  thetas=thetas, components=components, **vars(batch))

@@ -141,8 +141,8 @@ def parse_snapshot(data: bytes) -> Front:
     with the components ``frontier`` assembles from it.  Unknown keys,
     values of the wrong shape or type, fixed propagation values other than
     their own, samples that the evaluation contradicts or that lie outside
-    the arc, split times outside [0, t], gaps that refinement would bisect and a component list other than the
-    assembly raise a SnapshotError.
+    the arc, split times outside [0, t], gaps that refinement would bisect
+    and a component list other than the assembly raise a SnapshotError.
     """
     try:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
@@ -260,7 +260,7 @@ def _parse_front(doc: dict) -> Front:
 
     # the components are the front's assembly, listed in emit order; only
     # their split times, which depend on history, come from the document
-    components = _assemble_components(surface, arc, t, thetas, batch, params, [])
+    components = _assemble_components(surface, arc, t, thetas, batch, params)
     if len(doc_comps) != len(components):
         raise SnapshotError(
             f"{len(doc_comps)} components listed, {len(components)} assembled")

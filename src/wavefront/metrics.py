@@ -175,13 +175,16 @@ def _segment_pairs(front: Front, ci, cj, charts, nx: int, ny: int):
 
 
 def _mark_chart_cells(pa, pb, chart, lo, sx, sy):
-    """Cells touched by short segments pa->pb, each in its planar chart.
+    """Cells marked by segments pa->pb, each in its planar chart.
 
     Returns a list of (chart, i, j) integer index arrays (i and j possibly
-    outside the grid; the caller wraps or clamps them).  Segments are
-    shorter than a cell side, so each touches at most one extra cell beyond
-    its endpoint cells: the cell at the corner cut when the segment crosses
-    both a vertical and a horizontal grid line.
+    outside the grid; the caller wraps or clamps them).  Each segment marks
+    its endpoint cells and, when those differ on both axes, one corner cell
+    (the column of one end, the row of the other).  That is every cell a
+    segment shorter than a cell side touches.  Refinement can leave
+    adjacent samples THETA_MIN apart in direction yet several cells apart
+    on the surface, and the cells such a segment crosses between its ends
+    are not marked (a known defect).
     """
     ia = np.floor((pa[:, 0] - lo[0]) / sx).astype(np.int64)
     ja = np.floor((pa[:, 1] - lo[1]) / sy).astype(np.int64)

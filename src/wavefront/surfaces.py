@@ -251,9 +251,9 @@ class _FlatQuotient(_Surface):
 
         Rounds the y step count, mirrors on an odd glide count, then rounds
         the x step count.  Without a glide this is exact at any distance,
-        with one for pairs closer than half the shorter period.  That holds
-        in ``density_report``: adjacent samples lie within h_max <= eps/4,
-        so a Klein pair 0.5 apart means eps >= 2: one cell, whatever the lift.
+        with one for pairs closer than half the shorter period.  Adjacent
+        front samples are not always that close: pairs that refinement left
+        THETA_MIN apart can be ~0.4 apart (Klein, t ~ 6.7e11).
         """
         j = np.round((pa[:, 1] - pb[:, 1]) / self.beta)
         x = self._mirror(j, pb[:, 0], self.alpha)
@@ -863,12 +863,9 @@ def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t, on_cross=None
     side = surface.side
     # a developed ray crosses at most sqrt(2)*t/side + 2 lines of the side lattice
     per_ray = math.sqrt(2.0) * t / side + 2.0
-    if not per_ray <= EVENT_BUDGET:
-        raise NumericalFailureError(
-            f"cube rays to t={t!r} can cross more than EVENT_BUDGET={EVENT_BUDGET} faces"
-        )
     delta = CORNER_TOL * side
     n = thetas.shape[0]
+    # as WALK_BUDGET = WALK_ITERATION_RAYS * EVENT_BUDGET, this bounds per_ray too
     charge = (n + WALK_ITERATION_RAYS) * per_ray
     if charge > WALK_BUDGET:
         raise NumericalFailureError(

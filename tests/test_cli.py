@@ -223,7 +223,7 @@ def test_numerical_failure_exit_2(monkeypatch, capsys):
           "--t-max", "1", "--dt", "1"], "cells, more than the budget SAMPLE_BUDGET="),
         # the cube walk is bounded before it starts
         (["simulate", "--surface", "cube:1", "--p", "U/0.5/0.5", "--t", "1e9"],
-         "EVENT_BUDGET"),
+         "WALK_BUDGET=100000"),
         # so is the total walk: 1024 rays of up to ~99,000 crossings each
         (["simulate", "--surface", "cube:1", "--p", "U/0.5/0.5", "--t", "70000"],
          "WALK_BUDGET=100000"),

@@ -37,8 +37,8 @@ from wavefront.frontier import (
     Front,
     FrontComponent,
     _assemble_components,
-    _find_parents,
     _needs_bisection,
+    _owning_parents,
     _refine,
     _unwitnessed_tears,
 )
@@ -374,53 +374,25 @@ def _scan_parent(parents, theta):
     return best
 
 
-def _assert_lookup_matches_scan(parents, thetas):
-    found = _find_parents(parents, thetas)
-    assert len(found) == len(thetas)
-    for theta, parent in zip(thetas, found):
-        assert parent is _scan_parent(parents, theta), theta
-
-
-def _parents(*intervals):
-    return [
-        FrontComponent(interval=ArcInterval(lo, hi), split_time=0.0,
-                       segments=((0, 1),))
-        for lo, hi in intervals
-    ]
-
-
 def test_parent_lookup_matches_scan_on_cube_propagation():
-    cube = CubeSurface(1.0)
-    parent_front = propagate(init_front(cube, CubePoint("U", 0.31, 0.47)), 5.0)
-    child_front = propagate(parent_front, 10.0)
-    parents, children = parent_front.components, child_front.components
-    assert (len(parents), len(children)) == (80, 316)
-    _assert_lookup_matches_scan(parents, [c.theta_first for c in children])
-
-
-@pytest.mark.parametrize("intervals", [
-    [(2.0, 3.0), (0.5, 1.0), (4.0, 5.5)],                  # unsorted
-    [(0.5, 2.0), (1.0, 3.0), (1.0, 1.5), (2.5, 6.0)],      # overlapping
-    [(0.2, 1.0), (2.0, 5.0), (5.5, TWO_PI + 0.4)],         # wraps past 2*pi
-    [(5.5, TWO_PI + 0.4), (0.2, 1.0), (2.0, 5.0)],         # wrap listed first
-    [(1.0, 1.0), (1.0, 2.0), (3.0, 3.0)],                  # shared endpoints
-], ids=["unsorted", "overlapping", "wrap", "wrap-first", "degenerate"])
-def test_parent_lookup_matches_scan_on_hand_built_parents(intervals):
-    parents = _parents(*intervals)
-    ends = [x for pair in intervals for x in pair]
-    thetas = np.linspace(-1.0, TWO_PI + 1.0, 401).tolist()
-    thetas += ends + [x - TWO_PI for x in ends] + [x + TWO_PI for x in ends]
-    _assert_lookup_matches_scan(parents, thetas)
-
-
-def test_parent_lookup_gap_tie_takes_first_in_list_order():
-    a, b = _parents((0.0, 1.0), (2.0, 3.0))
-    # 1.5 lies outside both intervals, 0.5 from each: the tie goes to the
-    # parent listed first
-    assert _find_parents([a, b], [1.5])[0] is a
-    assert _find_parents([b, a], [1.5])[0] is b
-    _assert_lookup_matches_scan([b, a], [1.5])
-    assert _find_parents([], [1.5]) == [None]
+    # each step's children, from the initial front on, find the parent that
+    # the interval scan finds for their first direction
+    cases = [
+        (("U", 0.31, 0.47), FULL_CIRCLE, (5.0, 10.0), (80, 316)),
+        (("F", 0.5, 0.5), FULL_CIRCLE, (1.0, 2.5, 4.0), (4, 12, 44)),
+        (("L", 0.13, 0.71), FULL_CIRCLE, (2.0, 4.0, 6.0), (12, 51, 109)),
+        (("U", 0.5, 0.5), ArcInterval(0.3, 2.9), (0.5, 1.0, 1.5, 2.0, 3.0), (1, 3, 3, 7, 13)),
+    ]
+    for source, arc, times, counts in cases:
+        front = init_front(CubeSurface(1.0), CubePoint(*source), arc=arc)
+        for t, count in zip(times, counts):
+            child = propagate(front, t)
+            assert len(child.components) == count
+            firsts = child.thetas[[c.segments[0][0] for c in child.components]]
+            found = _owning_parents(front.thetas, front.components, firsts)
+            for theta, parent in zip(firsts.tolist(), found):
+                assert parent is _scan_parent(front.components, theta), theta
+            front = child
 
 
 # --- component assembly --------------------------------------------------------
@@ -478,7 +450,7 @@ def _cross_sheet_pair(gap):
     )
     arc = ArcInterval(0.0, 2.0)
     parent = FrontComponent(interval=arc, split_time=0.25, segments=((0, 2),))
-    comps = _assemble_components(cube, arc, 3.0, thetas, batch, params, [parent])
+    comps = _assemble_components(cube, arc, 3.0, thetas, batch, params, thetas, [parent])
     front = Front(surface=cube, source=CubePoint("U", 0.5, 0.5), t=3.0, arc=arc,
                   params=params, thetas=thetas, components=comps, **vars(batch))
     return cube, params, batch, front

@@ -396,8 +396,8 @@ def test_many_component_cube_round_trip():
     blob = emit_snapshot(f)
     g = parse_snapshot(blob)
     assert emit_snapshot(g) == blob
-    assert [(c.segments, c.theta_first, c.theta_last) for c in g.components] == [
-        (c.segments, c.theta_first, c.theta_last) for c in f.components
+    assert [(c.segments, c.interval, c.split_time) for c in g.components] == [
+        (c.segments, c.interval, c.split_time) for c in f.components
     ]
     assert render_svg(g) == render_svg(f)
     # a parsed front propagates to the same components and split times

@@ -228,6 +228,39 @@ def test_occupancy_with_far_apart_samples():
         assert np.isin(lifted, _drawn_pairs(front, x_axis, y_axis)).all(), eps
 
 
+
+@pytest.mark.xfail(strict=True, reason="segments longer than a cell mark at most "
+                   "one cell beyond their end cells; the fix walks every grid "
+                   "line a long segment crosses")
+def test_occupancy_marks_every_cell_a_long_segment_crosses():
+    # the front of test_occupancy_with_far_apart_samples on a 50 x 50 grid:
+    # its drawn segments are ~0.42 long, about 21 cells, and every cell that
+    # a dense resample of them lands in must be hit
+    klein = KleinBottle()
+    front = propagate(init_front(
+        klein, (0.5681923142926266, 0.8999457934389484),
+        arc=ArcInterval(2.68715017193246, 2.68715017193246 + 3e-11), n0=4,
+    ), 668790778107.7816)
+    x_axis, y_axis, *_ = _grid(klein, 0.02)
+    (nx, sx), (ny, sy) = x_axis, y_axis
+    lo = klein.box[0]
+    charts = klein.sample_charts(front.face, front.pos.shape[0])
+    pairs = np.concatenate([np.arange(start, stop - 1)
+                            for comp in front.components for start, stop in comp.segments])
+    pairs = pairs[charts[pairs] == charts[pairs + 1]]
+    pa = front.pos[pairs]
+    pb = klein.lift_near(pa, front.pos[pairs + 1])
+    along = np.linspace(0.0, 1.0, 1025)[:, None, None]
+    pts = (pa + along * (pb - pa)).reshape(-1, 2)
+    i = np.floor((pts[:, 0] - lo) / sx).astype(np.int64)
+    j = np.floor((pts[:, 1] - lo) / sy).astype(np.int64)
+    i, j = klein.wrap_cells(i, j, nx, ny)
+    crossed = np.zeros((klein.charts, nx, ny), dtype=bool)
+    crossed[np.tile(charts[pairs], along.shape[0]), i, j] = True
+    hit = _hit_cells(front, x_axis, y_axis)
+    assert not (crossed & ~hit).any(), f"{int((crossed & ~hit).sum())} of {int(crossed.sum())}"
+
+
 # --- coverage time -----------------------------------------------------------
 
 
