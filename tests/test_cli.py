@@ -4,6 +4,7 @@ Subcommands run in-process through cli.run for speed; one test drives the
 installed console script end to end, another ``python -m wavefront``.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -105,6 +106,31 @@ def test_verify_theorem1_failure_exit_code(monkeypatch, capsys):
     code, out, err = run(["verify-theorem1", "--t-grid", "10:10:1"], capsys)
     assert code == 4
     assert "verification failed" in err
+
+
+# sha256 of the stdout of tables no other test or benchmark digest pins: a
+# tau row with tau reached, one with tau never reached (first cover inf), a
+# length curve with its slope footer and a lattice table with an explicit h
+_TABLES_PINNED = {
+    "tau --surface torus:1,1 --p 0.2,0.3 --r 0.25 --t-max 20 --dt 0.5":
+        "97c9705414155be7456a594d9215306297345d4f51c1093e19ac55c52b358933",
+    "tau --surface disk:1 --p 0,0 --r 0.3 --t-max 2 --dt 1":
+        "c72b1a6bf84fbf258e838dfed05a9c4a24073ecf450c3e5ef1986cd29c4f378b",
+    "length --surface klein --p 0.2,0.3 --t-grid 5:20:5":
+        "705ff9c5d5254cd930de291bcabd60a4e7912f29eef25a6e7fb501ecd24b959a",
+    "lattice --t-grid 25:100:25 --h 0.5":
+        "8660f00d21355d9ad5e5656f898db83b98062040e4796a7b97171a3451aae451",
+}
+
+
+def test_table_bytes_pinned(capsysbinary):
+    digests = {}
+    for command in _TABLES_PINNED:
+        assert cli.run(command.split()) == 0, command
+        captured = capsysbinary.readouterr()
+        assert captured.err == b"", command
+        digests[command] = hashlib.sha256(captured.out).hexdigest()
+    assert digests == _TABLES_PINNED
 
 
 def test_simulate_then_render(tmp_path, capsys):
