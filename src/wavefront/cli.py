@@ -127,18 +127,21 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_density(args) -> int:
-    rows = [density_report(front, args.eps) for _, front in _front_series(args)]
-    csv = emit_series(
-        rows,
-        params={
-            "surface": args.surface,
-            "p": args.p,
-            "t_grid": args.t_grid,
-            "eps": repr(args.eps),
-        },
+def density_csv(reports, params: dict | None = None) -> bytes:
+    """The density table: one row per ``DensityReport``."""
+    return emit_series(
+        "t,covering_radius,cells_hit_fraction,length,components",
+        [(r.t, r.covering_radius, r.cells_hit / r.cells_total, r.length,
+          r.n_components) for r in reports],
+        params,
     )
-    _write_out(csv, args.out)
+
+
+def _cmd_density(args) -> int:
+    reports = [density_report(front, args.eps) for _, front in _front_series(args)]
+    params = {"surface": args.surface, "p": args.p, "t_grid": args.t_grid,
+              "eps": args.eps}
+    _write_out(density_csv(reports, params), args.out)
     return 0
 
 
@@ -146,15 +149,11 @@ def _cmd_tau(args) -> int:
     surface = parse_surface(args.surface)
     source = surface.parse_point(args.p)
     est = estimate_tau(surface, source, args.r, args.t_max, args.dt)
-    lines = [
-        f"# surface={args.surface} p={args.p} r={args.r!r} "
-        f"t_max={args.t_max!r} dt={args.dt!r}",
-        "r,tau,t_max,delta_t,first_full_cover_time",
-        f"{est.r!r},"
-        + (est.tau if isinstance(est.tau, str) else repr(est.tau))
-        + f",{est.t_max!r},{est.delta_t!r},{est.first_full_cover_time!r}",
-    ]
-    _write_out(("\n".join(lines) + "\n").encode("utf-8"), None)
+    row = (est.r, est.tau, est.t_max, est.delta_t, est.first_full_cover_time)
+    params = {"surface": args.surface, "p": args.p, "r": args.r,
+              "t_max": args.t_max, "dt": args.dt}
+    _write_out(emit_series("r,tau,t_max,delta_t,first_full_cover_time", [row],
+                           params), None)
     return 0
 
 
@@ -162,20 +161,16 @@ def _cmd_length(args) -> int:
     surface = parse_surface(args.surface)
     source = surface.parse_point(args.p)
     curve = length_growth_curve(surface, source, _t_grid(args.t_grid))
-    lines = [f"# surface={args.surface} p={args.p} t_grid={args.t_grid}"]
-    lines.append("t,length")
-    lines.extend(f"{t!r},{length!r}" for t, length in curve.points)
-    lines.append(f"# slope={curve.slope!r}")
-    _write_out(("\n".join(lines) + "\n").encode("utf-8"), None)
+    params = {"surface": args.surface, "p": args.p, "t_grid": args.t_grid}
+    _write_out(emit_series("t,length", curve.points, params,
+                           footer={"slope": curve.slope}), None)
     return 0
 
 
 def _cmd_components(args) -> int:
-    lines = [f"# surface={args.surface} p={args.p} t_grid={args.t_grid}"]
-    lines.append("t,components")
-    for t, front in _front_series(args):
-        lines.append(f"{t!r},{component_count(front)}")
-    _write_out(("\n".join(lines) + "\n").encode("utf-8"), None)
+    rows = [(t, component_count(front)) for t, front in _front_series(args)]
+    params = {"surface": args.surface, "p": args.p, "t_grid": args.t_grid}
+    _write_out(emit_series("t,components", rows, params), None)
     return 0
 
 
@@ -184,30 +179,22 @@ def _cmd_lattice(args) -> int:
     for t in _t_grid(args.t_grid):
         # the default h needs t > 0; lattice_count rejects t <= 0 itself
         h = args.h if args.h is not None else 1.0 / math.sqrt(t) if t > 0 else 0.0
-        rows.append(lattice_count(t, h))
-    csv = emit_series(
-        rows,
-        params={
-            "t_grid": args.t_grid,
-            "h": repr(args.h) if args.h is not None else "1/sqrt(t)",
-        },
-    )
-    _write_out(csv, None)
+        c = lattice_count(t, h)
+        rows.append((c.t, c.h, c.N_t, c.annulus_count, 2.0 * math.pi * c.t * c.h,
+                     c.E_t, math.sqrt(2.0) * 2.0 * math.pi * c.t))
+    params = {"t_grid": args.t_grid, "h": "1/sqrt(t)" if args.h is None else args.h}
+    _write_out(emit_series(
+        "t,h,N_t,annulus_count,expected_area,E_t,gauss_bound", rows, params), None)
     return 0
 
 
 def _cmd_verify_theorem1(args) -> int:
-    lines = ["t,a,b,height,slope_max,projected_covering_radius,passed"]
-    all_passed = True
-    for t in _t_grid(args.t_grid):
-        rep = theorem1_rectangle_check(t)
-        all_passed &= rep.passed
-        lines.append(
-            f"{rep.t!r},{rep.a!r},{rep.b!r},{rep.height!r},{rep.slope_max!r},"
-            f"{rep.projected_covering_radius!r},{rep.passed}"
-        )
-    _write_out(("\n".join(lines) + "\n").encode("utf-8"), None)
-    if not all_passed:
+    reports = [theorem1_rectangle_check(t) for t in _t_grid(args.t_grid)]
+    rows = [(r.t, r.a, r.b, r.height, r.slope_max, r.projected_covering_radius,
+             r.passed) for r in reports]
+    _write_out(emit_series(
+        "t,a,b,height,slope_max,projected_covering_radius,passed", rows), None)
+    if not all(r.passed for r in reports):
         _diag("rectangle-argument verification failed")
         return 4
     return 0

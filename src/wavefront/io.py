@@ -1,4 +1,4 @@
-"""Snapshot serialization, CSV series emission, and SVG rendering.
+"""Snapshot serialization, the CSV writer, and SVG rendering.
 
 Snapshots are JSON (schema version 1) with floats written as shortest
 round-trip decimals, so parse(emit(front)) reproduces every numeric field
@@ -16,6 +16,10 @@ Renders are static SVG: flat surfaces in their rectangular viewport, the
 disk in its bounding square with the rim drawn, the cube as a cross net
 (L F R B in a row, U above F, D below F).  Identical fronts produce
 identical bytes.
+
+The CSV writer knows no report type: callers (the CLI's table
+subcommands) pass the header and the rows, and every field is written
+with ``str``.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ import numpy as np
 
 from .frontier import SAMPLE_BUDGET, THETA_MIN, ArcInterval, Front, PropagationParams
 from .frontier import _assemble_components, _needs_bisection
-from .metrics import DensityReport
-from .lattice import LatticeCount
 from .surfaces import PreconditionError, evaluate_batch, format_surface, parse_surface
 
 SNAPSHOT_VERSION = 1
@@ -289,41 +291,24 @@ def _parse_front(doc: dict) -> Front:
 # CSV series
 
 
-def emit_series(rows, params: dict | None = None) -> bytes:
-    """CSV for a homogeneous list of DensityReport or LatticeCount rows.
+def _comment(fields: dict) -> str:
+    return "# " + " ".join(f"{k}={v}" for k, v in fields.items())
 
-    An optional leading '#' comment embeds the parameters that produced
-    the series, so the file is self-describing.
+
+def emit_series(header: str, rows, params: dict | None = None,
+                footer: dict | None = None) -> bytes:
+    """CSV bytes: the header line, then one line per row.
+
+    Every field is written with ``str`` (for a float, its shortest
+    round-trip decimal).  Optional '# k=v ...' lines carry the parameters
+    that produced the table, before the header, and a summary such as a
+    fitted slope, after the rows.
     """
-    if not rows:
-        raise SnapshotError("empty series")
-    kinds = {type(r) for r in rows}
-    if len(kinds) != 1:
-        raise SnapshotError("mixed row types in series")
-    lines = []
-    if params:
-        body = " ".join(f"{k}={v}" for k, v in params.items())
-        lines.append(f"# {body}")
-    kind = kinds.pop()
-    if kind is DensityReport:
-        lines.append("t,covering_radius,cells_hit_fraction,length,components")
-        for r in rows:
-            frac = r.cells_hit / r.cells_total
-            lines.append(
-                f"{r.t!r},{r.covering_radius!r},{frac!r},{r.length!r},"
-                f"{r.n_components}"
-            )
-    elif kind is LatticeCount:
-        lines.append("t,h,N_t,annulus_count,expected_area,E_t,gauss_bound")
-        for r in rows:
-            area = 2.0 * math.pi * r.t * r.h
-            gbound = math.sqrt(2.0) * 2.0 * math.pi * r.t
-            lines.append(
-                f"{r.t!r},{r.h!r},{r.N_t},{r.annulus_count},{area!r},"
-                f"{r.E_t!r},{gbound!r}"
-            )
-    else:
-        raise SnapshotError(f"cannot serialize rows of type {kind.__name__}")
+    lines = [_comment(params)] if params else []
+    lines.append(header)
+    lines += [",".join(map(str, row)) for row in rows]
+    if footer:
+        lines.append(_comment(footer))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

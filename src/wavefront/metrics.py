@@ -174,22 +174,37 @@ def _segment_pairs(front: Front, ci, cj, charts, nx: int, ny: int):
     return np.flatnonzero(add & live & (charts[:-1] == charts[1:]))
 
 
+def _cells_of(p, lo, sx, sy):
+    """Unwrapped (i, j) grid cells of chart points ``p``."""
+    return (np.floor((p[:, 0] - lo[0]) / sx).astype(np.int64),
+            np.floor((p[:, 1] - lo[1]) / sy).astype(np.int64))
+
+
 def _mark_chart_cells(pa, pb, chart, lo, sx, sy):
     """Cells marked by segments pa->pb, each in its planar chart.
 
     Returns a list of (chart, i, j) integer index arrays (i and j possibly
-    outside the grid; the caller wraps or clamps them).  Each segment marks
-    its endpoint cells and, when those differ on both axes, one corner cell
-    (the column of one end, the row of the other).  That is every cell a
-    segment shorter than a cell side touches.  Refinement can leave
-    adjacent samples THETA_MIN apart in direction yet several cells apart
-    on the surface, and the cells such a segment crosses between its ends
-    are not marked (a known defect).
+    outside the grid; the caller wraps or clamps them).  A segment whose end
+    cells differ by at most 1 on each axis crosses at most one grid line per
+    axis, so its end cells and, when those differ on both axes, one corner
+    cell (the column of one end, the row of the other) are every cell it
+    touches, whatever its length.  A segment whose end cells differ by
+    k >= 2 on an axis is cut into k + 1 equal pieces, each shorter than a
+    cell side on both axes, and every piece is marked by that rule.
     """
-    ia = np.floor((pa[:, 0] - lo[0]) / sx).astype(np.int64)
-    ja = np.floor((pa[:, 1] - lo[1]) / sy).astype(np.int64)
-    ib = np.floor((pb[:, 0] - lo[0]) / sx).astype(np.int64)
-    jb = np.floor((pb[:, 1] - lo[1]) / sy).astype(np.int64)
+    ia, ja = _cells_of(pa, lo, sx, sy)
+    ib, jb = _cells_of(pb, lo, sx, sy)
+    k = np.maximum(np.abs(ib - ia), np.abs(jb - ja))
+    if k.max(initial=0) >= 2:
+        n = np.where(k >= 2, k + 1, 1)
+        seg = np.repeat(np.arange(n.size), n)
+        m = (np.arange(seg.size) - np.repeat(np.cumsum(n) - n, n))[:, None]
+        n, a, b = n[seg, None], pa[seg], pb[seg]
+        pa = a + (b - a) * (m / n)
+        pb = np.where(m + 1 == n, b, a + (b - a) * ((m + 1) / n))
+        chart = chart[seg]
+        ia, ja = _cells_of(pa, lo, sx, sy)
+        ib, jb = _cells_of(pb, lo, sx, sy)
     cells = [(chart, ia, ja), (chart, ib, jb)]
     diag = (ia != ib) & (ja != jb)
     if diag.any():
@@ -252,8 +267,7 @@ def _hit_cells(front: Front, x_axis, y_axis) -> np.ndarray:
 
     pos = front.pos
     charts = surface.sample_charts(front.face, pos.shape[0])
-    ci = np.floor((pos[:, 0] - lo) / sx).astype(np.int64)
-    cj = np.floor((pos[:, 1] - lo) / sy).astype(np.int64)
+    ci, cj = _cells_of(pos, (lo, lo), sx, sy)
     li = np.flatnonzero(front.alive)
     i0, j0 = surface.wrap_cells(ci[li], cj[li], nx, ny)
     hit[charts[li], i0, j0] = True

