@@ -26,8 +26,10 @@ previous gap across a cut.
 Torus, Klein bottle, rectangle and disk flows are continuous in the
 direction, so their fronts are always a single component; only the cube
 tears, at the directions that run into a vertex.  Every surface still goes
-through the same assembly: on a sheet-less front no pair is cross-sheet,
-so no tear is declared and the one live run is the whole front.
+through the same refinement and assembly: each batch carries its
+directions and a sheet column, of width 0 off the cube, so there no pair
+is cross-sheet, no tear is declared and the one live run is the whole
+front.
 """
 
 from __future__ import annotations
@@ -135,10 +137,11 @@ class FrontComponent:
 class Front(GeodesicBatch):
     """A propagated wave front: the evaluation of its directions at ``t``.
 
-    The per-sample columns (a ``GeodesicBatch``) are ordered by ``thetas``
-    and include dead directions; the components index into them.  Every
-    front holds all of them, those read back from snapshots included.  Its
-    arc is wider than ``THETA_MIN``, however it was built.
+    The per-sample columns (a ``GeodesicBatch``, directions and sheet
+    included) are ordered by ``thetas`` and include dead directions; the
+    components index into them.  Every front holds all of them, those read
+    back from snapshots included.  Its arc is wider than ``THETA_MIN``,
+    however it was built.
     """
 
     surface: SurfaceModel
@@ -146,7 +149,6 @@ class Front(GeodesicBatch):
     t: float
     arc: ArcInterval
     params: PropagationParams
-    thetas: np.ndarray
     components: list
 
     def __post_init__(self):
@@ -190,7 +192,7 @@ def init_front(
     batch = evaluate_batch(surface, source, thetas, 0.0)
     comp = FrontComponent(interval=arc, split_time=0.0, segments=((0, n0),))
     return Front(surface=surface, source=source, t=0.0, arc=arc, params=params,
-                 thetas=thetas, components=[comp], **vars(batch))
+                 components=[comp], **vars(batch))
 
 
 class _Ends(NamedTuple):
@@ -201,15 +203,15 @@ class _Ends(NamedTuple):
     alive: np.ndarray
     cover: np.ndarray
     refl: np.ndarray
-    sheet: np.ndarray | None
+    sheet: np.ndarray
 
     @classmethod
-    def of(cls, thetas, batch, rows=slice(None)):
-        sheet = None if batch.sheet is None else batch.sheet[rows]
-        return cls(thetas[rows], batch.alive[rows], batch.cover[rows], batch.refl[rows], sheet)
+    def of(cls, batch, rows=slice(None)):
+        return cls(batch.thetas[rows], batch.alive[rows], batch.cover[rows],
+                   batch.refl[rows], batch.sheet[rows])
 
     def take(self, rows):
-        return _Ends(*(None if col is None else col[rows] for col in self))
+        return _Ends(*(col[rows] for col in self))
 
 
 def _pair_needs_bisection(surface, tt, params, a: _Ends, b: _Ends) -> np.ndarray:
@@ -232,7 +234,7 @@ def _pair_needs_bisection(surface, tt, params, a: _Ends, b: _Ends) -> np.ndarray
     alive2 = a.alive & b.alive
     gap = b.theta - a.theta
     chord = np.hypot(b.cover[:, 0] - a.cover[:, 0], b.cover[:, 1] - a.cover[:, 1])
-    same = np.True_ if a.sheet is None else _sheets_match(a.sheet, b.sheet)
+    same = _sheets_match(a.sheet, b.sheet)
     need = ((same & (chord > h)) | ~same) & alive2
     kink = (a.refl != b.refl) & ((tt + surface.box[1]) * gap > h)
     need |= kink & alive2
@@ -240,17 +242,16 @@ def _pair_needs_bisection(surface, tt, params, a: _Ends, b: _Ends) -> np.ndarray
     return need & (gap > THETA_MIN)
 
 
-def _needs_bisection(surface, tt, thetas, batch, params) -> np.ndarray:
+def _needs_bisection(surface, tt, batch, params) -> np.ndarray:
     """Mask of the adjacent direction pairs that refinement bisects (the
     rule of ``_pair_needs_bisection``).  A refined front is a fixed point:
     no pair of it needs bisection."""
     return _pair_needs_bisection(
-        surface, tt, params,
-        _Ends.of(thetas, batch, slice(None, -1)), _Ends.of(thetas, batch, slice(1, None)),
+        surface, tt, params, _Ends.of(batch, slice(None, -1)), _Ends.of(batch, slice(1, None))
     )
 
 
-def _refine(surface, source, tt, thetas, batch, params):
+def _refine(surface, source, tt, batch, params):
     """Bisect direction gaps until no adjacent pair needs bisection.
 
     Each round evaluates the midpoints of the pending gaps in one batch and
@@ -261,11 +262,11 @@ def _refine(surface, source, tt, thetas, batch, params):
     independent of the order in which gaps are processed; the midpoints of
     all rounds are merged into the front once, at the end.
     """
-    lo = _Ends.of(thetas, batch, slice(None, -1))
-    hi = _Ends.of(thetas, batch, slice(1, None))
+    lo = _Ends.of(batch, slice(None, -1))
+    hi = _Ends.of(batch, slice(1, None))
     pending = np.flatnonzero(_pair_needs_bisection(surface, tt, params, lo, hi))
     lo, hi = lo.take(pending), hi.take(pending)
-    count = thetas.size
+    count = batch.thetas.size
     rounds = []
     while lo.theta.size:
         if count + lo.theta.size > SAMPLE_BUDGET:
@@ -277,8 +278,8 @@ def _refine(surface, source, tt, thetas, batch, params):
         count += lo.theta.size
         mids = 0.5 * (lo.theta + hi.theta)
         mid_batch = evaluate_batch(surface, source, mids, tt)
-        rounds.append((mids, mid_batch))
-        mid = _Ends.of(mids, mid_batch)
+        rounds.append(mid_batch)
+        mid = _Ends.of(mid_batch)
         halves = np.column_stack((
             _pair_needs_bisection(surface, tt, params, lo, mid),
             _pair_needs_bisection(surface, tt, params, mid, hi),
@@ -288,8 +289,8 @@ def _refine(surface, source, tt, thetas, batch, params):
         gap, upper = k >> 1, (k & 1).astype(bool)
         lo, hi = _pick(upper, mid, lo, gap), _pick(upper, hi, mid, gap)
     if not rounds:
-        return thetas, batch
-    return _merge(thetas, batch, rounds)
+        return batch
+    return _merge(batch, rounds)
 
 
 def _pick(upper, when_upper: _Ends, otherwise: _Ends, gap) -> _Ends:
@@ -297,20 +298,19 @@ def _pick(upper, when_upper: _Ends, otherwise: _Ends, gap) -> _Ends:
     out = otherwise.take(gap)
     rows = gap[upper]
     for col, src in zip(out, when_upper):
-        if col is not None:
-            col[upper] = src[rows]
+        col[upper] = src[rows]
     return out
 
 
-def _merge(thetas, batch, rounds):
-    """The front with every round's midpoints merged in, in theta order."""
-    mids = np.concatenate([m for m, _ in rounds])
+def _merge(batch, rounds):
+    """The batch with every round's midpoint batch merged in, in theta order."""
+    mids = np.concatenate([b.thetas for b in rounds])
     order = np.argsort(mids)
     # the i-th midpoint in theta order lands after the i midpoints before it
     # and the samples below it; the samples fill the remaining rows
     dest = np.empty_like(order)
-    dest[order] = np.searchsorted(thetas, mids[order]) + np.arange(mids.size)
-    keep = np.ones(thetas.size + mids.size, dtype=bool)
+    dest[order] = np.searchsorted(batch.thetas, mids[order]) + np.arange(mids.size)
+    keep = np.ones(batch.thetas.size + mids.size, dtype=bool)
     keep[dest] = False
 
     def merged(old, parts):
@@ -322,33 +322,26 @@ def _merge(thetas, batch, rounds):
             start += part.shape[0]
         return out
 
-    columns = {
-        name: None if col is None
-        else merged(col, [getattr(b, name) for _, b in rounds])
+    return GeodesicBatch(**{
+        name: None if col is None else merged(col, [getattr(b, name) for b in rounds])
         for name, col in vars(batch).items()
-    }
-    return merged(thetas, [m for m, _ in rounds]), GeodesicBatch(**columns)
-
-
-def _same_sheet(sheet, a, b):
-    """Whether rows ``a`` and rows ``b`` of a sheet array (two equal-length
-    slices, or two indices) lie on one development sheet.  Fronts without
-    sheets (every surface but the cube) never leave their one sheet."""
-    if sheet is None:
-        return np.True_
-    return _sheets_match(sheet[a], sheet[b])
+    })
 
 
 def _sheets_match(sa, sb):
-    """Whether sheet rows ``sa`` and ``sb`` (equal shapes) are equal."""
-    return (sa[..., 0] == sb[..., 0]) & (sa[..., 1] == sb[..., 1])
+    """Whether sheet rows ``sa`` and ``sb`` (equal shapes) lie on one
+    development sheet: always, for sheets of width 0 (off the cube)."""
+    same = np.True_
+    for k in range(sa.shape[-1]):
+        same = same & (sa[..., k] == sb[..., k])
+    return same
 
 
 def _gap(surface, arrays, i, j) -> float:
     """Front length between samples i and j of a batch or front: their
     development chord on a common sheet, their surface distance across
     sheets (cover coordinates of different sheets are not comparable)."""
-    if _same_sheet(arrays.sheet, i, j):
+    if _sheets_match(arrays.sheet[i], arrays.sheet[j]):
         cover = arrays.cover
         return math.hypot(cover[j, 0] - cover[i, 0], cover[j, 1] - cover[i, 1])
     p1 = surface.point_at(arrays.pos, arrays.face, i)
@@ -356,7 +349,7 @@ def _gap(surface, arrays, i, j) -> float:
     return surface_distance(surface, p1, p2)
 
 
-def _unwitnessed_tears(thetas, batch, params, surface) -> np.ndarray:
+def _unwitnessed_tears(batch, params, surface) -> np.ndarray:
     """Mask of live adjacent pairs severed without a dead sample between.
 
     These are cross-sheet gaps bisected down to THETA_MIN whose images stay
@@ -365,16 +358,14 @@ def _unwitnessed_tears(thetas, batch, params, surface) -> np.ndarray:
     are within h_max are left connected: the histories diverged but the
     curve shows no gap.)
     """
-    tear = batch.alive[:-1] & batch.alive[1:] & (np.diff(thetas) <= THETA_MIN)
-    tear &= ~_same_sheet(batch.sheet, slice(None, -1), slice(1, None))
+    tear = batch.alive[:-1] & batch.alive[1:] & (np.diff(batch.thetas) <= THETA_MIN)
+    tear &= ~_sheets_match(batch.sheet[:-1], batch.sheet[1:])
     for i in np.flatnonzero(tear).tolist():
         tear[i] = _gap(surface, batch, i, i + 1) > params.h_max
     return tear
 
 
-def _assemble_components(
-    surface, arc, tt, thetas, batch, params, prev_thetas=(), parents=()
-) -> list:
+def _assemble_components(surface, arc, tt, batch, params, prev_thetas=(), parents=()) -> list:
     """Group samples into components and carry split times forward.
 
     Components are maximal runs of live samples not severed by a dead
@@ -394,9 +385,9 @@ def _assemble_components(
     own first or last live direction, predates this step and is skipped.
     Without parents (a snapshot being read) every split time is 0.
     """
+    thetas, alive, death = batch.thetas, batch.alive, batch.death_time
     n = thetas.shape[0]
-    alive, death = batch.alive, batch.death_time
-    tear = _unwitnessed_tears(thetas, batch, params, surface)
+    tear = _unwitnessed_tears(batch, params, surface)
     cut = np.flatnonzero(tear | ~(alive[:-1] & alive[1:])) + 1
     starts, stops = np.r_[0, cut], np.r_[cut, n]
     live = alive[starts]  # between two cuts: a live run or one dead sample
@@ -455,14 +446,12 @@ def propagate(front: Front, t_target: float) -> Front:
     surface, source, params = front.surface, front.source, front.params
     tt = t_target
 
-    thetas = front.thetas
-    batch = evaluate_batch(surface, source, thetas, tt)
-    thetas, batch = _refine(surface, source, tt, thetas, batch, params)
+    batch = _refine(surface, source, tt, evaluate_batch(surface, source, front.thetas, tt), params)
     components = _assemble_components(
-        surface, front.arc, tt, thetas, batch, params, front.thetas, front.components
+        surface, front.arc, tt, batch, params, front.thetas, front.components
     )
     return Front(surface=surface, source=source, t=tt, arc=front.arc, params=params,
-                 thetas=thetas, components=components, **vars(batch))
+                 components=components, **vars(batch))
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +472,7 @@ def component_lengths(front: Front) -> list:
         for start, stop in comp.segments:
             seg = cover[start:stop]
             chords = np.hypot(np.diff(seg[:, 0]), np.diff(seg[:, 1]))
-            same = _same_sheet(sheet, slice(start, stop - 1), slice(start + 1, stop))
+            same = _sheets_match(sheet[start:stop - 1], sheet[start + 1:stop])
             cross = np.flatnonzero(~same)
             length = float(np.delete(chords, cross).sum())
             for i in (start + cross).tolist():

@@ -247,7 +247,7 @@ def _parse_front(doc: dict) -> Front:
     live, pos = batch.alive, np.column_stack((xs, ys))[order]
     moved = (pos != batch.pos) | (np.signbit(pos) != np.signbit(batch.pos))
     charts = surface.sample_charts(batch.face, thetas.shape[0])
-    need = _needs_bisection(surface, t, thetas, batch, params)
+    need = _needs_bisection(surface, t, batch, params)
     for what, bad in (
         ("alive flag differs from evaluation", alive != live),
         ("position differs from evaluation", live & moved.any(axis=1)),
@@ -262,7 +262,7 @@ def _parse_front(doc: dict) -> Front:
 
     # the components are the front's assembly, listed in emit order; only
     # their split times, which depend on history, come from the document
-    components = _assemble_components(surface, arc, t, thetas, batch, params)
+    components = _assemble_components(surface, arc, t, batch, params)
     if len(doc_comps) != len(components):
         raise SnapshotError(
             f"{len(doc_comps)} components listed, {len(components)} assembled")
@@ -284,7 +284,7 @@ def _parse_front(doc: dict) -> Front:
         raise SnapshotError(f"sample at theta={float(thetas[i])!r}: listed in "
                             f"component {listed[i]}, assembled into {assembled[i]}")
     return Front(surface=surface, source=source, t=t, arc=arc, params=params,
-                 thetas=thetas, components=components, **vars(batch))
+                 components=components, **vars(batch))
 
 
 # ---------------------------------------------------------------------------

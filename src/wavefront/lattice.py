@@ -63,21 +63,14 @@ class RectCheckReport:
 def _count_radius(sq: float) -> int:
     """Lattice points with m^2 + n^2 <= sq, by exact per-row counting.
 
-    Comparisons are integer-vs-float, which Python evaluates exactly, so
-    the result is the true count for the given squared radius.
+    ``isqrt(floor(x))`` is the largest integer n with n^2 <= x for a float
+    x >= 0: n^2 <= floor(x) <= x, and the integer (n+1)^2 exceeds floor(x),
+    so it exceeds x.  Each row's bound is therefore exact for ``sq - m*m``.
     """
     m_max = math.isqrt(max(0, math.floor(sq)))
-    while (m_max + 1) ** 2 <= sq:
-        m_max += 1
     total = 0
     for m in range(-m_max, m_max + 1):
-        rem = sq - m * m
-        n = math.isqrt(max(0, math.floor(rem)))
-        while (n + 1) ** 2 <= rem:
-            n += 1
-        while n > 0 and n**2 > rem:
-            n -= 1
-        total += 2 * n + 1
+        total += 2 * math.isqrt(max(0, math.floor(sq - m * m))) + 1
     return total
 
 

@@ -416,21 +416,23 @@ def length_growth_curve(
 
     The slope is fit by ordinary least squares through the points with
     t >= median(t_list); the early transient is excluded so the fit
-    reflects the asymptotic growth rate.
+    reflects the asymptotic growth rate.  At least two times must lie
+    there.
     """
     t_list = [float(t) for t in t_list]
-    if len(t_list) < 2:
-        raise PreconditionError("need at least two times to fit a slope")
     if any(b <= a for a, b in zip(t_list, t_list[1:])):
         raise PreconditionError("t_list must be strictly increasing")
+    med = float(np.median(t_list)) if t_list else math.nan
+    upper = [t >= med for t in t_list]
+    if sum(upper) < 2:
+        raise PreconditionError(
+            f"the slope is fit through the times at or above the median t={med!r}: "
+            f"need two, got {sum(upper)}")
     front = init_front(surface, source, params=params)
     points = []
     for tt in t_list:
         front = propagate(front, tt)
         points.append((tt, front_length(front)))
-    med = float(np.median(t_list))
-    upper = [(t, length) for t, length in points if t >= med]
-    ts = np.array([p[0] for p in upper])
-    ls = np.array([p[1] for p in upper])
+    ts, ls = np.array(points)[upper].T
     slope = float(np.polyfit(ts, ls, 1)[0])
     return GrowthCurve(points=tuple(points), slope=slope)

@@ -77,9 +77,10 @@ class _Surface:
     """What a surface model answers; the defaults describe a planar table.
 
     A planar surface has one chart, the plane of its fundamental domain, and
-    its sample arrays carry no face ids (``face`` is None).  ``box`` is
-    ``(lo, width, height)``: the domain's bounding box [lo, lo + width] x
-    [lo, lo + height], which eps-grids tile and renders show.
+    one development sheet: its sample arrays carry no face ids (``face`` is
+    None) and sheets of width 0.  ``box`` is ``(lo, width, height)``: the
+    domain's bounding box [lo, lo + width] x [lo, lo + height], which
+    eps-grids tile and renders show.
     """
 
     charts = 1  # eps-grids are laid on each chart
@@ -155,7 +156,7 @@ class _Surface:
         x = source[0] + t * np.cos(thetas)
         y = source[1] + t * np.sin(thetas)
         px, py = self._reduce(x, y)
-        return _empty_planar_batch(np.stack([px, py], axis=1), np.stack([x, y], axis=1))
+        return _empty_planar_batch(thetas, np.stack([px, py], axis=1), np.stack([x, y], axis=1))
 
     # -- distance
 
@@ -389,7 +390,7 @@ class DiskBilliard(_Surface):
         y = np.where(no_bounce, py + t * dy, y)
         refl = np.where(no_bounce, 0, n.astype(np.int64) + 1)
         pos = np.stack([x, y], axis=1)
-        return _empty_planar_batch(pos, pos.copy(), refl=refl)
+        return _empty_planar_batch(thetas, pos, pos.copy(), refl=refl)
 
     def cell_overlap(self, xe, ye):
         # nearest point of each cell box to the origin decides intersection;
@@ -596,7 +597,9 @@ def format_surface(surface: SurfaceModel) -> str:
 # Face charts are isometric embeddings of [0, side]^2 into the unit cube
 # [0,1]^3 (scaled by side at evaluation time).  The chart data below is
 # chosen so that the cross-shaped net L F R B with U above F and D below F
-# unfolds with matching edges and no extra rotations.
+# unfolds with matching edges and no extra rotations.  The rotation group
+# is not enumerated on its own: its 24 elements are the frames of the six
+# charts developed with the four in-plane rotations (``_build_group_table``).
 
 FACE_NAMES = ("U", "D", "F", "B", "L", "R")
 FACE_INDEX = {name: i for i, name in enumerate(FACE_NAMES)}
@@ -751,53 +754,29 @@ _FACE_PATHS_TO = [[_FacePaths(*(a[t.end == f] for a in t)) for f in range(6)]
                   for t in _FACE_PATHS]
 
 
-def _build_rotation_group():
-    """All 24 integer rotation matrices of the cube, canonically ordered."""
-    mats = []
-    for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        for signs in (
-            (sx, sy, sz) for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)
-        ):
-            m = np.zeros((3, 3), dtype=np.int64)
-            for row, (col, s) in enumerate(zip(perm, signs)):
-                m[row, col] = s
-            if round(np.linalg.det(m)) == 1:
-                mats.append(m)
-    # reverse lexicographic ravel order puts the identity at index 0
-    mats.sort(key=lambda m: tuple(m.ravel()), reverse=True)
-    index = {tuple(m.ravel()): i for i, m in enumerate(mats)}
-    assert len(mats) == 24
-    assert np.array_equal(mats[0], np.eye(3, dtype=np.int64))
-    mul = np.zeros((24, 24), dtype=np.int64)
-    inv = np.zeros(24, dtype=np.int64)
-    for i, a in enumerate(mats):
-        for j, b in enumerate(mats):
-            mul[i, j] = index[tuple((a @ b).ravel())]
-        inv[i] = index[tuple(a.T.ravel())]
-    return mats, index, mul, inv
-
-
-_CUBE_ROTS, _CUBE_ROT_INDEX, _MUL24, _INV24 = _build_rotation_group()
-
-def _build_frame_index():
-    """Map (face, development rotation) to the cube rotation of the frame.
+def _build_group_table():
+    """``[f0, f, r]``: the cube rotation a ray carries from the source face
+    f0 to face f developed with in-plane rotation r.
 
     A developed chart with in-plane rotation r realises the 3D frame
-    [e_u', e_v', n] = [A @ R(-r) | n]; the group element carried by a ray is
-    frame(face, r) composed with the inverse of the source frame.
+    [e_u', e_v', n] = [A @ R(-r) | n].  The 24 frames are the 24 rotations of
+    the cube, indexed in reverse lexicographic ravel order (which puts the
+    identity at 0); the ray carries frame(f, r) composed with the inverse of
+    the source frame frame(f0, 0).
     """
-    table = np.zeros((6, 4), dtype=np.int64)
+    frames = np.zeros((6, 4, 3, 3), dtype=np.int64)
     for f in range(6):
-        a = np.stack([_CHART_EU[f], _CHART_EV[f]], axis=1)  # 3x2
         for r in range(4):
-            m = np.zeros((3, 3), dtype=np.int64)
-            m[:, :2] = a @ _ROT2[(-r) % 4]
-            m[:, 2] = _CHART_N[f]
-            table[f, r] = _CUBE_ROT_INDEX[tuple(m.ravel())]
-    return table
+            frames[f, r, :, :2] = np.stack([_CHART_EU[f], _CHART_EV[f]], axis=1) @ _ROT2[-r % 4]
+            frames[f, r, :, 2] = _CHART_N[f]
+    keys = sorted((tuple(m.ravel()) for m in frames.reshape(24, 3, 3)), reverse=True)
+    index = {key: i for i, key in enumerate(keys)}
+    assert len(index) == 24 and keys[0] == tuple(np.eye(3, dtype=np.int64).ravel())
+    return np.array([[[index[tuple((frames[f, r] @ frames[f0, 0].T).ravel())]
+                       for r in range(4)] for f in range(6)] for f0 in range(6)], dtype=np.int64)
 
 
-_FRAME_IDX = _build_frame_index()
+_GROUP = _build_group_table()
 
 _HASH_PRIME = np.uint64(1099511628211)
 _HASH_SEED = np.uint64(14695981039346656037)
@@ -811,33 +790,39 @@ _HASH_SEED = np.uint64(14695981039346656037)
 class GeodesicBatch:
     """Struct-of-arrays result of evaluating many directions at one time.
 
-    ``pos`` holds fundamental-domain coordinates ((u, v) for the cube, whose
-    face lives in ``face``).  ``cover`` holds development-plane coordinates;
-    for the disk the development is the identity, so cover equals pos.
-    ``sheet`` identifies the development sheet of each cube ray (a rolling
-    hash of the face sequence plus its length); rays on a common sheet have
-    directly comparable cover coordinates.
+    ``thetas`` holds the evaluated directions, one row each, and every other
+    column is read along it.  ``pos`` holds fundamental-domain coordinates
+    ((u, v) for the cube, whose face lives in ``face``; ``face`` is None on
+    the other surfaces).  ``cover`` holds development-plane coordinates; for
+    the disk the development is the identity, so cover equals pos.
+    ``sheet`` identifies the development sheet of each ray: on the cube a
+    rolling hash of the face sequence plus its length, shape (n, 2); on the
+    other surfaces, which have one sheet, shape (n, 0).  Rays on a common
+    sheet have directly comparable cover coordinates.
     """
 
+    thetas: np.ndarray
     pos: np.ndarray
     cover: np.ndarray
     alive: np.ndarray
     death_time: np.ndarray
     refl: np.ndarray
     group: np.ndarray
+    sheet: np.ndarray
     face: np.ndarray | None = None
-    sheet: np.ndarray | None = None
 
 
-def _empty_planar_batch(pos, cover, refl=None) -> GeodesicBatch:
+def _empty_planar_batch(thetas, pos, cover, refl=None) -> GeodesicBatch:
     n = pos.shape[0]
     return GeodesicBatch(
+        thetas=thetas,
         pos=pos,
         cover=cover,
         alive=np.ones(n, dtype=bool),
         death_time=np.full(n, np.inf),
         refl=np.zeros(n, dtype=np.int64) if refl is None else refl,
         group=np.zeros(n, dtype=np.int64),
+        sheet=np.empty((n, 0), dtype=np.uint64),
     )
 
 
@@ -964,18 +949,18 @@ def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t, on_cross=None
     cover = np.stack(
         [rc * end_pu - rs * end_pv + end_tvu, rs * end_pu + rc * end_pv + end_tvv], axis=1
     )
-    inv0 = _INV24[_FRAME_IDX[face0, 0]]
-    group = _MUL24[_FRAME_IDX[end_face, end_rot], inv0]
+    group = _GROUP[face0, end_face, end_rot]
     sheet = np.stack([end_hh, end_hl.astype(np.uint64)], axis=1)
     return GeodesicBatch(
+        thetas=thetas,
         pos=np.stack([end_pu, end_pv], axis=1),
         cover=cover,
         alive=alive,
         death_time=death,
         refl=np.zeros(n, dtype=np.int64),
         group=group,
-        face=end_face,
         sheet=sheet,
+        face=end_face,
     )
 
 

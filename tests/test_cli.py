@@ -199,6 +199,8 @@ def test_invalid_arguments_exit_1(capsys):
          "--t-grid", "1:inf:1"],
         ["length", "--surface", "torus:1,1", "--p", "0.2,0.3",
          "--t-grid", "1:nan:1"],
+        # one time at or above the median: no slope to fit
+        ["length", "--surface", "klein", "--p", "0.2,0.3", "--t-grid", "5:10:5"],
         ["nonsense"],
         [],
     ]
@@ -303,12 +305,10 @@ def test_io_errors_exit_3(tmp_path, capsys):
     assert "malformed JSON" in err
 
 
-def test_thread_count_does_not_change_bytes(monkeypatch, capsys):
+def test_density_rerun_gives_same_bytes(capsys):
     argv = ["density", "--surface", "torus:1,1", "--p", "0.2,0.3",
             "--t-grid", "2:4:2", "--eps", "0.05"]
-    monkeypatch.setenv("WAVEFRONT_THREADS", "1")
     _, out1, _ = run(argv, capsys)
-    monkeypatch.setenv("WAVEFRONT_THREADS", "7")
     _, out2, _ = run(argv, capsys)
     assert out1 == out2
 

@@ -242,15 +242,16 @@ def test_sample_budget_enforced(monkeypatch):
         propagate(f, 50.0)
 
 
-def _refine_by_rounds(surface, source, tt, thetas, batch, params):
+def _refine_by_rounds(surface, source, tt, batch, params):
     """Reference refinement: every round re-tests all adjacent pairs and
-    inserts that round's midpoints into each column with np.insert.  It
-    evaluates and reads its budget through the frontier module, as
-    ``_refine`` does."""
+    inserts that round's midpoints into each column, ``thetas`` included,
+    with np.insert.  It evaluates and reads its budget through the frontier
+    module, as ``_refine`` does."""
     while True:
-        idx = np.nonzero(_needs_bisection(surface, tt, thetas, batch, params))[0]
+        idx = np.nonzero(_needs_bisection(surface, tt, batch, params))[0]
         if idx.size == 0:
-            return thetas, batch
+            return batch
+        thetas = batch.thetas
         if thetas.size + idx.size > frontier.SAMPLE_BUDGET:
             j = int(idx[0])
             raise NumericalFailureError(
@@ -260,7 +261,6 @@ def _refine_by_rounds(surface, source, tt, thetas, batch, params):
             )
         mids = 0.5 * (thetas[idx] + thetas[idx + 1])
         mid_batch = frontier.evaluate_batch(surface, source, mids, tt)
-        thetas = np.insert(thetas, idx + 1, mids)
         batch = GeodesicBatch(**{
             name: None if col is None
             else np.insert(col, idx + 1, getattr(mid_batch, name), axis=0)
@@ -282,7 +282,7 @@ def _refine_both(monkeypatch, surface, source, thetas, tt, params):
         batch = evaluate_batch(surface, source, thetas, tt)
         monkeypatch.setattr(frontier, "evaluate_batch", counted)
         try:
-            out.append((refine(surface, source, tt, thetas, batch, params), sizes))
+            out.append((refine(surface, source, tt, batch, params), sizes))
         finally:
             monkeypatch.undo()
     return out
@@ -310,12 +310,13 @@ def test_refine_matches_round_by_round_insertion(monkeypatch, surface, source, a
     front = init_front(surface, source, arc=arc)
     source, params, thetas = front.source, front.params, front.thetas
     for tt in times:
-        ((thetas, batch), sizes), ((ref_thetas, ref_batch), ref_sizes) = _refine_both(
+        (batch, sizes), (ref_batch, ref_sizes) = _refine_both(
             monkeypatch, surface, source, thetas, tt, params
         )
+        thetas = batch.thetas
         # the same rays, evaluated in the same rounds
         assert sizes == ref_sizes, (surface, tt)
-        assert thetas.tobytes() == ref_thetas.tobytes()
+        assert thetas.tobytes() == ref_batch.thetas.tobytes()
         for name, col in vars(ref_batch).items():
             got = getattr(batch, name)
             if col is None:
@@ -341,7 +342,7 @@ def test_refine_budget_error_matches_round_by_round(monkeypatch, surface, source
     for refine in (_refine, _refine_by_rounds):
         batch = evaluate_batch(surface, front.source, front.thetas, tt)
         with pytest.raises(NumericalFailureError) as err:
-            refine(surface, front.source, tt, front.thetas, batch, params)
+            refine(surface, front.source, tt, batch, params)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert f"sample budget {budget} exceeded" in messages[0]
@@ -425,7 +426,7 @@ def test_component_runs_match_scan_on_cube_propagation():
     cube = CubeSurface(1.0)
     parent_front = propagate(init_front(cube, CubePoint("U", 0.31, 0.47)), 5.0)
     f = propagate(parent_front, 10.0)
-    tear = _unwitnessed_tears(f.thetas, f, f.params, cube)
+    tear = _unwitnessed_tears(f, f.params, cube)
     expected = _scan_segments(f.alive, tear, f.arc.is_full_circle)
     assert [c.segments for c in f.components] == expected
     assert any(len(s) == 2 for s in expected)  # the wrap join is exercised
@@ -439,6 +440,7 @@ def _cross_sheet_pair(gap):
     params = default_params(cube)
     thetas = np.array([1.0, 1.0 + 2.0**-40])
     batch = GeodesicBatch(
+        thetas=thetas,
         pos=np.array([[0.5, 0.5], [0.5, 0.5 + gap]]),
         cover=np.array([[0.0, 0.0], [5.0, 5.0]]),
         alive=np.ones(2, dtype=bool),
@@ -450,15 +452,15 @@ def _cross_sheet_pair(gap):
     )
     arc = ArcInterval(0.0, 2.0)
     parent = FrontComponent(interval=arc, split_time=0.25, segments=((0, 2),))
-    comps = _assemble_components(cube, arc, 3.0, thetas, batch, params, thetas, [parent])
+    comps = _assemble_components(cube, arc, 3.0, batch, params, thetas, [parent])
     front = Front(surface=cube, source=CubePoint("U", 0.5, 0.5), t=3.0, arc=arc,
-                  params=params, thetas=thetas, components=comps, **vars(batch))
+                  params=params, components=comps, **vars(batch))
     return cube, params, batch, front
 
 
 def test_cross_sheet_pair_farther_than_h_max_tears():
     cube, params, batch, f = _cross_sheet_pair(0.05)
-    assert _unwitnessed_tears(f.thetas, batch, params, cube).tolist() == [True]
+    assert _unwitnessed_tears(batch, params, cube).tolist() == [True]
     assert [c.segments for c in f.components] == [((0, 1),), ((1, 2),)]
     assert [c.segments for c in f.components] == _scan_segments(
         f.alive, np.array([True]), False)
@@ -469,7 +471,7 @@ def test_cross_sheet_pair_farther_than_h_max_tears():
 
 def test_cross_sheet_pair_within_h_max_is_measured_on_the_surface():
     cube, params, batch, f = _cross_sheet_pair(0.004)
-    assert _unwitnessed_tears(f.thetas, batch, params, cube).tolist() == [False]
+    assert _unwitnessed_tears(batch, params, cube).tolist() == [False]
     (comp,) = f.components
     assert comp.segments == ((0, 2),) and comp.split_time == 0.25
     # the development chord (5*sqrt(2)) spans two sheets and is not used

@@ -316,6 +316,8 @@ def test_growth_curve_preconditions():
         length_growth_curve(Torus(1.0, 1.0), (0.2, 0.3), [5.0])
     with pytest.raises(PreconditionError):
         length_growth_curve(Torus(1.0, 1.0), (0.2, 0.3), [5.0, 5.0])
+    with pytest.raises(PreconditionError):  # one time at or above the median
+        length_growth_curve(Torus(1.0, 1.0), (0.2, 0.3), [5.0, 10.0])
     with pytest.raises(PreconditionError):
         length_growth_curve(KleinBottle(), (0.2, 0.3), [5.0, 4.0])
 

@@ -7,6 +7,7 @@ lines (rectangle), specular segments (disk), and planar unfoldings
 the disk.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -27,11 +28,9 @@ from wavefront import (
     trace_cube_ray,
 )
 from wavefront.surfaces import (
-    _FRAME_IDX,
+    _GROUP,
     _HASH_PRIME,
     _HASH_SEED,
-    _INV24,
-    _MUL24,
     _NEXT_FACE,
     _ROT2_COS,
     _ROT2_SIN,
@@ -369,14 +368,14 @@ def _eval_cube_by_gather(side, source, thetas, t, on_cross=None):
         trem[j] -= s
     rc, rs = _ROT2_COS[rot], _ROT2_SIN[rot]
     cover = np.stack([rc * pu - rs * pv + tvu, rs * pu + rc * pv + tvv], axis=1)
-    inv0 = _INV24[_FRAME_IDX[FACE_INDEX[source.face], 0]]
     return GeodesicBatch(
+        thetas=thetas,
         pos=np.stack([pu, pv], axis=1),
         cover=cover,
         alive=alive,
         death_time=death,
         refl=np.zeros(n, dtype=np.int64),
-        group=_MUL24[_FRAME_IDX[face, rot], inv0],
+        group=_GROUP[FACE_INDEX[source.face], face, rot],
         face=face,
         sheet=np.stack([hh, hl.astype(np.uint64)], axis=1),
     )
@@ -445,6 +444,18 @@ def test_cube_group_is_order_24():
             groups.add(int(group))
     assert groups <= set(range(24))
     assert len(groups) > 4  # genuinely explores the rotation group
+
+
+def test_cube_group_table_pinned():
+    # sha256 of the table as built from the 24 integer rotation matrices
+    # (permutations times signs) and their multiplication table
+    assert _GROUP.dtype == np.int64 and _GROUP.shape == (6, 6, 4)
+    assert hashlib.sha256(_GROUP.tobytes()).hexdigest() == (
+        "0a57e8142228de695476b6cc1d166cd2eb752799d8a25e52207ca4de238ee29d")
+    for f0 in range(6):
+        # from one source face, the 24 developed frames are the 24 rotations
+        assert sorted(_GROUP[f0].ravel().tolist()) == list(range(24))
+        assert _GROUP[f0, f0, 0] == 0  # the undeveloped source frame: identity
 
 
 def test_cube_vertex_source_rejected():
