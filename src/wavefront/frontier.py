@@ -35,6 +35,7 @@ front.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,7 +48,6 @@ from .surfaces import (
     PreconditionError,
     SurfaceModel,
     evaluate_batch,
-    surface_distance,
 )
 
 _FULL_TOL = 1e-12
@@ -337,16 +337,15 @@ def _sheets_match(sa, sb):
     return same
 
 
-def _gap(surface, arrays, i, j) -> float:
-    """Front length between samples i and j of a batch or front: their
+def _gaps(surface, arrays, i, j) -> np.ndarray:
+    """Front length between samples i[k] and j[k] of a batch or front: their
     development chord on a common sheet, their surface distance across
     sheets (cover coordinates of different sheets are not comparable)."""
-    if _sheets_match(arrays.sheet[i], arrays.sheet[j]):
-        cover = arrays.cover
-        return math.hypot(cover[j, 0] - cover[i, 0], cover[j, 1] - cover[i, 1])
-    p1 = surface.point_at(arrays.pos, arrays.face, i)
-    p2 = surface.point_at(arrays.pos, arrays.face, j)
-    return surface_distance(surface, p1, p2)
+    same = np.broadcast_to(_sheets_match(arrays.sheet[i], arrays.sheet[j]), i.shape)
+    gaps = np.empty(i.shape)
+    gaps[same] = [math.hypot(*d) for d in (arrays.cover[j[same]] - arrays.cover[i[same]]).tolist()]
+    gaps[~same] = surface.distances(arrays.pos, arrays.face, i[~same], j[~same])
+    return gaps
 
 
 def _unwitnessed_tears(batch, params, surface) -> np.ndarray:
@@ -360,8 +359,8 @@ def _unwitnessed_tears(batch, params, surface) -> np.ndarray:
     """
     tear = batch.alive[:-1] & batch.alive[1:] & (np.diff(batch.thetas) <= THETA_MIN)
     tear &= ~_sheets_match(batch.sheet[:-1], batch.sheet[1:])
-    for i in np.flatnonzero(tear).tolist():
-        tear[i] = _gap(surface, batch, i, i + 1) > params.h_max
+    i = np.flatnonzero(tear)
+    tear[i] = _gaps(surface, batch, i, i + 1) > params.h_max
     return tear
 
 
@@ -463,25 +462,29 @@ def component_lengths(front: Front) -> list:
 
     Each segment sums its development chords, then adds the surface
     distance of each connected cross-sheet pair; a wrap-around component
-    adds the gap across the theta = 0 seam.
+    adds the gap across the theta = 0 seam.  One ``_gaps`` call serves all.
     """
-    cover, sheet = front.cover, front.sheet
+    comps = front.components
+    chords = np.hypot(*np.diff(front.cover, axis=0).T)
+    same = np.broadcast_to(_sheets_match(front.sheet[:-1], front.sheet[1:]), chords.shape)
+    inner = np.zeros(chords.shape, dtype=bool)
+    for start, stop in (seg for comp in comps for seg in comp.segments):
+        inner[start:stop - 1] = True
+    cross = np.flatnonzero(inner & ~same).tolist()
+    # the seam of a wrap-around component joins the last sample to the first
+    seams = [(c.segments[0][1] - 1, c.segments[1][0]) for c in comps if len(c.segments) == 2]
+    i, j = np.array([(k, k + 1) for k in cross] + seams, dtype=np.int64).reshape(-1, 2).T
+    gaps = _gaps(front.surface, front, i, j).tolist()
+    seam_gaps = iter(gaps[len(cross):])
     out = []
-    for comp in front.components:
+    for comp in comps:
         total = 0.0
         for start, stop in comp.segments:
-            seg = cover[start:stop]
-            chords = np.hypot(np.diff(seg[:, 0]), np.diff(seg[:, 1]))
-            same = _sheets_match(sheet[start:stop - 1], sheet[start + 1:stop])
-            cross = np.flatnonzero(~same)
-            length = float(np.delete(chords, cross).sum())
-            for i in (start + cross).tolist():
-                length += _gap(front.surface, front, i, i + 1)
+            length = float(chords[start:stop - 1][same[start:stop - 1]].sum())
+            for gap in gaps[bisect_left(cross, start):bisect_left(cross, stop - 1)]:
+                length += gap
             total += length
-        if len(comp.segments) == 2:
-            (_, e2), (s1, _) = comp.segments
-            total += _gap(front.surface, front, e2 - 1, s1)
-        out.append(total)
+        out.append(total + next(seam_gaps) if len(comp.segments) == 2 else total)
     return out
 
 

@@ -53,8 +53,8 @@ EVENT_BUDGET = 10**5
 WALK_BUDGET = 5 * 10**7
 
 # The fixed cost of one walk iteration, in rays.  A walk's time follows its
-# iteration count as well as its ray count: an iteration costs about 90 us
-# plus 0.2 us per active ray (numpy 2.4, 2-CPU x86-64 box).
+# iteration count as well as its ray count: an iteration costs about 55 us
+# plus 0.07-0.15 us per active ray (numpy 2.4, 2-CPU x86-64 box).
 WALK_ITERATION_RAYS = 500
 
 # A cube ray passing closer than this (times side) to a vertex is discarded.
@@ -175,6 +175,11 @@ class _Surface:
 
     def distance(self, q1, q2) -> float:
         return float(math.hypot(q2[0] - q1[0], q2[1] - q1[1]))
+
+    def distances(self, pos: np.ndarray, face, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Distance between rows i[k] and j[k] of position (and face) arrays."""
+        return np.array([self.distance(self.point_at(pos, face, a), self.point_at(pos, face, b))
+                         for a, b in zip(i.tolist(), j.tolist())])
 
     def sample_clouds(self, pos: np.ndarray, face, live: np.ndarray) -> list:
         """Per chart, the live samples a nearest-sample query searches."""
@@ -481,22 +486,31 @@ class CubeSurface(_Surface):
         return _eval_cube(self, source, thetas, t)
 
     def distance(self, q1, q2):
-        # evaluate both orders: unfolding rounds each direction differently
-        # in the last ulp, and the metric must be exactly symmetric
-        return min(
-            cube_geodesic_distance(self.side, q1, q2),
-            cube_geodesic_distance(self.side, q2, q1),
-        )
+        pos = np.array([[q1.u, q1.v], [q2.u, q2.v]], dtype=np.float64)
+        face = np.array([FACE_INDEX[q1.face], FACE_INDEX[q2.face]])
+        return float(self.distances(pos, face, np.array([0]), np.array([1]))[0])
+
+    def distances(self, pos, face, i, j):
+        out, fi, fj = np.empty(len(i)), face[i], face[j]
+        for f1, f2 in set(zip(fi.tolist(), fj.tolist())):  # one call per face pair
+            k = np.flatnonzero((fi == f1) & (fj == f2))
+            p1, p2 = pos[i[k]], pos[j[k]]
+            # evaluate both orders: unfolding rounds each direction differently
+            # in the last ulp, and the metric must be exactly symmetric
+            out[k] = np.minimum(cube_geodesic_distance(self.side, f1, p1, f2, p2),
+                                cube_geodesic_distance(self.side, f2, p2, f1, p1))
+        return out
 
     def sample_clouds(self, pos, face, live):
         """Per face, the live samples on it and on the faces one or two edges
         away, developed into its chart (so queries need no images)."""
         pts, faces, side = pos[live], face[live], self.side
+        on = [pts[faces == g] for g in range(6)]
         out = []
         for paths in _FACE_PATHS:
             near = paths.depth <= 2
             out.append(np.concatenate([
-                pts[faces == g] @ r.T + c * side
+                on[g] @ r.T + c * side
                 for g, r, c in zip(paths.end[near], paths.rot[near], paths.shift[near])
             ], axis=0))
         return out
@@ -886,64 +900,66 @@ def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t, on_cross=None
     trem = np.full(m, float(t))
     tgone = np.zeros(m)
     hh = end_hh[:m].copy()
-    hl = np.ones(m, dtype=np.int64)
+    # crossing transitions by code 4 * face + edge; edges 0: u=0, 1: u=1, 2: v=0, 3: v=1
+    step_face, step_rot = _NEXT_FACE.ravel(), _TRANS_ROT.ravel()
+    step_cos, step_sin = _ROT2_COS.take(step_rot) * 1.0, _ROT2_SIN.take(step_rot) * 1.0
+    shift_u, shift_v = (_TRANS_SHIFT.reshape(24, 2) * side).T
+    step_hash = (step_face + 1).astype(np.uint64)
 
     events = 0
-    while ray.size:
-        events += 1
-        if events > EVENT_BUDGET:
-            raise NumericalFailureError(
-                f"cube tracing exceeded EVENT_BUDGET={EVENT_BUDGET} face crossings per ray"
-            )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            su = np.where(du > 0, (side - pu) / du, np.where(du < 0, -pu / du, np.inf))
-            sv = np.where(dv > 0, (side - pv) / dv, np.where(dv < 0, -pv / dv, np.inf))
-        s = np.minimum(su, sv)
-        cu = su <= sv
-        done = trem <= s
-        # exit point, with the crossed coordinate snapped onto the wall
-        peu = np.where(cu, np.where(du > 0, side, 0.0), pu + s * du)
-        pev = np.where(cu, pv + s * dv, np.where(dv > 0, side, 0.0))
-        along = np.where(cu, pev, peu)
-        hit_corner = ~done & ((along < delta) | (along > side - delta))
-        ended = done | hit_corner
-
-        if np.any(ended):
-            k, fin = ray[ended], done[ended]
-            end_pu[k] = np.where(fin, pu[ended] + trem[ended] * du[ended], peu[ended])
-            end_pv[k] = np.where(fin, pv[ended] + trem[ended] * dv[ended], pev[ended])
-            end_face[k], end_rot[k] = face[ended], rot[ended]
-            end_tvu[k], end_tvv[k] = tvu[ended], tvv[ended]
-            end_hh[k], end_hl[k] = hh[ended], hl[ended]
-            if np.any(hit_corner):
-                alive[ray[hit_corner]] = False
-                death[ray[hit_corner]] = tgone[hit_corner] + s[hit_corner]
-            go = ~ended
-            ray, face, pu, pv, du, dv = (a[go] for a in (ray, face, pu, pv, du, dv))
-            rot, tvu, tvv, trem, tgone = (a[go] for a in (rot, tvu, tvv, trem, tgone))
-            hh, hl, s, cu, peu, pev = (a[go] for a in (hh, hl, s, cu, peu, pev))
-            if not ray.size:
-                break
-
-        edge = np.where(cu, np.where(du > 0, 1, 0), np.where(dv > 0, 3, 2))
-        f2 = _NEXT_FACE[face, edge]
-        if on_cross is not None:
-            on_cross(f2)
-        rt = _TRANS_ROT[face, edge]
-        cshift = _TRANS_SHIFT[face, edge] * side
-        c, sn = _ROT2_COS[rt], _ROT2_SIN[rt]
-        pu = np.clip(c * peu - sn * pev + cshift[:, 0], 0.0, side)
-        pv = np.clip(sn * peu + c * pev + cshift[:, 1], 0.0, side)
-        du, dv = c * du - sn * dv, sn * du + c * dv
-        rot = np.mod(rot - rt, 4)
-        rc, rs = _ROT2_COS[rot], _ROT2_SIN[rot]
-        tvu = tvu - (rc * cshift[:, 0] - rs * cshift[:, 1])
-        tvv = tvv - (rs * cshift[:, 0] + rc * cshift[:, 1])
-        face = f2
-        hh = (hh * _HASH_PRIME) ^ (f2 + 1).astype(np.uint64)
-        hl += 1
-        tgone += s
-        trem -= s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while ray.size:
+            events += 1
+            if events > EVENT_BUDGET:
+                raise NumericalFailureError(
+                    f"cube tracing exceeded EVENT_BUDGET={EVENT_BUDGET} face crossings per ray"
+                )
+            upos, vpos = du > 0, dv > 0
+            su = np.where(upos, (side - pu) / du, np.where(du < 0, -pu / du, np.inf))
+            sv = np.where(vpos, (side - pv) / dv, np.where(dv < 0, -pv / dv, np.inf))
+            s = np.minimum(su, sv)
+            cu = su <= sv
+            done = trem <= s
+            # exit point, with the crossed coordinate snapped onto the wall
+            peu = np.where(cu, upos * side, pu + s * du)
+            pev = np.where(cu, pv + s * dv, vpos * side)
+            along = np.where(cu, pev, peu)
+            hit_corner = ~done & ((along < delta) | (along > side - delta))
+            ended = done | hit_corner
+            code = 4 * face + np.where(cu, upos, vpos + 2)
+            e = np.flatnonzero(ended)
+            if e.size:
+                k, fin, tr = ray.take(e), done.take(e), trem.take(e)
+                end_pu[k] = np.where(fin, pu.take(e) + tr * du.take(e), peu.take(e))
+                end_pv[k] = np.where(fin, pv.take(e) + tr * dv.take(e), pev.take(e))
+                end_face[k], end_rot[k] = face.take(e), rot.take(e)
+                end_tvu[k], end_tvv[k] = tvu.take(e), tvv.take(e)
+                end_hh[k], end_hl[k] = hh.take(e), events  # faces entered so far, the source's too
+                if not fin.all():
+                    c = np.flatnonzero(hit_corner)
+                    alive[ray.take(c)] = False
+                    death[ray.take(c)] = tgone.take(c) + s.take(c)
+                go = np.flatnonzero(~ended)
+                if not go.size:
+                    break
+                ray, code, du, dv = (a.take(go) for a in (ray, code, du, dv))
+                rot, tvu, tvv, trem, tgone = (a.take(go) for a in (rot, tvu, tvv, trem, tgone))
+                hh, s, peu, pev = (a.take(go) for a in (hh, s, peu, pev))
+            face = step_face.take(code)
+            if on_cross is not None:
+                on_cross(face)
+            c, sn = step_cos.take(code), step_sin.take(code)
+            shu, shv = shift_u.take(code), shift_v.take(code)
+            pu = np.clip(c * peu - sn * pev + shu, 0.0, side)
+            pv = np.clip(sn * peu + c * pev + shv, 0.0, side)
+            du, dv = c * du - sn * dv, sn * du + c * dv
+            rot = (rot - step_rot.take(code)) & 3
+            rc, rs = _ROT2_COS.take(rot), _ROT2_SIN.take(rot)
+            tvu = tvu - (rc * shu - rs * shv)
+            tvv = tvv - (rs * shu + rc * shv)
+            hh = (hh * _HASH_PRIME) ^ step_hash.take(code)
+            tgone += s
+            trem -= s
 
     rc, rs = _ROT2_COS[end_rot], _ROT2_SIN[end_rot]
     cover = np.stack(
@@ -1024,35 +1040,36 @@ def trace_cube_ray(side: float, source: CubePoint, theta: float, t: float):
 # geodesic distance
 
 
-def cube_geodesic_distance(side: float, q1: CubePoint, q2: CubePoint) -> float:
-    """Geodesic distance on the cube: the shortest straight unfolding.
+def cube_geodesic_distance(side: float, f1: int, p1: np.ndarray, f2: int, p2: np.ndarray):
+    """Geodesic distances on the cube from points ``p1[k]`` of face ``f1`` to
+    ``p2[k]`` of face ``f2`` ((K, 2) arrays): the shortest straight unfoldings.
 
     A shortest path visits each face at most once and develops to a straight
     segment that crosses every shared edge in order (Sharir & Schorr, SIAM J.
-    Comput. 15(1), 1986).  So this is the least developed chord from q1 to q2
-    over the face paths from q1's face to q2's whose chord passes through the
-    path's developed faces in turn: each such chord is a path on the surface
-    and a shortest path is one of them, so the value is exact.  The faces are
+    Comput. 15(1), 1986).  So this is the least developed chord from p1 to p2
+    over the face paths from f1 to f2 whose chord passes through the path's
+    developed faces in turn: each such chord is a path on the surface and a
+    shortest path is one of them, so the value is exact.  The faces are
     closed (a chord may run along an edge) and widened by 1e-12 * side
-    against rounding.
+    against rounding.  Each row is computed as a one-row call would be.
     """
-    paths = _FACE_PATHS_TO[FACE_INDEX[q1.face]][FACE_INDEX[q2.face]]
-    p1 = np.array([q1.u, q1.v], dtype=np.float64)
-    img = np.broadcast_to(np.array([q2.u, q2.v], dtype=np.float64), paths.shift.shape)
+    paths = _FACE_PATHS_TO[f1][f2]
+    # develop p2 along the paths (axes: xy, pair, path); R is 0/+-1, so only adding c rounds
+    rot, shift = paths.step_rot.transpose(1, 2, 3, 0), paths.step_shift.transpose(1, 2, 0) * side
+    img = p2.T[:, :, None]
     for i in range(4, -1, -1):  # innermost step first; padding steps are identities
-        img = (paths.step_rot[:, i] @ img[:, :, None])[:, :, 0] + paths.step_shift[:, i] * side
-    d = img - p1
-    # chord parameters where it enters and leaves each developed face
-    lo = paths.corners * side - (p1 + 1e-12 * side)
+        img = rot[i, :, 0, None] * img[0] + rot[i, :, 1, None] * img[1] + shift[i, :, None]
+    d = img - p1.T[:, :, None]
+    # where the chord enters and leaves each developed face (axes: xy, face, pair, path)
+    lo = paths.corners.T[:, :, None, :] * side - (p1 + 1e-12 * side).T[:, None, :, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ta = lo / d[:, None, :]
-        tb = (lo + side * (1.0 + 2e-12)) / d[:, None, :]
-    enter = np.minimum(ta, tb).max(axis=2)
-    leave = np.maximum(ta, tb).min(axis=2)
+        ta = lo / d[:, None]
+        tb = (lo + side * (1.0 + 2e-12)) / d[:, None]
+    enter, leave = np.maximum(*np.minimum(ta, tb)), np.minimum(*np.maximum(ta, tb))
     # the chord passes from face k-1 to face k at the earliest parameter allowed
-    s = np.maximum.accumulate(np.maximum(enter, 0.0), axis=1)
-    ok = (s[:, 1:] <= leave[:, :-1]).all(axis=1) & (s[:, -1] <= 1.0)
-    return float(np.hypot(d[:, 0], d[:, 1])[ok].min())
+    s = np.maximum.accumulate(np.maximum(enter, 0.0), axis=0)
+    ok = (s[1:] <= leave[:-1]).all(axis=0) & (s[-1] <= 1.0)
+    return np.where(ok, np.hypot(d[0], d[1]), np.inf).min(axis=1)
 
 
 def surface_distance(surface: SurfaceModel, q1, q2) -> float:

@@ -257,6 +257,44 @@ def test_criterion_07_cube_disconnection(criterion):
     )
 
 
+def _visible_vertices(a, b, den, t):
+    """Exact count of the developed cube vertices that rays from the chart
+    point (a, b) / den of a unit cube reach before time t.
+
+    In the source chart the vertices develop to the integer lattice, and a
+    ray dies at the first one on its line.  A lattice point at offset
+    (x, y) / den from the source, g = gcd(x, y), is hidden when a lattice
+    point sits at m / g of the way for some m in 1..g-1, that is when
+    m * x / g = -a and m * y / g = -b (mod den); the least such m is at
+    most den.  Also returns the lattice points within 1e-6 of distance t.
+    """
+    r = round(t * den)
+    assert r == t * den
+    visible, near = 0, []
+    for i in range(-math.ceil(t) - 1, math.ceil(t) + 2):
+        for j in range(-math.ceil(t) - 1, math.ceil(t) + 2):
+            x, y = i * den - a, j * den - b
+            if abs(math.hypot(x, y) / den - t) <= 1e-6:
+                near.append((i, j))
+            if x * x + y * y >= r * r:
+                continue
+            g = math.gcd(x, y)
+            visible += not any((a + m * x // g) % den == 0 and (b + m * y // g) % den == 0
+                               for m in range(1, min(g, den + 1)))
+    return visible, near
+
+
+@pytest.mark.parametrize("face,a,b,den", [("U", 31, 47, 100), ("F", 13, 77, 100), ("U", 1, 1, 2)])
+def test_cube_components_are_the_visible_vertices(face, a, b, den):
+    # one component per visible vertex; a front that has met none is one arc
+    front = init_front(parse_surface("cube:1"), CubePoint(face, a / den, b / den))
+    for t in (0.5, 1.0, 2.0, 5.0, 10.0):
+        front = propagate(front, t)
+        visible, near = _visible_vertices(a, b, den, t)
+        assert near == [], t  # no vertex so close to distance t that CORNER_TOL could decide it
+        assert component_count(front) == max(1, visible), t
+
+
 def test_criterion_08_gauss_circle_oracle(criterion):
     # independent enumeration: one presorted table of all squared norms
     grid = np.arange(-200, 201, dtype=np.int64)

@@ -23,11 +23,15 @@ from wavefront import (
     Torus,
     exp_point,
     format_surface,
+    init_front,
     parse_surface,
+    propagate,
     surface_distance,
     trace_cube_ray,
 )
 from wavefront.surfaces import (
+    _FACE_PATHS,
+    _FACE_PATHS_TO,
     _GROUP,
     _HASH_PRIME,
     _HASH_SEED,
@@ -41,6 +45,7 @@ from wavefront.surfaces import (
     FACE_NAMES,
     GeodesicBatch,
     _eval_cube,
+    cube_geodesic_distance,
     evaluate_batch,
 )
 
@@ -606,6 +611,101 @@ def test_cube_distance_exact():
         u, d = CubePoint("U", side / 2, side / 2), CubePoint("D", side / 2, side / 2)
         assert surface_distance(CubeSurface(side), u, d) == 2.0 * side
         assert _oracle_distance(paths, side, u, d) == pytest.approx(2.0 * side, abs=1e-12)
+
+
+def _cube_distance_one_pair(side, q1, q2):
+    """Reference one-way cube distance: the least developed chord over the
+    face paths from q1's face to q2's whose chord passes through the path's
+    developed faces in turn, for one pair of points."""
+    paths = _FACE_PATHS_TO[FACE_INDEX[q1.face]][FACE_INDEX[q2.face]]
+    p1 = np.array([q1.u, q1.v], dtype=np.float64)
+    img = np.broadcast_to(np.array([q2.u, q2.v], dtype=np.float64), paths.shift.shape)
+    for i in range(4, -1, -1):  # innermost step first; padding steps are identities
+        img = (paths.step_rot[:, i] @ img[:, :, None])[:, :, 0] + paths.step_shift[:, i] * side
+    d = img - p1
+    # chord parameters where it enters and leaves each developed face
+    lo = paths.corners * side - (p1 + 1e-12 * side)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ta = lo / d[:, None, :]
+        tb = (lo + side * (1.0 + 2e-12)) / d[:, None, :]
+    enter = np.minimum(ta, tb).max(axis=2)
+    leave = np.maximum(ta, tb).min(axis=2)
+    # the chord passes from face k-1 to face k at the earliest parameter allowed
+    s = np.maximum.accumulate(np.maximum(enter, 0.0), axis=1)
+    ok = (s[:, 1:] <= leave[:, :-1]).all(axis=1) & (s[:, -1] <= 1.0)
+    return float(np.hypot(d[:, 0], d[:, 1])[ok].min())
+
+
+@pytest.fixture(scope="module")
+def cube_tear_fronts():
+    """The fronts of the benchmark's two cube-tear commands at every time of
+    their grids: density from U/0.31/0.47 over 5:20:5 and components from
+    U/0.5/0.5 over 0.5:1.5:0.25, both with the default parameters."""
+    fronts = []
+    for source, times in ((CubePoint("U", 0.31, 0.47), (5.0, 10.0, 15.0, 20.0)),
+                          (CubePoint("U", 0.5, 0.5), (0.5, 0.75, 1.0, 1.25, 1.5))):
+        front = init_front(CubeSurface(1.0), source)
+        for t in times:
+            front = propagate(front, t)
+            fronts.append(front)
+    return fronts
+
+
+def test_batched_cube_distance_matches_one_pair_oracle(cube_tear_fronts):
+    pairs = 0
+    for front in cube_tear_fronts:
+        cube, pos, face = front.surface, front.pos, front.face
+        i = np.flatnonzero(front.alive[:-1] & front.alive[1:]
+                           & (front.sheet[:-1] != front.sheet[1:]).any(axis=1))
+        one_way = {}
+        for a, b in ((i, i + 1), (i + 1, i)):  # both orders
+            for f1, f2 in set(zip(face[a].tolist(), face[b].tolist())):
+                k = np.flatnonzero((face[a] == f1) & (face[b] == f2))
+                got = cube_geodesic_distance(cube.side, f1, pos[a[k]], f2, pos[b[k]])
+                want = [_cube_distance_one_pair(cube.side, cube.point_at(pos, face, p),
+                                                cube.point_at(pos, face, q))
+                        for p, q in zip(a[k].tolist(), b[k].tolist())]
+                assert got.tobytes() == np.array(want).tobytes(), (front.t, f1, f2)
+                one_way.update(zip(zip(a[k].tolist(), b[k].tolist()), want))
+        # the surface's distance is the lesser of the two orders
+        got = cube.distances(pos, face, i, i + 1)
+        want = [min(one_way[p, p + 1], one_way[p + 1, p]) for p in i.tolist()]
+        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes(), front.t
+        pairs += i.size
+    assert pairs == 432  # 40 to 160 per density front, 8 per components front after t = 0.5
+
+
+def _sample_clouds_by_path_masks(side, pos, face, live):
+    """Reference cube sample clouds: the live samples of a path's last face
+    selected by a mask of their own for every face path."""
+    pts, faces = pos[live], face[live]
+    out = []
+    for paths in _FACE_PATHS:
+        near = paths.depth <= 2
+        out.append(np.concatenate([
+            pts[faces == g] @ r.T + c * side
+            for g, r, c in zip(paths.end[near], paths.rot[near], paths.shift[near])
+        ], axis=0))
+    return out
+
+
+def test_sample_clouds_match_per_path_masks(cube_tear_fronts):
+    for front in cube_tear_fronts:
+        got = front.surface.sample_clouds(front.pos, front.face, front.alive)
+        want = _sample_clouds_by_path_masks(front.surface.side, front.pos, front.face, front.alive)
+        assert len(got) == len(want) == 6
+        for mine, cloud in zip(got, want):
+            assert mine.dtype == cloud.dtype and mine.shape == cloud.shape, front.t
+            assert mine.tobytes() == cloud.tobytes(), front.t
+
+
+def test_planar_distances_are_the_pairwise_distance():
+    torus, rng = Torus(1.0, 0.6), np.random.default_rng(5)
+    pos = rng.uniform(0.0, 0.6, (9, 2))
+    i, j = np.array([0, 3, 8, 2]), np.array([5, 3, 1, 7])
+    want = [surface_distance(torus, tuple(pos[a]), tuple(pos[b])) for a, b in zip(i, j)]
+    assert torus.distances(pos, None, i, j).tolist() == want
+    assert torus.distances(pos, None, i[:0], j[:0]).shape == (0,)
 
 
 def test_distance_symmetry_and_triangle():
