@@ -258,8 +258,9 @@ def test_criterion_07_cube_disconnection(criterion):
 
 
 def _visible_vertices(a, b, den, t):
-    """Exact count of the developed cube vertices that rays from the chart
-    point (a, b) / den of a unit cube reach before time t.
+    """Exact list of the developed cube vertices that rays from the chart
+    point (a, b) / den of a unit cube reach before time t, as offsets
+    (x, y) / den from the source.
 
     In the source chart the vertices develop to the integer lattice, and a
     ray dies at the first one on its line.  A lattice point at offset
@@ -270,7 +271,7 @@ def _visible_vertices(a, b, den, t):
     """
     r = round(t * den)
     assert r == t * den
-    visible, near = 0, []
+    visible, near = [], []
     for i in range(-math.ceil(t) - 1, math.ceil(t) + 2):
         for j in range(-math.ceil(t) - 1, math.ceil(t) + 2):
             x, y = i * den - a, j * den - b
@@ -279,20 +280,65 @@ def _visible_vertices(a, b, den, t):
             if x * x + y * y >= r * r:
                 continue
             g = math.gcd(x, y)
-            visible += not any((a + m * x // g) % den == 0 and (b + m * y // g) % den == 0
-                               for m in range(1, min(g, den + 1)))
+            if not any((a + m * x // g) % den == 0 and (b + m * y // g) % den == 0
+                       for m in range(1, min(g, den + 1))):
+                visible.append((x, y))
     return visible, near
 
 
-@pytest.mark.parametrize("face,a,b,den", [("U", 31, 47, 100), ("F", 13, 77, 100), ("U", 1, 1, 2)])
-def test_cube_components_are_the_visible_vertices(face, a, b, den):
+def _least_angle(offsets):
+    """Least angle between the directions of two offsets (inf for fewer than two)."""
+    angles = sorted(math.atan2(y, x) for x, y in offsets)
+    if len(angles) < 2:
+        return math.inf
+    return min([q - p for p, q in zip(angles, angles[1:])] + [angles[0] + 2 * math.pi - angles[-1]])
+
+
+_CUBE_SOURCES = [("U", 31, 47, 100), ("F", 13, 77, 100), ("U", 1, 1, 2)]
+_CUBE_TIMES = (0.5, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0)
+
+
+@pytest.fixture(scope="module")
+def cube_fronts():
+    """Unit-cube fronts from the chart points (a, b) / den of _CUBE_SOURCES,
+    keyed (face, a, b, den, t), each source propagated once through _CUBE_TIMES
+    with the default parameters (about 1 s per source to t = 20)."""
+    fronts = {}
+    for face, a, b, den in _CUBE_SOURCES:
+        front = init_front(parse_surface("cube:1"), CubePoint(face, a / den, b / den))
+        for t in _CUBE_TIMES:
+            front = propagate(front, t)
+            fronts[face, a, b, den, t] = front
+    return fronts
+
+
+@pytest.mark.parametrize("face,a,b,den", _CUBE_SOURCES)
+def test_cube_components_are_the_visible_vertices(cube_fronts, face, a, b, den):
     # one component per visible vertex; a front that has met none is one arc
-    front = init_front(parse_surface("cube:1"), CubePoint(face, a / den, b / den))
-    for t in (0.5, 1.0, 2.0, 5.0, 10.0):
-        front = propagate(front, t)
+    for t in _CUBE_TIMES:
         visible, near = _visible_vertices(a, b, den, t)
         assert near == [], t  # no vertex so close to distance t that CORNER_TOL could decide it
-        assert component_count(front) == max(1, visible), t
+        # nor two visible vertices so nearly collinear with the source
+        assert _least_angle(visible) >= 1e-5, t
+        assert component_count(cube_fronts[face, a, b, den, t]) == max(1, len(visible)), t
+
+
+@pytest.mark.parametrize("face,a,b,den", _CUBE_SOURCES[:2])
+def test_cube_covering_radius_within_the_torus_bound(cube_fronts, face, a, b, den):
+    """The paper proves that fronts become dense on the cube, by unfolding
+    to the torus; it proves no rate.  This checks the torus rate of
+    criterion 1, 3/sqrt(t), as an observation on two sources.  Covering
+    radii below one side length are exact: the nearest-sample clouds hold
+    every face one or two edges away.  The radius need not fall at every
+    step (F/0.13/0.77 rises from t = 10 to t = 15)."""
+    times = (5.0, 10.0, 15.0, 20.0)
+    reports = [density_report(cube_fronts[face, a, b, den, t], 0.05) for t in times]
+    for t, report in zip(times[1:], reports[1:]):
+        assert report.covering_radius <= 3.0 / math.sqrt(t), t
+        assert report.covering_radius < 1.0, t
+    hit = [report.cells_hit / report.cells_total for report in reports]
+    assert all(p < q for p, q in zip(hit, hit[1:])), hit
+    assert reports[3].covering_radius < reports[1].covering_radius
 
 
 def test_criterion_08_gauss_circle_oracle(criterion):

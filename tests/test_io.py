@@ -374,6 +374,20 @@ def test_snapshot_dead_sample_without_death_time_rejected():
         parse_snapshot(json.dumps(doc).encode())
 
 
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="dead-dead direction pairs are never bisected, so a component "
+                          "deleted between two dead witnesses leaves a fixed point of refinement")
+def test_snapshot_with_a_component_deleted_rejected():
+    # known gap: each of these four edits parses today, to 3 components
+    doc = json.loads(emit_snapshot(_front(CubeSurface(1.0), CubePoint("U", 0.5, 0.5), 1.0)))
+    assert len(doc["components"]) == 4
+    for k in range(4):
+        edited = copy.deepcopy(doc)
+        del edited["components"][k]
+        with pytest.raises(SnapshotError):
+            parse_snapshot(json.dumps(edited).encode())
+
+
 def test_snapshot_wrap_component_order_preserved():
     # a torn cube front has a component living across theta = 0; its two
     # index runs must come back high-run first

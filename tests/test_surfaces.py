@@ -463,6 +463,19 @@ def test_cube_group_table_pinned():
         assert _GROUP[f0, f0, 0] == 0  # the undeveloped source frame: identity
 
 
+def test_cube_transition_tables_pinned():
+    # sha256 of the edge gluings as built by matching the 3-D corners of each
+    # shared edge, and of every face-path column developed from them
+    tables = (_NEXT_FACE, _TRANS_ROT, _TRANS_SHIFT)
+    assert all(a.dtype == np.int64 for a in tables)
+    assert hashlib.sha256(b"".join(a.tobytes() for a in tables)).hexdigest() == (
+        "c259b3e6052e551aedb5bc3fcca4e481831bc8303f3afe5eda495aed3b86a3e3")
+    columns = [column for paths in _FACE_PATHS for column in paths]
+    assert all(c.dtype == np.int64 for c in columns)
+    assert hashlib.sha256(b"".join(c.tobytes() for c in columns)).hexdigest() == (
+        "4b9d47ad7071185a8bceeffc1fd9b643ae5bdb1609bb6ddaa4026a6f1fca1677")
+
+
 def test_cube_vertex_source_rejected():
     with pytest.raises(PreconditionError):
         exp_point(CubeSurface(1.0), CubePoint("U", 0.0, 0.0), 0.1, 1.0)
@@ -706,6 +719,48 @@ def test_planar_distances_are_the_pairwise_distance():
     want = [surface_distance(torus, tuple(pos[a]), tuple(pos[b])) for a, b in zip(i, j)]
     assert torus.distances(pos, None, i, j).tolist() == want
     assert torus.distances(pos, None, i[:0], j[:0]).shape == (0,)
+
+
+def _flat_quotient_distance_oracle(surface, q1, q2):
+    """Reference torus and Klein distance, one pair: the nearest of the nine
+    deck images of each point to the other, the lesser of the two orders."""
+    def one_way(a, b):
+        imgs = surface.images(np.asarray([b], dtype=np.float64))[:, 0, :]
+        return float(np.min(np.hypot(imgs[:, 0] - a[0], imgs[:, 1] - a[1])))
+
+    return min(one_way(q1, q2), one_way(q2, q1))
+
+
+def _chord_distance_oracle(surface, q1, q2):
+    """Reference rectangle and disk distance, one pair: the straight chord."""
+    return float(math.hypot(q2[0] - q1[0], q2[1] - q1[1]))
+
+
+@pytest.mark.parametrize("text,oracle", [
+    ("torus:1,1", _flat_quotient_distance_oracle),
+    ("torus:1,0.3", _flat_quotient_distance_oracle),
+    ("klein", _flat_quotient_distance_oracle),
+    ("rect:1,0.4", _chord_distance_oracle),
+    ("disk:1.3", _chord_distance_oracle),
+])
+def test_planar_distances_match_one_pair_oracles(text, oracle):
+    surface, rng = parse_surface(text), np.random.default_rng(17)
+    lo, w, h = surface.box
+    n = 400
+    if surface.kind == "disk":
+        r, a = surface.radius * np.sqrt(rng.uniform(0.0, 1.0, n)), rng.uniform(0.0, 2 * math.pi, n)
+        pos = np.stack([r * np.cos(a), r * np.sin(a)], axis=1)
+    else:
+        pos = lo + rng.uniform(0.0, 1.0, (n, 2)) * [w, h]
+        pos[0:40:2, 1], pos[1:40:2, 1] = lo, lo + h  # pairs on the y seam
+    i = np.arange(0, n, 2)
+    for a, b in ((i, i + 1), (i + 1, i)):  # both orders
+        want = np.array([oracle(surface, tuple(pos[p]), tuple(pos[q]))
+                         for p, q in zip(a.tolist(), b.tolist())])
+        got = np.array([surface_distance(surface, tuple(pos[p]), tuple(pos[q]))
+                        for p, q in zip(a.tolist(), b.tolist())])
+        assert _same_bits(got, want), text
+        assert _same_bits(surface.distances(pos, None, a, b), want), text
 
 
 def test_distance_symmetry_and_triangle():
