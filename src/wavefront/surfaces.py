@@ -12,16 +12,18 @@ every evaluation is a pure function of (source, direction, time).
 
 Each model owns its geometry.  It answers, through the methods of
 ``_Surface``: its descriptor (a kind plus its dataclass fields) and
-``min_extent``; parsing, formatting and validating its points, and the
-surface point at an index of position arrays; ``evaluate`` (the exponential
-map on many directions); deck images of query points and the geodesic
-distance; the box its eps-grids tile, the charts they are laid on, and the
-rule that wraps a cell index back into the grid (torus mod, Klein glide,
-clamp elsewhere); and the plane map, viewport, outline and seam rule of its
-renders.  ``frontier``, ``metrics`` and ``io`` ask the model and hold no
-per-surface branches.  The torus and the Klein bottle declare only their
-deck group; ``_FlatQuotient`` derives their box, reduction, deck images,
-segment lift and cell wrap from it.
+``min_extent``; parsing, formatting and validating its points, the surface
+point at a row of position arrays and back (``point_at``, ``point_rows``);
+``evaluate`` (the exponential map on many directions); deck images of query
+points and one geodesic distance on rows, ``distances`` (``surface_distance``
+is its one-pair case); the box its eps-grids tile, the charts they are laid
+on, and the rule that wraps a cell index back into the grid (torus mod,
+Klein glide, clamp elsewhere); and the plane map, viewport, outline and seam
+rule of its renders.  ``frontier``, ``metrics`` and ``io`` ask the model and
+hold no per-surface branches.  The torus and the Klein bottle declare only
+their deck group; ``_FlatQuotient`` derives their box, reduction, deck
+images, distance, segment lift and cell wrap from it.  The cube declares its
+chart frames, and its edge gluings fold each neighbour flat about an edge.
 
 Conventions:
 
@@ -136,6 +138,11 @@ class _Surface:
         """The surface point of row ``i`` of position (and face) arrays."""
         return (float(pos[i, 0]), float(pos[i, 1]))
 
+    def point_rows(self, points) -> tuple:
+        """Position (and face) arrays of surface points, a row each: the
+        inverse of ``point_at``."""
+        return np.array([(p[0], p[1]) for p in points], dtype=np.float64), None
+
     def coordinate_columns(self, pos: np.ndarray, face) -> list:
         """Snapshot coordinate columns of sample positions, as Python lists."""
         return [pos[:, 0].tolist(), pos[:, 1].tolist()]
@@ -173,13 +180,10 @@ class _Surface:
         """
         return pts[None, :, :]
 
-    def distance(self, q1, q2) -> float:
-        return float(math.hypot(q2[0] - q1[0], q2[1] - q1[1]))
-
     def distances(self, pos: np.ndarray, face, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Distance between rows i[k] and j[k] of position (and face) arrays."""
-        return np.array([self.distance(self.point_at(pos, face, a), self.point_at(pos, face, b))
-                         for a, b in zip(i.tolist(), j.tolist())])
+        dx, dy = (pos[j] - pos[i]).T.tolist()
+        return np.array(list(map(math.hypot, dx, dy)), dtype=np.float64)
 
     def sample_clouds(self, pos: np.ndarray, face, live: np.ndarray) -> list:
         """Per chart, the live samples a nearest-sample query searches."""
@@ -211,7 +215,7 @@ class _Surface:
         return pos - self.box[0]
 
     def plane_point(self, point) -> np.ndarray:
-        return self.plane(np.array([[point[0], point[1]]], dtype=np.float64), None)[0]
+        return self.plane(*self.point_rows([point]))[0]
 
     def seam_breaks(self, plane: np.ndarray) -> np.ndarray:
         """Mask of segments that cross an identification seam (drawn as gaps)."""
@@ -272,12 +276,12 @@ class _FlatQuotient(_Surface):
             return self._mirror(steps, i, -1) % nx, j
         return i % nx, j % ny
 
-    def distance(self, q1, q2) -> float:
-        def one_way(a, b):
-            imgs = self.images(np.asarray([b], dtype=np.float64))[:, 0, :]
-            return float(np.min(np.hypot(imgs[:, 0] - a[0], imgs[:, 1] - a[1])))
+    def distances(self, pos, face, i, j):
+        def one_way(a, b):  # from rows a to the nearest image of rows b
+            imgs = self.images(pos[b])
+            return np.hypot(imgs[:, :, 0] - pos[a, 0], imgs[:, :, 1] - pos[a, 1]).min(axis=0)
 
-        return min(one_way(q1, q2), one_way(q2, q1))
+        return np.minimum(one_way(i, j), one_way(j, i))
 
     def seam_breaks(self, plane: np.ndarray) -> np.ndarray:
         d = np.abs(np.diff(plane, axis=0))
@@ -468,6 +472,10 @@ class CubeSurface(_Surface):
     def point_at(self, pos, face, i):
         return CubePoint(FACE_NAMES[int(face[i])], float(pos[i, 0]), float(pos[i, 1]))
 
+    def point_rows(self, points):
+        return (np.array([(p.u, p.v) for p in points], dtype=np.float64),
+                np.array([FACE_INDEX[p.face] for p in points]))
+
     def coordinate_columns(self, pos, face):
         return [list(map(FACE_NAMES.__getitem__, face.tolist())),
                 *super().coordinate_columns(pos, face)]
@@ -484,11 +492,6 @@ class CubeSurface(_Surface):
 
     def evaluate(self, source, thetas, t):
         return _eval_cube(self, source, thetas, t)
-
-    def distance(self, q1, q2):
-        pos = np.array([[q1.u, q1.v], [q2.u, q2.v]], dtype=np.float64)
-        face = np.array([FACE_INDEX[q1.face], FACE_INDEX[q2.face]])
-        return float(self.distances(pos, face, np.array([0]), np.array([1]))[0])
 
     def distances(self, pos, face, i, j):
         out, fi, fj = np.empty(len(i)), face[i], face[j]
@@ -521,10 +524,6 @@ class CubeSurface(_Surface):
 
     def plane(self, pos, face):
         return pos + _NET_SLOTS[face] * self.side
-
-    def plane_point(self, point):
-        pos = np.array([[point.u, point.v]], dtype=np.float64)
-        return self.plane(pos, np.array([FACE_INDEX[point.face]]))[0]
 
     def seam_breaks(self, plane):
         d = np.abs(np.diff(plane, axis=0))
@@ -611,9 +610,12 @@ def format_surface(surface: SurfaceModel) -> str:
 # Face charts are isometric embeddings of [0, side]^2 into the unit cube
 # [0,1]^3 (scaled by side at evaluation time).  The chart data below is
 # chosen so that the cross-shaped net L F R B with U above F and D below F
-# unfolds with matching edges and no extra rotations.  The rotation group
-# is not enumerated on its own: its 24 elements are the frames of the six
-# charts developed with the four in-plane rotations (``_build_group_table``).
+# unfolds with matching edges and no extra rotations.  One fold rule glues
+# the edges: leaving face f along the edge's outward normal w enters the
+# face whose normal is w, folded flat so that w turns into -n_f
+# (``_build_transitions``).  The rotation group is not enumerated on its
+# own: its 24 elements are the frames of the six charts developed with the
+# four in-plane rotations (``_build_group_table``).
 
 FACE_NAMES = ("U", "D", "F", "B", "L", "R")
 FACE_INDEX = {name: i for i, name in enumerate(FACE_NAMES)}
@@ -629,29 +631,17 @@ _CHART_DATA = {
 }
 
 _CHART_O = np.array([_CHART_DATA[f][0] for f in FACE_NAMES], dtype=np.int64)
-_CHART_EU = np.array([_CHART_DATA[f][1] for f in FACE_NAMES], dtype=np.int64)
-_CHART_EV = np.array([_CHART_DATA[f][2] for f in FACE_NAMES], dtype=np.int64)
-_CHART_N = np.cross(_CHART_EU, _CHART_EV)  # outward normals
+# (6, 3, 2): each chart's axes [e_u | e_v] as columns
+_CHART_AXES = np.array([_CHART_DATA[f][1:] for f in FACE_NAMES], dtype=np.int64).transpose(0, 2, 1)
+_CHART_N = np.cross(_CHART_AXES[:, :, 0], _CHART_AXES[:, :, 1])  # outward normals
 
 # planar rotations by k*90 degrees, counter-clockwise
-_ROT2 = [
-    np.array([[1, 0], [0, 1]], dtype=np.int64),
-    np.array([[0, -1], [1, 0]], dtype=np.int64),
-    np.array([[-1, 0], [0, -1]], dtype=np.int64),
-    np.array([[0, 1], [-1, 0]], dtype=np.int64),
-]
 _ROT2_COS = np.array([1, 0, -1, 0], dtype=np.int64)
 _ROT2_SIN = np.array([0, 1, 0, -1], dtype=np.int64)
+_ROT2 = np.array([[[c, -s], [s, c]] for c, s in zip(_ROT2_COS, _ROT2_SIN)])  # (4, 2, 2)
 
-# edge id -> chart endpoints (unit side) and outward chart normal
-# 0: u=0, 1: u=1, 2: v=0, 3: v=1
-_EDGE_PTS = {
-    0: ((0, 0), (0, 1)),
-    1: ((1, 0), (1, 1)),
-    2: ((0, 0), (1, 0)),
-    3: ((0, 1), (1, 1)),
-}
-_EDGE_OUT = {0: (-1, 0), 1: (1, 0), 2: (0, -1), 3: (0, 1)}
+# edge id -> outward chart normal; 0: u=0, 1: u=1, 2: v=0, 3: v=1
+_EDGE_OUT = np.array([(-1, 0), (1, 0), (0, -1), (0, 1)], dtype=np.int64)
 
 # face -> (column, row) of its square in the rendered cross net
 _NET_SLOT = {"L": (0, 1), "F": (1, 1), "R": (2, 1), "B": (3, 1),
@@ -659,57 +649,33 @@ _NET_SLOT = {"L": (0, 1), "F": (1, 1), "R": (2, 1), "B": (3, 1),
 _NET_SLOTS = np.array([_NET_SLOT[f] for f in FACE_NAMES], dtype=np.int64)
 
 
-def _chart_to_3d(face_idx: int, p) -> np.ndarray:
-    return _CHART_O[face_idx] + p[0] * _CHART_EU[face_idx] + p[1] * _CHART_EV[face_idx]
-
-
-def _chart_from_3d(face_idx: int, q) -> np.ndarray:
-    d = np.asarray(q) - _CHART_O[face_idx]
-    return np.array([d @ _CHART_EU[face_idx], d @ _CHART_EV[face_idx]])
-
-
-def _face_corners_3d(face_idx: int) -> set[tuple[int, int, int]]:
-    return {
-        tuple(int(c) for c in _chart_to_3d(face_idx, p))
-        for p in ((0, 0), (0, 1), (1, 0), (1, 1))
-    }
-
-
 def _build_transitions():
     """Derive the (face, edge) -> (next face, rotation, shift) table.
 
-    The transition is the unique orientation-preserving planar isometry that
-    matches the two chart parametrisations of the shared cube edge.  It is a
-    quarter-turn rotation plus an integer shift because all charts are grid
-    aligned.
+    Leaving face f across edge e heads along w, the edge's outward chart
+    normal written in 3-D, and the neighbour g is the face whose outward
+    normal is w.  Folding g flat about the edge turns w into -n_f, so the
+    rotation R is f's chart axes under x -> x - (x.w)(w + n_f) read in g's
+    axes, and the shift c makes p -> R @ p + c fix the edge's corner
+    p0 = max(out, 0).  Both are integers because all charts are grid aligned.
     """
     nxt = np.zeros((6, 4), dtype=np.int64)
     rot = np.zeros((6, 4), dtype=np.int64)
     shift = np.zeros((6, 4, 2), dtype=np.int64)
-    corners = [_face_corners_3d(i) for i in range(6)]
     for f in range(6):
-        for e in range(4):
-            p1, p2 = (np.array(p) for p in _EDGE_PTS[e])
-            q1_3d = tuple(int(c) for c in _chart_to_3d(f, p1))
-            q2_3d = tuple(int(c) for c in _chart_to_3d(f, p2))
-            (f2,) = [
-                g
-                for g in range(6)
-                if g != f and q1_3d in corners[g] and q2_3d in corners[g]
-            ]
-            q1 = _chart_from_3d(f2, q1_3d)
-            q2 = _chart_from_3d(f2, q2_3d)
-            dp = p2 - p1
-            dq = q2 - q1
-            (k,) = [k for k in range(4) if np.array_equal(_ROT2[k] @ dp, dq)]
-            c = q1 - _ROT2[k] @ p1
-            # a step across the edge must land inside the neighbour chart
-            probe = (p1 + p2) / 2.0 + 0.25 * np.array(_EDGE_OUT[e])
-            image = _ROT2[k] @ probe + c
+        axes = _CHART_AXES[f]
+        for e, out in enumerate(_EDGE_OUT):
+            w = axes @ out
+            (g,) = [g for g in range(6) if np.array_equal(_CHART_N[g], w)]
+            read = _CHART_AXES[g].T
+            r = read @ (np.eye(3, dtype=np.int64) - np.outer(w + _CHART_N[f], w)) @ axes
+            (k,) = [k for k in range(4) if np.array_equal(_ROT2[k], r)]
+            p0 = np.maximum(out, 0)
+            c = read @ (_CHART_O[f] + axes @ p0 - _CHART_O[g]) - r @ p0
+            # a quarter side past the edge's midpoint must land inside the neighbour chart
+            image = r @ (0.5 + 0.75 * out) + c
             assert 0.0 < image[0] < 1.0 and 0.0 < image[1] < 1.0, (f, e)
-            nxt[f, e] = f2
-            rot[f, e] = k
-            shift[f, e] = c
+            nxt[f, e], rot[f, e], shift[f, e] = g, k, c
     return nxt, rot, shift
 
 
@@ -779,10 +745,8 @@ def _build_group_table():
     the source frame frame(f0, 0).
     """
     frames = np.zeros((6, 4, 3, 3), dtype=np.int64)
-    for f in range(6):
-        for r in range(4):
-            frames[f, r, :, :2] = np.stack([_CHART_EU[f], _CHART_EV[f]], axis=1) @ _ROT2[-r % 4]
-            frames[f, r, :, 2] = _CHART_N[f]
+    frames[..., :2] = _CHART_AXES[:, None] @ _ROT2[-np.arange(4) % 4]
+    frames[..., 2] = _CHART_N[:, None]
     keys = sorted((tuple(m.ravel()) for m in frames.reshape(24, 3, 3)), reverse=True)
     index = {key: i for i, key in enumerate(keys)}
     assert len(index) == 24 and keys[0] == tuple(np.eye(3, dtype=np.int64).ravel())
@@ -1080,4 +1044,5 @@ def surface_distance(surface: SurfaceModel, q1, q2) -> float:
     convex); cube distances minimise over the straight unfoldings of every
     face path (see ``cube_geodesic_distance``).
     """
-    return surface.distance(surface.validate_point(q1), surface.validate_point(q2))
+    pos, face = surface.point_rows([surface.validate_point(q1), surface.validate_point(q2)])
+    return float(surface.distances(pos, face, np.array([0]), np.array([1]))[0])

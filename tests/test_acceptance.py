@@ -291,7 +291,8 @@ def _least_angle(offsets):
     angles = sorted(math.atan2(y, x) for x, y in offsets)
     if len(angles) < 2:
         return math.inf
-    return min([q - p for p, q in zip(angles, angles[1:])] + [angles[0] + 2 * math.pi - angles[-1]])
+    gaps = [q - p for p, q in zip(angles, angles[1:])]
+    return min(gaps + [angles[0] + 2 * math.pi - angles[-1]])
 
 
 _CUBE_SOURCES = [("U", 31, 47, 100), ("F", 13, 77, 100), ("U", 1, 1, 2)]
