@@ -3,13 +3,13 @@
 A front is the set of geodesic endpoints exp_P(t * v(theta)) for theta in a
 direction arc.  It is represented by an ordered set of sampled directions,
 refined by bisection until adjacent surface images are within ``h_max`` of
-each other.  Refinement keeps a worklist of the gaps still open: each round
-evaluates their midpoints in one batch and re-tests only the two halves of
-each bisected gap, and the midpoints of all rounds are merged into the
-front once, at the end.  Because evaluation is exact at any time (see
-``surfaces``), propagation re-evaluates samples rather than stepping them,
-so results are pure functions of (surface, source, arc, parameters, target
-time).
+each other.  Refinement carries batch rows: the gaps still open are rows
+of two batches, their lower and upper ends.  Each round evaluates their
+midpoints in one batch and re-tests only the two halves of each bisected
+gap; the midpoint batches of all rounds are sorted into the front once, at
+the end.  Because evaluation is exact at any time (see ``surfaces``),
+propagation re-evaluates samples rather than stepping them, so results are
+pure functions of (surface, source, arc, parameters, target time).
 
 On the cube the flow is discontinuous at vertex-hitting directions: the
 front tears there.  Tears are detected by comparing the development-sheet
@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -195,27 +194,9 @@ def init_front(
                  components=[comp], **vars(batch))
 
 
-class _Ends(NamedTuple):
-    """One end of each of a list of direction pairs: its theta and the
-    columns of its evaluation that the bisection test reads."""
-
-    theta: np.ndarray
-    alive: np.ndarray
-    cover: np.ndarray
-    refl: np.ndarray
-    sheet: np.ndarray
-
-    @classmethod
-    def of(cls, batch, rows=slice(None)):
-        return cls(batch.thetas[rows], batch.alive[rows], batch.cover[rows],
-                   batch.refl[rows], batch.sheet[rows])
-
-    def take(self, rows):
-        return _Ends(*(col[rows] for col in self))
-
-
-def _pair_needs_bisection(surface, tt, params, a: _Ends, b: _Ends) -> np.ndarray:
-    """Mask of the direction pairs (a[i], b[i]) that refinement bisects.
+def _pair_needs_bisection(surface, tt, params, a, b) -> np.ndarray:
+    """Mask of the direction pairs (row i of batch a, row i of batch b) that
+    refinement bisects.
 
     A pair needs bisection when its development chord exceeds h_max (the
     chord bounds the surface distance, and unlike the surface distance it
@@ -232,7 +213,7 @@ def _pair_needs_bisection(surface, tt, params, a: _Ends, b: _Ends) -> np.ndarray
     """
     h = params.h_max
     alive2 = a.alive & b.alive
-    gap = b.theta - a.theta
+    gap = b.thetas - a.thetas
     chord = np.hypot(b.cover[:, 0] - a.cover[:, 0], b.cover[:, 1] - a.cover[:, 1])
     same = _sheets_match(a.sheet, b.sheet)
     need = ((same & (chord > h)) | ~same) & alive2
@@ -247,39 +228,36 @@ def _needs_bisection(surface, tt, batch, params) -> np.ndarray:
     rule of ``_pair_needs_bisection``).  A refined front is a fixed point:
     no pair of it needs bisection."""
     return _pair_needs_bisection(
-        surface, tt, params, _Ends.of(batch, slice(None, -1)), _Ends.of(batch, slice(1, None))
+        surface, tt, params, batch.rows(slice(None, -1)), batch.rows(slice(1, None))
     )
 
 
 def _refine(surface, source, tt, batch, params):
     """Bisect direction gaps until no adjacent pair needs bisection.
 
-    Each round evaluates the midpoints of the pending gaps in one batch and
-    re-tests only the two halves of each: a gap that passed the test keeps
-    passing it, since the test reads the pair alone.  The halves that still
-    need bisection, in theta order, are the next round's pending gaps.
-    Midpoints are exact dyadic averages, so the refined direction set is
-    independent of the order in which gaps are processed; the midpoints of
-    all rounds are merged into the front once, at the end.
+    The pending gaps are the rows of two batches, ``lo`` and ``hi``.  Each
+    round evaluates their midpoints in one batch, ``mid``, and re-tests only
+    the two halves of each gap: a gap that passed the test keeps passing it,
+    since the test reads the pair alone.  The halves that still need
+    bisection, in theta order, are the next round's pending gaps.  Midpoints
+    are exact dyadic averages, so the refined direction set is independent
+    of the order in which gaps are processed; the midpoints of all rounds
+    are merged into the front once, at the end.
     """
-    lo = _Ends.of(batch, slice(None, -1))
-    hi = _Ends.of(batch, slice(1, None))
-    pending = np.flatnonzero(_pair_needs_bisection(surface, tt, params, lo, hi))
-    lo, hi = lo.take(pending), hi.take(pending)
+    pending = np.flatnonzero(_needs_bisection(surface, tt, batch, params))
+    lo, hi = batch.rows(pending), batch.rows(pending + 1)
     count = batch.thetas.size
     rounds = []
-    while lo.theta.size:
-        if count + lo.theta.size > SAMPLE_BUDGET:
+    while lo.thetas.size:
+        if count + lo.thetas.size > SAMPLE_BUDGET:
             raise NumericalFailureError(
                 f"sample budget {SAMPLE_BUDGET} exceeded while refining "
-                f"near theta in [{float(lo.theta[0])!r}, {float(hi.theta[0])!r}] "
+                f"near theta in [{float(lo.thetas[0])!r}, {float(hi.thetas[0])!r}] "
                 f"at t={float(tt)!r}"
             )
-        count += lo.theta.size
-        mids = 0.5 * (lo.theta + hi.theta)
-        mid_batch = evaluate_batch(surface, source, mids, tt)
-        rounds.append(mid_batch)
-        mid = _Ends.of(mid_batch)
+        count += lo.thetas.size
+        mid = evaluate_batch(surface, source, 0.5 * (lo.thetas + hi.thetas), tt)
+        rounds.append(mid)
         halves = np.column_stack((
             _pair_needs_bisection(surface, tt, params, lo, mid),
             _pair_needs_bisection(surface, tt, params, mid, hi),
@@ -293,55 +271,39 @@ def _refine(surface, source, tt, batch, params):
     return _merge(batch, rounds)
 
 
-def _pick(upper, when_upper: _Ends, otherwise: _Ends, gap) -> _Ends:
+def _pick(upper, when_upper, otherwise, gap):
     """Row ``gap[i]`` of ``when_upper`` where ``upper[i]``, else of ``otherwise``."""
-    out = otherwise.take(gap)
+    out = otherwise.rows(gap)
     rows = gap[upper]
-    for col, src in zip(out, when_upper):
-        col[upper] = src[rows]
+    for name, col in vars(out).items():
+        if col is not None:
+            col[upper] = getattr(when_upper, name)[rows]
     return out
 
 
 def _merge(batch, rounds):
-    """The batch with every round's midpoint batch merged in, in theta order."""
-    mids = np.concatenate([b.thetas for b in rounds])
-    order = np.argsort(mids)
-    # the i-th midpoint in theta order lands after the i midpoints before it
-    # and the samples below it; the samples fill the remaining rows
-    dest = np.empty_like(order)
-    dest[order] = np.searchsorted(batch.thetas, mids[order]) + np.arange(mids.size)
-    keep = np.ones(batch.thetas.size + mids.size, dtype=bool)
-    keep[dest] = False
-
-    def merged(old, parts):
-        out = np.empty((keep.size,) + old.shape[1:], dtype=old.dtype)
-        out[keep] = old
-        start = 0
-        for part in parts:
-            out[dest[start:start + part.shape[0]]] = part
-            start += part.shape[0]
-        return out
-
+    """The batch with every round's midpoint batch merged in, in theta order
+    (one stable sort: a midpoint lies strictly inside its gap)."""
+    parts = [batch, *rounds]
+    order = np.argsort(np.concatenate([b.thetas for b in parts]), kind="stable")
     return GeodesicBatch(**{
-        name: None if col is None else merged(col, [getattr(b, name) for b in rounds])
+        name: None if col is None else np.concatenate([getattr(b, name) for b in parts])[order]
         for name, col in vars(batch).items()
     })
 
 
 def _sheets_match(sa, sb):
-    """Whether sheet rows ``sa`` and ``sb`` (equal shapes) lie on one
-    development sheet: always, for sheets of width 0 (off the cube)."""
-    same = np.True_
-    for k in range(sa.shape[-1]):
-        same = same & (sa[..., k] == sb[..., k])
-    return same
+    """Whether sheet rows ``sa`` and ``sb`` (equal shapes (n, k)) lie on one
+    development sheet, shape (n,): always, for sheets of width 0 (off the
+    cube)."""
+    return (sa == sb).all(axis=-1)
 
 
 def _gaps(surface, arrays, i, j) -> np.ndarray:
     """Front length between samples i[k] and j[k] of a batch or front: their
     development chord on a common sheet, their surface distance across
     sheets (cover coordinates of different sheets are not comparable)."""
-    same = np.broadcast_to(_sheets_match(arrays.sheet[i], arrays.sheet[j]), i.shape)
+    same = _sheets_match(arrays.sheet[i], arrays.sheet[j])
     gaps = np.empty(i.shape)
     gaps[same] = [math.hypot(*d) for d in (arrays.cover[j[same]] - arrays.cover[i[same]]).tolist()]
     gaps[~same] = surface.distances(arrays.pos, arrays.face, i[~same], j[~same])
@@ -466,7 +428,7 @@ def component_lengths(front: Front) -> list:
     """
     comps = front.components
     chords = np.hypot(*np.diff(front.cover, axis=0).T)
-    same = np.broadcast_to(_sheets_match(front.sheet[:-1], front.sheet[1:]), chords.shape)
+    same = _sheets_match(front.sheet[:-1], front.sheet[1:])
     inner = np.zeros(chords.shape, dtype=bool)
     for start, stop in (seg for comp in comps for seg in comp.segments):
         inner[start:stop - 1] = True

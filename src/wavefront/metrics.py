@@ -300,7 +300,7 @@ def density_report(front: Front, eps: float) -> DensityReport:
     cell is hit when a live sample lands in it or a front segment crosses
     it.  The covering radius is the max over cell centers (cells fully
     inside the disk; all cells elsewhere) of the distance to the nearest
-    live sample.
+    live sample.  An eps whose grid has no such centre is refused.
     """
     if not (math.isfinite(eps) and eps >= 4.0 * front.params.h_max):
         raise PreconditionError(
@@ -308,8 +308,9 @@ def density_report(front: Front, eps: float) -> DensityReport:
             "meaningful occupancy grid"
         )
     total, nhit, centers, center_faces = _occupancy(front, eps)
-
-    if front.alive.any() and centers.shape[0]:
+    if not centers.shape[0]:
+        raise PreconditionError(f"eps={eps!r}: no grid cell lies inside {front.surface!r}")
+    if front.alive.any():
         dist = _NearestFront(front).query(centers, center_faces)
         covering = float(dist.max())
     else:

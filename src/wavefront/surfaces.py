@@ -789,6 +789,14 @@ class GeodesicBatch:
     sheet: np.ndarray
     face: np.ndarray | None = None
 
+    def rows(self, index) -> GeodesicBatch:
+        """Every column taken at ``index``, as a plain batch (also from a
+        ``Front``); a ``face`` of None stays None."""
+        return GeodesicBatch(**{
+            f.name: None if (col := getattr(self, f.name)) is None else col[index]
+            for f in fields(GeodesicBatch)
+        })
+
 
 def _empty_planar_batch(thetas, pos, cover, refl=None) -> GeodesicBatch:
     n = pos.shape[0]

@@ -295,7 +295,8 @@ def _least_angle(offsets):
     return min(gaps + [angles[0] + 2 * math.pi - angles[-1]])
 
 
-_CUBE_SOURCES = [("U", 31, 47, 100), ("F", 13, 77, 100), ("U", 1, 1, 2)]
+_CUBE_SOURCES = [("U", 31, 47, 100), ("F", 13, 77, 100), ("U", 1, 1, 2),
+                 ("L", 20, 35, 100), ("D", 1, 3, 4)]
 _CUBE_TIMES = (0.5, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0)
 
 

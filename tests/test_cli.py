@@ -225,6 +225,19 @@ def test_invalid_arguments_exit_1(capsys):
         assert name in err, argv
 
 
+def test_density_grid_without_an_interior_cell_exit_1(tmp_path, capsys):
+    out = tmp_path / "density.csv"
+    for eps in ("1", "1.5"):
+        code, stdout, err = run(
+            ["density", "--surface", "disk:1", "--p", "0.4,0.1", "--t-grid", "1:2:1",
+             "--eps", eps, "--out", str(out)],
+            capsys,
+        )
+        assert code == 1 and stdout == "", eps
+        assert err.startswith("wavefront: error: eps=") and err.count("\n") == 1, eps
+        assert "DiskBilliard" in err and not out.exists(), eps
+
+
 # a numpy warning would print lines of its own before the diagnostic
 @pytest.mark.filterwarnings("error")
 def test_numerical_failure_exit_2(monkeypatch, capsys):

@@ -40,6 +40,7 @@ from wavefront.frontier import (
     _needs_bisection,
     _owning_parents,
     _refine,
+    _sheets_match,
     _unwitnessed_tears,
 )
 from wavefront.io import emit_snapshot, parse_snapshot
@@ -346,6 +347,36 @@ def test_refine_budget_error_matches_round_by_round(monkeypatch, surface, source
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert f"sample budget {budget} exceeded" in messages[0]
+
+
+def test_batch_rows_take_every_column():
+    idx = np.array([3, 0, 3])
+    cases = ((Torus(1.0, 1.0), (0.2, 0.3)), (CubeSurface(1.0), CubePoint("U", 0.31, 0.47)))
+    for surface, source in cases:
+        front = propagate(init_front(surface, source), 2.0)
+        batch = evaluate_batch(surface, front.source, front.thetas[:5], 2.0)
+        rows = batch.rows(idx)
+        for name, col in vars(batch).items():
+            got = getattr(rows, name)
+            if col is None:
+                assert got is None, name
+            else:
+                assert got.dtype == col.dtype and got.tobytes() == col[idx].tobytes(), name
+        assert (rows.face is None) == (surface.charts == 1)
+        # a front gives a plain batch of its columns
+        part = front.rows(slice(1, 4))
+        assert type(part) is GeodesicBatch
+        assert part.thetas.tobytes() == front.thetas[1:4].tobytes()
+
+
+def test_sheets_match_is_row_wise_on_every_width():
+    planar = np.empty((3, 0), dtype=np.uint64)
+    same = _sheets_match(planar, planar.copy())
+    assert same.shape == (3,) and same.all()
+    # on the cube, the hash and the length column each break the match
+    sa = np.array([[7, 1], [7, 1], [7, 1]], dtype=np.uint64)
+    sb = np.array([[7, 1], [8, 1], [7, 2]], dtype=np.uint64)
+    assert _sheets_match(sa, sb).tolist() == [True, False, False]
 
 
 def test_full_circle_constant():

@@ -75,6 +75,16 @@ def test_disk_grid_geometry():
     assert rep.covering_radius == pytest.approx(0.25 * math.sqrt(2), abs=1e-12)
 
 
+def test_disk_grid_without_an_interior_cell_refused():
+    # eps at or above the radius leaves at most 2 cells per axis, none inside
+    # the disk, so there is no centre to take the covering radius over
+    f = propagate(init_front(DiskBilliard(1.0), (0.4, 0.1)), 1.0)
+    for eps in (1.0, 1.5):
+        with pytest.raises(PreconditionError, match=rf"eps={eps!r}: .*DiskBilliard"):
+            density_report(f, eps)
+    assert density_report(f, 0.9).covering_radius == pytest.approx(0.5877, abs=1e-4)
+
+
 def test_disk_rim_covering_radius():
     # at t=R the front is the rim; the uncovered center is ~R away
     f = propagate(init_front(DiskBilliard(1.0), (0.0, 0.0)), 1.0)
