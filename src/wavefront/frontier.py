@@ -235,14 +235,15 @@ def _needs_bisection(surface, tt, batch, params) -> np.ndarray:
 def _refine(surface, source, tt, batch, params):
     """Bisect direction gaps until no adjacent pair needs bisection.
 
-    The pending gaps are the rows of two batches, ``lo`` and ``hi``.  Each
-    round evaluates their midpoints in one batch, ``mid``, and re-tests only
-    the two halves of each gap: a gap that passed the test keeps passing it,
-    since the test reads the pair alone.  The halves that still need
-    bisection, in theta order, are the next round's pending gaps.  Midpoints
-    are exact dyadic averages, so the refined direction set is independent
-    of the order in which gaps are processed; the midpoints of all rounds
-    are merged into the front once, at the end.
+    Refinement carries batch rows: the pending gaps are the rows of two
+    batches, ``lo`` and ``hi``.  Each round evaluates their midpoints in one
+    batch, ``mid``, and re-tests only the two halves of each gap: a gap that
+    passed the test keeps passing it, since the test reads the pair alone.
+    The halves that still need bisection, in theta order, are the next
+    round's pending gaps.  Midpoints are exact dyadic averages, so the
+    refined direction set is independent of the order in which gaps are
+    processed; the midpoint batches of all rounds are merged into the front
+    once, at the end.
     """
     pending = np.flatnonzero(_needs_bisection(surface, tt, batch, params))
     lo, hi = batch.rows(pending), batch.rows(pending + 1)
