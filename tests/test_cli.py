@@ -110,7 +110,9 @@ def test_verify_theorem1_failure_exit_code(monkeypatch, capsys):
 
 # sha256 of the stdout of tables no other test or benchmark digest pins: a
 # tau row with tau reached, one with tau never reached (first cover inf), a
-# length curve with its slope footer and a lattice table with an explicit h
+# length curve with its slope footer, a lattice table with an explicit h,
+# and density tables late enough that each centre's nearest sample lies in
+# its own eps cell (non-square torus cells, the Klein bottle, the rectangle)
 _TABLES_PINNED = {
     "tau --surface torus:1,1 --p 0.2,0.3 --r 0.25 --t-max 20 --dt 0.5":
         "97c9705414155be7456a594d9215306297345d4f51c1093e19ac55c52b358933",
@@ -120,6 +122,12 @@ _TABLES_PINNED = {
         "705ff9c5d5254cd930de291bcabd60a4e7912f29eef25a6e7fb501ecd24b959a",
     "lattice --t-grid 25:100:25 --h 0.5":
         "8660f00d21355d9ad5e5656f898db83b98062040e4796a7b97171a3451aae451",
+    "density --surface torus:1,0.3 --p 0.2,0.1 --t-grid 40:60:20 --eps 0.02":
+        "0819f18ff4bc2c304fd58720bd8e14b88d84af35888fb9583bb483d7d2e82d6d",
+    "density --surface klein --p 0.7,0.45 --t-grid 80:100:20 --eps 0.02":
+        "46ab03febb13f797cfa6334c1b656a9cec6480b76fdb8c42c89999fc4e1206d0",
+    "density --surface rect:1,0.4 --p 0.3,0.2 --t-grid 60:80:20 --eps 0.02":
+        "a6933b9d23a0f1266487ed57e39522db0547a4d053640d279bbaf72a47fad510",
 }
 
 
