@@ -44,6 +44,10 @@ NOT_ACHIEVED = "not achieved by t_max"
 # Most checkpoints one coverage-time scan may list.
 CHECKPOINT_BUDGET = 10**6
 
+# Rounding allowance, relative to the span of the compared coordinates, on
+# the distance below which a centre's own-cell bound is exact.
+OWN_CELL_MARGIN = 1e-12
+
 
 @dataclass(frozen=True)
 class DensityReport:
@@ -176,8 +180,12 @@ def _segment_pairs(front: Front, ci, cj, charts, nx: int, ny: int):
 
 def _cells_of(p, lo, sx, sy):
     """Unwrapped (i, j) grid cells of chart points ``p``."""
-    return (np.floor((p[:, 0] - lo[0]) / sx).astype(np.int64),
-            np.floor((p[:, 1] - lo[1]) / sy).astype(np.int64))
+    out = []
+    for axis, side in ((0, sx), (1, sy)):
+        u = p[:, axis] - lo[axis]
+        u /= side
+        out.append(np.floor(u, out=u).astype(np.int64))
+    return tuple(out)
 
 
 def _mark_chart_cells(pa, pb, chart, lo, sx, sy):
@@ -250,27 +258,47 @@ def _on_charts(surface, centers: np.ndarray):
     return np.tile(centers, (k, 1)), np.repeat(np.arange(k), centers.shape[0])
 
 
-def _hit_cells(front: Front, x_axis, y_axis) -> np.ndarray:
-    """Mask (chart, i, j) of the cells of a grid that the front hits.
+def _hit_cells(front: Front, x_axis, y_axis, centers):
+    """Cells of a grid that the front hits, and each cell's own-cell bound.
 
-    ``x_axis`` and ``y_axis`` are the (count, size) pairs of ``_grid``.  A
-    cell is hit when a live sample lands in it or a segment between
-    adjacent live samples crosses it; segments are drawn toward the image
-    of the next sample nearest to the current one, and cell indices past
-    the grid are wrapped back by the surface's rule.  Only the segments of
-    ``_segment_pairs`` are drawn: no other can add a cell.
+    ``x_axis``, ``y_axis`` and ``centers`` are as ``_grid`` returns them;
+    both results have shape (charts, nx, ny).  A cell is hit when a live
+    sample lands in it or a segment between adjacent live samples crosses
+    it; segments are drawn toward the image of the next sample nearest to
+    the current one, and cell indices past the grid are wrapped back by the
+    surface's rule.  Only the segments of ``_segment_pairs`` are drawn: no
+    other can add a cell.
+
+    A cell's own-cell bound is the least distance from its centre to the
+    live samples whose wrapped cell it is (``inf`` for none), computed as
+    ``CellIndex._scan`` computes the chord from the centre's untranslated
+    image to a sample.  Both results come from one flat key per sample.
     """
     surface = front.surface
     lo = surface.box[0]
     (nx, sx), (ny, sy) = x_axis, y_axis
-    hit = np.zeros((surface.charts, nx, ny), dtype=bool)
+    shape = (surface.charts, nx, ny)
+    hit = np.zeros(math.prod(shape), dtype=bool)
 
-    pos = front.pos
+    pos, alive = front.pos, front.alive
     charts = surface.sample_charts(front.face, pos.shape[0])
     ci, cj = _cells_of(pos, (lo, lo), sx, sy)
-    li = np.flatnonzero(front.alive)
-    i0, j0 = surface.wrap_cells(ci[li], cj[li], nx, ny)
-    hit[charts[li], i0, j0] = True
+    i0, j0 = surface.wrap_cells(ci, cj, nx, ny)
+    home = (charts * nx + i0) * ny + j0
+    hit[home[alive]] = True
+
+    dist = pos[:, 0] - centers[:, 0, 0].take(i0)  # np.sqrt(dx*dx + dy*dy), in place
+    dy = pos[:, 1] - centers[0, :, 1].take(j0)
+    del i0, j0
+    dist *= dist
+    dy *= dy
+    dist += dy
+    np.sqrt(dist, out=dist)
+    del dy
+    dist[~alive] = np.inf
+    own = np.full(hit.size, np.inf)
+    np.minimum.at(own, home, dist)
+    del home, dist  # freed before the segments are drawn
 
     pairs = _segment_pairs(front, ci, cj, charts, nx, ny)
     if pairs.size:
@@ -278,18 +306,28 @@ def _hit_cells(front: Front, x_axis, y_axis) -> np.ndarray:
         pb = surface.lift_near(pa, pos[pairs + 1])
         for c, i, j in _mark_chart_cells(pa, pb, charts[pairs], (lo, lo), sx, sy):
             i, j = surface.wrap_cells(i, j, nx, ny)
-            hit[c, i, j] = True
-    return hit
+            hit[(c * nx + i) * ny + j] = True
+    return hit.reshape(shape), own.reshape(shape)
 
 
 def _occupancy(front: Front, eps: float):
-    """Cells on the eps-grid, cells hit by the front (``_hit_cells``), and
-    the covering-radius centres."""
+    """Cells on the eps-grid, cells hit by the front, the covering-radius
+    centres with their charts and own-cell bounds (``_hit_cells``), and the
+    distance below which an own-cell bound is the nearest-sample distance.
+
+    That distance is half the shorter cell side less ``OWN_CELL_MARGIN``
+    times the span of the coordinates a nearest-sample query compares.
+    """
     surface = front.surface
     x_axis, y_axis, centers, meets, inside = _grid(surface, eps)
     total = surface.charts * int(meets.sum())
-    nhit = int(_hit_cells(front, x_axis, y_axis).sum())
-    return total, nhit, *_on_charts(surface, centers[inside])
+    hit, own = _hit_cells(front, x_axis, y_axis, centers)
+    lo, width, height = surface.box
+    # cube clouds develop samples up to two faces past the chart's box
+    span = abs(lo) + 3.0 * max(width, height)
+    reach = 0.5 * min(x_axis[1], y_axis[1]) - OWN_CELL_MARGIN * span
+    return (total, int(hit.sum()), *_on_charts(surface, centers[inside]),
+            own[:, inside].ravel(), reach)
 
 
 def density_report(front: Front, eps: float) -> DensityReport:
@@ -307,14 +345,16 @@ def density_report(front: Front, eps: float) -> DensityReport:
             f"eps={eps!r}: must be finite and at least 4*h_max for a "
             "meaningful occupancy grid"
         )
-    total, nhit, centers, center_faces = _occupancy(front, eps)
+    total, nhit, centers, center_faces, own, reach = _occupancy(front, eps)
     if not centers.shape[0]:
         raise PreconditionError(f"eps={eps!r}: no grid cell lies inside {front.surface!r}")
-    if front.alive.any():
-        dist = _NearestFront(front).query(centers, center_faces)
-        covering = float(dist.max())
-    else:
+    far = ~(own < reach)
+    if not front.alive.any():
         covering = math.inf
+    elif far.any():  # each far centre lies at least reach from the front
+        covering = float(_NearestFront(front).query(centers[far], center_faces[far]).max())
+    else:
+        covering = float(own.max())
     return DensityReport(
         t=front.t,
         eps=eps,

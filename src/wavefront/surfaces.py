@@ -187,7 +187,7 @@ class _Surface:
 
     def sample_clouds(self, pos: np.ndarray, face, live: np.ndarray) -> list:
         """Per chart, the live samples a nearest-sample query searches."""
-        return [pos[live]]
+        return [pos.compress(live, axis=0)]
 
     # -- eps-grids
 
@@ -507,8 +507,8 @@ class CubeSurface(_Surface):
     def sample_clouds(self, pos, face, live):
         """Per face, the live samples on it and on the faces one or two edges
         away, developed into its chart (so queries need no images)."""
-        pts, faces, side = pos[live], face[live], self.side
-        on = [pts[faces == g] for g in range(6)]
+        pts, faces, side = pos.compress(live, axis=0), face[live], self.side
+        on = [pts.compress(faces == g, axis=0) for g in range(6)]
         out = []
         for paths in _FACE_PATHS:
             near = paths.depth <= 2

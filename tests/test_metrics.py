@@ -25,6 +25,7 @@ from wavefront import (
     estimate_tau,
     init_front,
     length_growth_curve,
+    parse_surface,
     propagate,
 )
 from wavefront.metrics import (
@@ -33,6 +34,8 @@ from wavefront.metrics import (
     _grid_axis,
     _hit_cells,
     _mark_chart_cells,
+    _NearestFront,
+    _occupancy,
     _segment_pairs,
 )
 from wavefront.surfaces import _fold
@@ -214,9 +217,10 @@ def test_occupancy_equals_all_pairs_marking(surface, source, times, eps_list):
         front = propagate(front, t)
         dead += int((~front.alive).sum())
         for eps in eps_list:
-            x_axis, y_axis, *_ = _grid(surface, eps)
+            x_axis, y_axis, centers, *_ = _grid(surface, eps)
             expect, lifted = _all_pairs_hits(front, x_axis, y_axis)
-            assert np.array_equal(_hit_cells(front, x_axis, y_axis), expect), (t, eps)
+            hit, _ = _hit_cells(front, x_axis, y_axis, centers)
+            assert np.array_equal(hit, expect), (t, eps)
             assert np.isin(lifted, _drawn_pairs(front, x_axis, y_axis)).all(), (t, eps)
     assert (dead > 0) == (surface.kind == "cube")  # the cube fronts have dead samples
 
@@ -232,9 +236,10 @@ def test_occupancy_with_far_apart_samples():
         arc=ArcInterval(2.68715017193246, 2.68715017193246 + 3e-11), n0=4,
     ), 668790778107.7816)
     for eps in (0.21, 0.26, 0.34, 0.5):
-        x_axis, y_axis, *_ = _grid(klein, eps)
+        x_axis, y_axis, centers, *_ = _grid(klein, eps)
         expect, lifted = _all_pairs_hits(front, x_axis, y_axis)
-        assert np.array_equal(_hit_cells(front, x_axis, y_axis), expect), eps
+        hit, _ = _hit_cells(front, x_axis, y_axis, centers)
+        assert np.array_equal(hit, expect), eps
         assert np.isin(lifted, _drawn_pairs(front, x_axis, y_axis)).all(), eps
 
 
@@ -248,7 +253,7 @@ def test_occupancy_marks_every_cell_a_long_segment_crosses():
         klein, (0.5681923142926266, 0.8999457934389484),
         arc=ArcInterval(2.68715017193246, 2.68715017193246 + 3e-11), n0=4,
     ), 668790778107.7816)
-    x_axis, y_axis, *_ = _grid(klein, 0.02)
+    x_axis, y_axis, centers, *_ = _grid(klein, 0.02)
     (nx, sx), (ny, sy) = x_axis, y_axis
     lo = klein.box[0]
     charts = klein.sample_charts(front.face, front.pos.shape[0])
@@ -264,8 +269,78 @@ def test_occupancy_marks_every_cell_a_long_segment_crosses():
     i, j = klein.wrap_cells(i, j, nx, ny)
     crossed = np.zeros((klein.charts, nx, ny), dtype=bool)
     crossed[np.tile(charts[pairs], along.shape[0]), i, j] = True
-    hit = _hit_cells(front, x_axis, y_axis)
+    hit, _ = _hit_cells(front, x_axis, y_axis, centers)
     assert not (crossed & ~hit).any(), f"{int((crossed & ~hit).sum())} of {int(crossed.sum())}"
+
+
+# --- covering radius against the index over every centre ---------------------
+
+
+def _against_the_index(front, eps):
+    """Decided centres of ``density_report(front, eps)``, after checking its
+    covering radius and every decided centre's own-cell bound bitwise
+    against the nearest-sample index queried at every inside centre."""
+    _, _, centers, charts, own, reach = _occupancy(front, eps)
+    dist = _NearestFront(front).query(centers, charts)
+    decided = own < reach
+    assert np.array_equal(own[decided], dist[decided])
+    assert density_report(front, eps).covering_radius.hex() == float(dist.max()).hex()
+    return int(decided.sum()), decided.size
+
+
+# (surface, source, eps, early and late times); the late torus:1,0.3 and
+# rect fronts lie within half a cell of every centre, the late disk front
+# at eps 0.5 of none
+COVERING_FRONTS = [
+    ("torus:1,1", "0.37,0.61", 0.05, (0.3, 12.0)),
+    ("torus:1,0.3", "0.2,0.1", 0.02, (0.3, 40.0)),
+    ("klein", "0.2,0.3", 0.05, (0.3, 15.0)),
+    ("rect:1,0.4", "0.3,0.2", 0.05, (0.3, 12.0)),
+    ("disk:1", "0.4,0.1", 0.05, (2.0, 40.0)),
+    ("disk:1", "0.4,0.1", 0.5, (0.5, 3.0)),
+    ("cube:1", "U/0.31/0.47", 0.1, (0.5, 10.0)),
+    ("cube:2.5", "F/0.3/1.1", 0.25, (0.5, 10.0)),
+]
+
+
+def test_covering_radius_equals_the_index_over_every_centre():
+    regimes = set()
+    for desc, point, eps, times in COVERING_FRONTS:
+        surface = parse_surface(desc)
+        front = init_front(surface, surface.parse_point(point))
+        for t in times:
+            front = propagate(front, t)
+            decided, centres = _against_the_index(front, eps)
+            regimes.add("all" if decided == centres else "some" if decided else "none")
+    assert regimes == {"all", "some", "none"}
+
+
+def test_covering_radius_with_samples_on_cell_edges():
+    # hand-placed live samples on a 10 x 10 torus grid: near most centres,
+    # exactly on cell edges (half a cell from two centres, so neither is
+    # decided by them), and at x = alpha, which np.mod returns for a tiny
+    # negative x and whose wrapped cell is column 0 although its nearest
+    # centre images lie half a cell away across the seam
+    torus = Torus(1.0, 1.0)
+    front = propagate(init_front(torus, (0.5, 0.5)), 1.0)
+    edge = np.mod(-1e-17, 1.0)
+    assert edge == 1.0
+    k = np.arange(10)
+    near = np.stack(np.meshgrid(0.1 * k + 0.05, 0.1 * k + 0.05, indexing="ij"), -1).reshape(-1, 2)
+    pts = np.concatenate([
+        near[(k[:, None] * 10 + k[None, 3:]).ravel()] + 0.01,  # cells (i, j >= 3)
+        np.stack([0.1 * k, 0.1 * k + 0.05], 1),  # on x edges
+        np.stack([0.1 * k + 0.05, 0.1 * k], 1),  # on y edges
+        np.stack([np.full(10, edge), 0.1 * k + 0.05], 1),  # at x = alpha
+        np.stack([0.1 * k + 0.05, np.full(10, edge)], 1),  # at y = beta
+    ])
+    front.pos[:] = np.resize(pts, front.pos.shape)
+    assert front.alive.all()
+    decided, centres = _against_the_index(front, 0.1)
+    assert 0 < decided < centres
+    # the edge and seam samples alone decide no centre
+    front.pos[:] = np.resize(pts[70:], front.pos.shape)
+    assert _against_the_index(front, 0.1)[0] == 0
 
 
 # --- coverage time -----------------------------------------------------------
