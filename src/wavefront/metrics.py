@@ -17,6 +17,16 @@ exactly by the cell-grid index of ``wavefront.nearest``.  A reported
 covering radius is the largest nearest-sample distance over the eps-cell
 centres, not a bound on the front's covering radius sup_x d(x, W_t): points
 between centres can lie farther from the front.
+
+The covering radius consults that index only where a centre's own cell
+cannot decide it.  The occupancy pass gives every cell the least distance
+from its centre to the live samples whose home cell it is.  Any other
+sample, any other deck image of the centre and any cube sample developed
+from another face lies at least half the shorter cell side away, less
+rounding, so an own-cell distance below half a cell less
+``OWN_CELL_MARGIN`` times the coordinate span is the exact nearest-sample
+distance, bit for bit.  The index is built only when some centre lies
+farther out, and is queried at those centres alone.
 """
 
 from __future__ import annotations
@@ -284,18 +294,20 @@ def _hit_cells(front: Front, x_axis, y_axis, centers):
     charts = surface.sample_charts(front.face, pos.shape[0])
     ci, cj = _cells_of(pos, (lo, lo), sx, sy)
     i0, j0 = surface.wrap_cells(ci, cj, nx, ny)
-    home = (charts * nx + i0) * ny + j0
-    hit[home[alive]] = True
-
     dist = pos[:, 0] - centers[:, 0, 0].take(i0)  # np.sqrt(dx*dx + dy*dy), in place
-    dy = pos[:, 1] - centers[0, :, 1].take(j0)
-    del i0, j0
     dist *= dist
+    dy = pos[:, 1] - centers[0, :, 1].take(j0)
     dy *= dy
     dist += dy
-    np.sqrt(dist, out=dist)
     del dy
+    np.sqrt(dist, out=dist)
     dist[~alive] = np.inf
+    home = charts * nx  # the flat key (chart * nx + i) * ny + j, in place
+    home += i0
+    home *= ny
+    home += j0
+    del i0, j0
+    hit[home[alive]] = True
     own = np.full(hit.size, np.inf)
     np.minimum.at(own, home, dist)
     del home, dist  # freed before the segments are drawn
@@ -339,6 +351,13 @@ def density_report(front: Front, eps: float) -> DensityReport:
     it.  The covering radius is the max over cell centers (cells fully
     inside the disk; all cells elsewhere) of the distance to the nearest
     live sample.  An eps whose grid has no such centre is refused.
+
+    A centre whose own-cell distance lies below ``reach`` (half the
+    shorter cell side less the rounding margin, ``_occupancy``) is
+    decided by it.  Every other centre lies at least ``reach`` from the
+    front, beyond every decided one, so when any is left the covering
+    radius is their maximum over the index (``_NearestFront``), which is
+    built only then; otherwise it is the largest own-cell distance.
     """
     if not (math.isfinite(eps) and eps >= 4.0 * front.params.h_max):
         raise PreconditionError(
@@ -351,7 +370,7 @@ def density_report(front: Front, eps: float) -> DensityReport:
     far = ~(own < reach)
     if not front.alive.any():
         covering = math.inf
-    elif far.any():  # each far centre lies at least reach from the front
+    elif far.any():
         covering = float(_NearestFront(front).query(centers[far], center_faces[far]).max())
     else:
         covering = float(own.max())

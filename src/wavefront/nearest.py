@@ -52,7 +52,7 @@ class CellIndex:
             return
         # column by column: a reduction over axis 0 of an (n, 2) array is
         # an order of magnitude slower, and min and max are exact either way
-        x, y = np.ascontiguousarray(pts[:, 0]), np.ascontiguousarray(pts[:, 1])
+        x, y = pts[:, 0], pts[:, 1]
         self._lo = np.array([x.min(), y.min()])
         ext = np.array([x.max(), y.max()]) - self._lo
         extent = float(ext.max())
@@ -70,8 +70,9 @@ class CellIndex:
         self._counts = np.bincount(key, minlength=nx * ny)
         del key
         self._starts = np.concatenate([[0], np.cumsum(self._counts)[:-1]])
-        self._x = x.take(order)
-        self._y = y.take(order)
+        # a take from a contiguous copy beats a fancy index into a column
+        self._x = np.ascontiguousarray(x).take(order)
+        self._y = np.ascontiguousarray(y).take(order)
         # cell coordinates of a sample are off by at most a few ulps of
         # its coordinates over the cell side; the stop test allows for it
         span = float(np.abs(self._lo).max()) + extent

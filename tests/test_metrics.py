@@ -338,6 +338,10 @@ def test_covering_radius_with_samples_on_cell_edges():
     assert front.alive.all()
     decided, centres = _against_the_index(front, 0.1)
     assert 0 < decided < centres
+    # a dead sample decides nothing: cell (0, 3) keeps only the far ones
+    front.alive[:] = np.resize(np.arange(len(pts)) != 0, front.alive.shape)
+    assert _against_the_index(front, 0.1)[0] == decided - 1
+    front.alive[:] = True
     # the edge and seam samples alone decide no centre
     front.pos[:] = np.resize(pts[70:], front.pos.shape)
     assert _against_the_index(front, 0.1)[0] == 0
