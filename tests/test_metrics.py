@@ -289,8 +289,8 @@ def _against_the_index(front, eps):
 
 
 # (surface, source, eps, early and late times); the late torus:1,0.3 and
-# rect fronts lie within half a cell of every centre, the late disk front
-# at eps 0.5 of none
+# rect fronts decide every centre from its own cell, the disk front at
+# t = 3 and eps 0.5 none of its four
 COVERING_FRONTS = [
     ("torus:1,1", "0.37,0.61", 0.05, (0.3, 12.0)),
     ("torus:1,0.3", "0.2,0.1", 0.02, (0.3, 40.0)),
