@@ -190,12 +190,10 @@ def _segment_pairs(front: Front, ci, cj, charts, nx: int, ny: int):
 
 def _cells_of(p, lo, sx, sy):
     """Unwrapped (i, j) grid cells of chart points ``p``."""
-    out = []
-    for axis, side in ((0, sx), (1, sy)):
-        u = p[:, axis] - lo[axis]
-        u /= side
-        out.append(np.floor(u, out=u).astype(np.int64))
-    return tuple(out)
+    u, v = p[:, 0] - lo[0], p[:, 1] - lo[1]
+    u /= sx
+    v /= sy
+    return np.floor(u, out=u).astype(np.int64), np.floor(v, out=v).astype(np.int64)
 
 
 def _mark_chart_cells(pa, pb, chart, lo, sx, sy):
