@@ -12,21 +12,23 @@ Three views of how a front fills its surface:
 
 Distances are geodesic: wrap images on the torus and Klein bottle, straight
 chords inside the convex billiards, and on the cube chords to samples
-developed into the query's face (see ``_NearestFront.query``), each found
-exactly by the cell-grid index of ``wavefront.nearest``.  A reported
-covering radius is the largest nearest-sample distance over the eps-cell
-centres, not a bound on the front's covering radius sup_x d(x, W_t): points
-between centres can lie farther from the front.
+developed into the query's face (see ``_nearest``), each found exactly by
+the cell-grid index of ``wavefront.nearest``.  A reported covering radius is
+the largest nearest-sample distance over the eps-cell centres, not a bound
+on the front's covering radius sup_x d(x, W_t): points between centres can
+lie farther from the front.
 
-The covering radius consults that index only where a centre's own cell
-cannot decide it.  The occupancy pass gives every cell the least distance
-from its centre to the live samples whose home cell it is.  Any other
-sample, any other deck image of the centre and any cube sample developed
-from another face lies at least half the shorter cell side away, less
-rounding, so an own-cell distance below half a cell less
+Both ``density_report`` and ``estimate_tau`` take that largest distance
+from one routine, ``_covering_radius``, over the cells inside the domain
+and over the cells that meet it.  It consults the index only where a
+centre's own cell cannot decide it.  The occupancy pass gives every cell the
+least distance from its centre to the live samples whose home cell it is.
+Any other sample, any other deck image of the centre and any cube sample
+developed from another face lies at least half the shorter cell side away,
+less rounding, so an own-cell distance below half a cell less
 ``OWN_CELL_MARGIN`` times the coordinate span is the exact nearest-sample
-distance, bit for bit.  The index is built only when some centre lies
-farther out, and is queried at those centres alone.
+distance, bit for bit.  The rest go to the index, which is built one chart
+at a time and only for the charts that hold such a centre.
 """
 
 from __future__ import annotations
@@ -118,35 +120,29 @@ def _grid_axis(extent: float, eps: float):
     return n, extent / n
 
 
-class _NearestFront:
-    """One exact cell index per chart, answering min geodesic distance to
-    live samples (``wavefront.nearest.CellIndex``)."""
+def _nearest(front: Front, pts: np.ndarray, charts: np.ndarray) -> np.ndarray:
+    """Min geodesic distance from each query point to the front's live samples.
 
-    def __init__(self, front: Front):
-        self.surface = front.surface
-        clouds = self.surface.sample_clouds(front.pos, front.face, front.alive)
-        self._indexes = [CellIndex(c) for c in clouds]
+    ``charts`` gives the chart of each query point.  The result is the
+    minimum over all deck images of the query (``surface.images``, searched
+    by ``CellIndex.query_images``).  A chart's index is built only when the
+    chart holds a query, and it and its cloud are dropped before the next
+    chart's cloud is developed.
 
-    def query(self, pts: np.ndarray, charts: np.ndarray):
-        """Min distance from each query point to the front's live samples.
-
-        ``charts`` gives the chart of each query point.  The result is the
-        minimum over all deck images of the query (``surface.images``,
-        searched by ``CellIndex.query_images``).
-
-        On the cube each sample is searched as developed across at most two
-        edges into the query's face.  Each such chord is at least the
-        geodesic distance, so the result is never below the exact one, and
-        it is exact whenever the exact distance is below one side length: a
-        shortest path that short crosses at most two edges.  Beyond that it
-        can be too long.
-        """
-        out = np.full(pts.shape[0], np.inf)
-        for chart, index in enumerate(self._indexes):
-            m = charts == chart
-            if m.any():
-                out[m] = index.query_images(self.surface.images(pts[m]))
-        return out
+    On the cube each sample is searched as developed across at most two
+    edges into the query's face.  Each such chord is at least the geodesic
+    distance, so the result is never below the exact one, and it is exact
+    whenever the exact distance is below one side length: a shortest path
+    that short crosses at most two edges.  Beyond that it can be too long.
+    """
+    surface = front.surface
+    out = np.full(pts.shape[0], np.inf)
+    for chart, cloud in enumerate(surface.sample_clouds(front.pos, front.face, front.alive)):
+        m = charts == chart
+        if m.any():
+            out[m] = CellIndex(cloud).query_images(surface.images(pts[m]))
+        del cloud
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -320,24 +316,39 @@ def _hit_cells(front: Front, x_axis, y_axis, centers):
     return hit.reshape(shape), own.reshape(shape)
 
 
-def _occupancy(front: Front, eps: float):
-    """Cells on the eps-grid, cells hit by the front, the covering-radius
-    centres with their charts and own-cell bounds (``_hit_cells``), and the
-    distance below which an own-cell bound is the nearest-sample distance.
-
-    That distance is half the shorter cell side less ``OWN_CELL_MARGIN``
-    times the span of the coordinates a nearest-sample query compares.
-    """
-    surface = front.surface
-    x_axis, y_axis, centers, meets, inside = _grid(surface, eps)
-    total = surface.charts * int(meets.sum())
-    hit, own = _hit_cells(front, x_axis, y_axis, centers)
+def _reach(surface, x_axis, y_axis) -> float:
+    """Distance below which a centre's own-cell bound (``_hit_cells``) is
+    its nearest-sample distance: half the shorter cell side less
+    ``OWN_CELL_MARGIN`` times the span of the coordinates a nearest-sample
+    query compares."""
     lo, width, height = surface.box
     # cube clouds develop samples up to two faces past the chart's box
     span = abs(lo) + 3.0 * max(width, height)
-    reach = 0.5 * min(x_axis[1], y_axis[1]) - OWN_CELL_MARGIN * span
-    return (total, int(hit.sum()), *_on_charts(surface, centers[inside]),
-            own[:, inside].ravel(), reach)
+    return 0.5 * min(x_axis[1], y_axis[1]) - OWN_CELL_MARGIN * span
+
+
+def _covering_radius(front: Front, grid, mask: np.ndarray):
+    """Cells of ``grid`` that the front hits (``_hit_cells``), and the
+    largest distance from a centre of the cells in ``mask``, on every chart,
+    to the nearest live sample (``inf`` when no sample is live).
+
+    ``grid`` is as ``_grid`` returns it.  A centre whose own-cell bound lies
+    below ``_reach`` is decided by it.  Every other centre lies at least
+    that far from the front, beyond every decided one, so when any is left
+    the radius is their maximum over ``_nearest``, which is asked about
+    them alone; otherwise it is the largest own-cell bound.
+    """
+    surface = front.surface
+    x_axis, y_axis, centers = grid[:3]
+    hit, own = _hit_cells(front, x_axis, y_axis, centers)
+    if not front.alive.any():
+        return hit, math.inf
+    own = own[:, mask].ravel()
+    far = ~(own < _reach(surface, x_axis, y_axis))
+    if not far.any():
+        return hit, float(own.max())
+    pts, charts = _on_charts(surface, centers[mask])
+    return hit, float(_nearest(front, pts[far], charts[far]).max())
 
 
 def density_report(front: Front, eps: float) -> DensityReport:
@@ -350,33 +361,25 @@ def density_report(front: Front, eps: float) -> DensityReport:
     inside the disk; all cells elsewhere) of the distance to the nearest
     live sample.  An eps whose grid has no such centre is refused.
 
-    A centre whose own-cell distance lies below ``reach`` (half the
-    shorter cell side less the rounding margin, ``_occupancy``) is
-    decided by it.  Every other centre lies at least ``reach`` from the
-    front, beyond every decided one, so when any is left the covering
-    radius is their maximum over the index (``_NearestFront``), which is
-    built only then; otherwise it is the largest own-cell distance.
+    The covering radius is ``_covering_radius`` over the inside cells:
+    exact own-cell distances where they decide a centre, the index at the
+    other centres alone.
     """
     if not (math.isfinite(eps) and eps >= 4.0 * front.params.h_max):
         raise PreconditionError(
             f"eps={eps!r}: must be finite and at least 4*h_max for a "
             "meaningful occupancy grid"
         )
-    total, nhit, centers, center_faces, own, reach = _occupancy(front, eps)
-    if not centers.shape[0]:
+    grid = _grid(front.surface, eps)
+    meets, inside = grid[3:]
+    if not inside.any():
         raise PreconditionError(f"eps={eps!r}: no grid cell lies inside {front.surface!r}")
-    far = ~(own < reach)
-    if not front.alive.any():
-        covering = math.inf
-    elif far.any():
-        covering = float(_NearestFront(front).query(centers[far], center_faces[far]).max())
-    else:
-        covering = float(own.max())
+    hit, covering = _covering_radius(front, grid, inside)
     return DensityReport(
         t=front.t,
         eps=eps,
-        cells_total=total,
-        cells_hit=nhit,
+        cells_total=front.surface.charts * int(meets.sum()),
+        cells_hit=int(hit.sum()),
         covering_radius=covering,
         length=front_length(front),
         n_components=component_count(front),
@@ -385,17 +388,6 @@ def density_report(front: Front, eps: float) -> DensityReport:
 
 # ---------------------------------------------------------------------------
 # coverage time
-
-
-def _ball_centers(surface, spacing: float):
-    """Grid of ball centers at most ``spacing`` apart covering the surface.
-
-    Every surface point lies within spacing/sqrt(2) of some center, so
-    hitting every ball of radius r/2 at these centers (spacing = r/2)
-    implies hitting every ball of radius r anywhere.
-    """
-    _, _, centers, meets, _ = _grid(surface, spacing)
-    return _on_charts(surface, centers[meets])
 
 
 def estimate_tau(
@@ -409,9 +401,14 @@ def estimate_tau(
     """Scan checkpoints k*delta_t for persistent full coverage by balls.
 
     A ball of radius r/2 around each grid center (spacing r/2) must contain
-    a live sample; that conservatively implies every radius-r ball on the
+    a live sample; every surface point lies within r/(2*sqrt(2)) of a
+    centre, so that conservatively implies every radius-r ball on the
     surface is hit.  tau is the earliest checkpoint such that coverage
     holds there and at every later checkpoint through t_max.
+
+    A checkpoint is covered when ``_covering_radius`` over the centres of
+    the cells that meet the domain is at most r/2 (disk centres outside the
+    rim count too).
     """
     if params is None:
         params = default_params(surface)
@@ -428,7 +425,7 @@ def estimate_tau(
             f"t_max/delta_t={t_max / delta_t!r} checkpoints exceed the budget "
             f"CHECKPOINT_BUDGET={CHECKPOINT_BUDGET}"
         )
-    centers, center_faces = _ball_centers(surface, 0.5 * r)
+    grid = _grid(surface, 0.5 * r)
 
     times = []
     k = 0
@@ -440,8 +437,7 @@ def estimate_tau(
     covered = []
     for tt in times:
         front = propagate(front, tt)
-        dist = _NearestFront(front).query(centers, center_faces)
-        covered.append(bool(np.all(dist <= 0.5 * r)))
+        covered.append(_covering_radius(front, grid, grid[3])[1] <= 0.5 * r)
 
     first_full = next(
         (times[i] for i, c in enumerate(covered) if c), math.inf

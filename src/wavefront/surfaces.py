@@ -68,7 +68,8 @@ class PreconditionError(ValueError):
 
 
 class NumericalFailureError(RuntimeError):
-    """A computation exceeded its resolution or event budget."""
+    """A computation exceeded its resolution or event budget, or left the
+    finite floats."""
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +186,9 @@ class _Surface:
         dx, dy = (pos[j] - pos[i]).T.tolist()
         return np.array(list(map(math.hypot, dx, dy)), dtype=np.float64)
 
-    def sample_clouds(self, pos: np.ndarray, face, live: np.ndarray) -> list:
-        """Per chart, the live samples a nearest-sample query searches."""
-        return [pos.compress(live, axis=0)]
+    def sample_clouds(self, pos: np.ndarray, face, live: np.ndarray):
+        """Per chart in turn, the live samples a nearest-sample query searches."""
+        yield pos.compress(live, axis=0)
 
     # -- eps-grids
 
@@ -505,18 +506,15 @@ class CubeSurface(_Surface):
         return out
 
     def sample_clouds(self, pos, face, live):
-        """Per face, the live samples on it and on the faces one or two edges
-        away, developed into its chart (so queries need no images)."""
-        pts, faces, side = pos.compress(live, axis=0), face[live], self.side
-        on = [pts.compress(faces == g, axis=0) for g in range(6)]
-        out = []
+        """Per face in turn, the live samples on it and on the faces one or two
+        edges away, developed into its chart (so queries need no images)."""
+        on = [pos.compress(live & (face == g), axis=0) for g in range(6)]
         for paths in _FACE_PATHS:
             near = paths.depth <= 2
-            out.append(np.concatenate([
-                on[g] @ r.T + c * side
+            yield np.concatenate([
+                on[g] @ r.T + c * self.side
                 for g, r, c in zip(paths.end[near], paths.rot[near], paths.shift[near])
-            ], axis=0))
-        return out
+            ], axis=0)
 
     @property
     def viewport(self):
@@ -962,11 +960,20 @@ def evaluate_batch(surface: SurfaceModel, source, thetas, t: float) -> GeodesicB
 
     Pure in (source, thetas, t): identical inputs give bitwise identical
     outputs regardless of how directions are batched, which is what makes
-    adaptive refinement reproducible.
+    adaptive refinement reproducible.  A batch with a non-finite position
+    (a disk radius so small that the tangent slide overflows) is refused.
     """
     thetas = np.ascontiguousarray(thetas, dtype=np.float64)
     _require_time(t)
-    return surface.evaluate(source, thetas, t)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned of
+        batch = surface.evaluate(source, thetas, t)
+    if not np.isfinite(batch.pos).all():
+        bad = np.flatnonzero(~np.isfinite(batch.pos).all(axis=1))[0]
+        raise NumericalFailureError(
+            f"geodesics at t={t!r} end at non-finite positions, the first at "
+            f"theta={float(thetas[bad])!r}"
+        )
+    return batch
 
 
 # ---------------------------------------------------------------------------

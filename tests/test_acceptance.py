@@ -8,6 +8,7 @@ test, never from the code under test.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -341,6 +342,24 @@ def test_cube_covering_radius_within_the_torus_bound(cube_fronts, face, a, b, de
     hit = [report.cells_hit / report.cells_total for report in reports]
     assert all(p < q for p, q in zip(hit, hit[1:])), hit
     assert reports[3].covering_radius < reports[1].covering_radius
+
+
+def test_cube_density_report_memory(cube_fronts):
+    """The nearest-sample index is built one chart at a time, so the
+    covering radius of a 90,691-sample cube front at t = 20 holds one
+    developed chart cloud and its index at once, not all six: 14 MB of
+    numpy arrays above what was held before, against 53 MB when the six
+    were built together.  25 MB leaves room for numpy versions and fails
+    if the six are held together again."""
+    front = cube_fronts["U", 31, 47, 100, 20.0]
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        density_report(front, 0.05)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6, peak
 
 
 def test_criterion_08_gauss_circle_oracle(criterion):

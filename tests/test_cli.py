@@ -109,15 +109,21 @@ def test_verify_theorem1_failure_exit_code(monkeypatch, capsys):
 
 
 # sha256 of the stdout of tables no other test or benchmark digest pins: a
-# tau row with tau reached, one with tau never reached (first cover inf), a
-# length curve with its slope footer, a lattice table with an explicit h,
-# and density tables late enough that each centre's nearest sample lies in
-# its own eps cell (non-square torus cells, the Klein bottle, the rectangle)
+# tau row with tau reached, one with tau never reached (first cover inf),
+# tau rows reached on the cube (3 x 3 ball grids on faces with dead
+# samples) and on the Klein bottle, a length curve with its slope footer, a
+# lattice table with an explicit h, and density tables late enough that
+# each centre's nearest sample lies in its own eps cell (non-square torus
+# cells, the Klein bottle, the rectangle)
 _TABLES_PINNED = {
     "tau --surface torus:1,1 --p 0.2,0.3 --r 0.25 --t-max 20 --dt 0.5":
         "97c9705414155be7456a594d9215306297345d4f51c1093e19ac55c52b358933",
     "tau --surface disk:1 --p 0,0 --r 0.3 --t-max 2 --dt 1":
         "c72b1a6bf84fbf258e838dfed05a9c4a24073ecf450c3e5ef1986cd29c4f378b",
+    "tau --surface cube:1 --p U/0.31/0.47 --r 0.8 --t-max 8 --dt 1":
+        "2e233484760ba9303f7f288e468a1c68f63edbac8afd3be2b24122c16325f58f",
+    "tau --surface klein --p 0.2,0.3 --r 0.2 --t-max 20 --dt 2":
+        "1bbb9b5d95e4a04e81e4403e7e81b0194a4d0024c75a874897e3ae2c6a27d1c2",
     "length --surface klein --p 0.2,0.3 --t-grid 5:20:5":
         "705ff9c5d5254cd930de291bcabd60a4e7912f29eef25a6e7fb501ecd24b959a",
     "lattice --t-grid 25:100:25 --h 0.5":
@@ -280,6 +286,22 @@ def test_numerical_failure_exit_2(monkeypatch, capsys):
         code, _, err = run(argv, capsys)
         assert code == 2, argv
         assert budget in err and err.count("\n") == 1, argv
+
+
+@pytest.mark.filterwarnings("error")
+def test_subnormal_disk_radius_exit_2(capsys):
+    # the disk's tangent slide t1 / radius overflows, and cos and sin turn
+    # it into NaN: the batch is refused with no warning and no output
+    for argv in (
+        ["length", "--surface", "disk:1e-320", "--p", "0,0", "--t-grid", "1:4:1"],
+        ["simulate", "--surface", "disk:1e-320", "--p", "0,0", "--t", "1"],
+        ["density", "--surface", "disk:1e-320", "--p", "0,0", "--t-grid", "1:2:1",
+         "--eps", "1e-320"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == "", argv
+        assert err == ("wavefront: error: geodesics at t=1.0 end at non-finite "
+                       "positions, the first at theta=0.0\n"), argv
 
 
 @pytest.mark.filterwarnings("error")

@@ -30,12 +30,14 @@ from wavefront import (
 )
 from wavefront.metrics import (
     NOT_ACHIEVED,
+    _covering_radius,
     _grid,
     _grid_axis,
     _hit_cells,
     _mark_chart_cells,
-    _NearestFront,
-    _occupancy,
+    _nearest,
+    _on_charts,
+    _reach,
     _segment_pairs,
 )
 from wavefront.surfaces import _fold
@@ -276,43 +278,71 @@ def test_occupancy_marks_every_cell_a_long_segment_crosses():
 # --- covering radius against the index over every centre ---------------------
 
 
-def _against_the_index(front, eps):
-    """Decided centres of ``density_report(front, eps)``, after checking its
-    covering radius and every decided centre's own-cell bound bitwise
-    against the nearest-sample index queried at every inside centre."""
-    _, _, centers, charts, own, reach = _occupancy(front, eps)
-    dist = _NearestFront(front).query(centers, charts)
-    decided = own < reach
+def _against_the_index(front, spacing, meets=False):
+    """Decided centres of the covering radius over the cells of a grid of
+    ``spacing`` that lie inside the domain (``density_report``) or, with
+    ``meets``, that meet it (``estimate_tau``), after checking the radius
+    and every decided centre's own-cell bound bitwise against the
+    nearest-sample index queried at every such centre."""
+    surface = front.surface
+    grid = _grid(surface, spacing)
+    x_axis, y_axis, centers, mask = *grid[:3], grid[3 if meets else 4]
+    own = _hit_cells(front, x_axis, y_axis, centers)[1][:, mask].ravel()
+    dist = _nearest(front, *_on_charts(surface, centers[mask]))
+    decided = own < _reach(surface, x_axis, y_axis)
     assert np.array_equal(own[decided], dist[decided])
-    assert density_report(front, eps).covering_radius.hex() == float(dist.max()).hex()
+    radius = _covering_radius(front, grid, mask)[1]
+    assert radius.hex() == float(dist.max()).hex()
+    if not meets:
+        assert density_report(front, spacing).covering_radius.hex() == radius.hex()
     return int(decided.sum()), decided.size
 
 
-# (surface, source, eps, early and late times); the late torus:1,0.3 and
-# rect fronts decide every centre from its own cell, the disk front at
-# t = 3 and eps 0.5 none of its four
+# (surface, source, grid spacing, early and late times, meets).  Density's
+# eps-grids over the cells inside the domain: the late torus:1,0.3 and rect
+# fronts decide every centre from its own cell, the disk front at t = 3 and
+# eps 0.5 none of its four.  tau's grids of spacing r/2 over the cells that
+# meet the domain (meets): disk centres outside the rim, grids of one to
+# three cells per axis, and a disk front from the corner of four cells that
+# decides no centre at t = 0.1
 COVERING_FRONTS = [
-    ("torus:1,1", "0.37,0.61", 0.05, (0.3, 12.0)),
-    ("torus:1,0.3", "0.2,0.1", 0.02, (0.3, 40.0)),
-    ("klein", "0.2,0.3", 0.05, (0.3, 15.0)),
-    ("rect:1,0.4", "0.3,0.2", 0.05, (0.3, 12.0)),
-    ("disk:1", "0.4,0.1", 0.05, (2.0, 40.0)),
-    ("disk:1", "0.4,0.1", 0.5, (0.5, 3.0)),
-    ("cube:1", "U/0.31/0.47", 0.1, (0.5, 10.0)),
-    ("cube:2.5", "F/0.3/1.1", 0.25, (0.5, 10.0)),
+    ("torus:1,1", "0.37,0.61", 0.05, (0.3, 12.0), False),
+    ("torus:1,0.3", "0.2,0.1", 0.02, (0.3, 40.0), False),
+    ("klein", "0.2,0.3", 0.05, (0.3, 15.0), False),
+    ("rect:1,0.4", "0.3,0.2", 0.05, (0.3, 12.0), False),
+    ("disk:1", "0.4,0.1", 0.05, (2.0, 40.0), False),
+    ("disk:1", "0.4,0.1", 0.5, (0.5, 3.0), False),
+    ("cube:1", "U/0.31/0.47", 0.1, (0.5, 10.0), False),
+    ("cube:2.5", "F/0.3/1.1", 0.25, (0.5, 10.0), False),
+    ("disk:1", "0,0", 0.5, (0.1, 3.0), True),
+    ("disk:1", "0.4,0.1", 0.15, (2.0, 40.0), True),
+    ("disk:1", "0.4,0.1", 0.6, (0.5, 3.0, 20.0), True),
+    ("disk:1", "0.4,0.1", 2.0, (0.5, 3.0), True),
+    ("torus:1,1", "0.2,0.3", 1.0, (0.3, 3.0), True),
+    ("torus:1,1", "0.2,0.3", 0.35, (0.3, 3.0, 12.0), True),
+    ("klein", "0.2,0.3", 0.5, (0.3, 3.0, 12.0), True),
+    ("rect:1,0.4", "0.3,0.2", 0.25, (0.3, 12.0), True),
+    ("cube:1", "U/0.31/0.47", 0.4, (0.5, 3.0, 8.0), True),
+    ("cube:1", "U/0.31/0.47", 0.1, (1.0, 5.0), True),
 ]
 
 
 def test_covering_radius_equals_the_index_over_every_centre():
-    regimes = set()
-    for desc, point, eps, times in COVERING_FRONTS:
+    regimes, tau_cells, outside_rim = set(), set(), 0
+    for desc, point, spacing, times, meets in COVERING_FRONTS:
         surface = parse_surface(desc)
         front = init_front(surface, surface.parse_point(point))
+        if meets:
+            (nx, _), (ny, _), centers, mask, _ = _grid(surface, spacing)
+            tau_cells.update((nx, ny))
+            if surface.kind == "disk":
+                outside_rim += int((np.hypot(*centers[mask].T) > surface.radius).sum())
         for t in times:
             front = propagate(front, t)
-            decided, centres = _against_the_index(front, eps)
-            regimes.add("all" if decided == centres else "some" if decided else "none")
-    assert regimes == {"all", "some", "none"}
+            decided, centres = _against_the_index(front, spacing, meets)
+            regimes.add((meets, "all" if decided == centres else "some" if decided else "none"))
+    assert regimes == {(m, r) for m in (False, True) for r in ("all", "some", "none")}
+    assert {1, 2, 3} <= tau_cells and outside_rim > 0
 
 
 def test_covering_radius_with_samples_on_cell_edges():

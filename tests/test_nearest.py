@@ -22,7 +22,7 @@ from wavefront import (
     theorem1_rectangle_check,
 )
 from wavefront import lattice
-from wavefront.metrics import _NearestFront
+from wavefront.metrics import _nearest
 from wavefront.nearest import CellIndex, _stable_order
 
 
@@ -49,7 +49,7 @@ FRONTS = [
 @pytest.mark.parametrize("surface,source,t", FRONTS, ids=lambda v: getattr(v, "kind", ""))
 def test_sample_clouds_and_images_match_brute_force(surface, source, t):
     front = propagate(init_front(surface, source), t)
-    clouds = surface.sample_clouds(front.pos, front.face, front.alive)
+    clouds = list(surface.sample_clouds(front.pos, front.face, front.alive))
     rng = np.random.default_rng(7)
     lo, w, h = surface.box
     q = np.stack([lo + w * rng.random(300), lo + h * rng.random(300)], axis=1)
@@ -62,7 +62,7 @@ def test_sample_clouds_and_images_match_brute_force(surface, source, t):
             ref = brute(cloud, img)
             assert np.array_equal(index.query(img), ref)
             expect[m] = np.minimum(expect[m], ref)
-    assert np.array_equal(_NearestFront(front).query(q, charts), expect)
+    assert np.array_equal(_nearest(front, q, charts), expect)
 
 
 @pytest.mark.parametrize("cloud", [
@@ -134,7 +134,7 @@ def test_empty_cloud_gives_inf():
     front = propagate(init_front(Torus(1.0, 1.0), (0.2, 0.3)), 1.0)
     front.alive[:] = False
     q = np.array([[0.5, 0.5], [0.1, 0.9]])
-    assert np.all(np.isinf(_NearestFront(front).query(q, np.zeros(2, dtype=int))))
+    assert np.all(np.isinf(_nearest(front, q, np.zeros(2, dtype=int))))
 
 
 def _full_max(f, m):

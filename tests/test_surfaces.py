@@ -704,7 +704,7 @@ def _sample_clouds_by_path_masks(side, pos, face, live):
 
 def test_sample_clouds_match_per_path_masks(cube_tear_fronts):
     for front in cube_tear_fronts:
-        got = front.surface.sample_clouds(front.pos, front.face, front.alive)
+        got = list(front.surface.sample_clouds(front.pos, front.face, front.alive))
         want = _sample_clouds_by_path_masks(front.surface.side, front.pos, front.face, front.alive)
         assert len(got) == len(want) == 6
         for mine, cloud in zip(got, want):
