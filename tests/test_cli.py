@@ -134,6 +134,14 @@ _TABLES_PINNED = {
         "46ab03febb13f797cfa6334c1b656a9cec6480b76fdb8c42c89999fc4e1206d0",
     "density --surface rect:1,0.4 --p 0.3,0.2 --t-grid 60:80:20 --eps 0.02":
         "a6933b9d23a0f1266487ed57e39522db0547a4d053640d279bbaf72a47fad510",
+    # the README components command, and the front walk of length and tau
+    "components --surface cube:1 --p U/0.5/0.5 --t-grid 0.5:1.5:0.25":
+        "16dcc806ef872fbec9c74171909865f11b81e34ab1953c821e64064a969935a0",
+    "length --surface disk:1 --p 0.4,0.1 --t-grid 2:6:2":
+        "44172a3522fd0bc6d9018ac747203df92b5e8b4b43e514d4ed09ff686dd5fef0",
+    # tau is the rounded last checkpoint, 3 * 0.3 = 0.8999999999999999
+    "tau --surface torus:1,1 --p 0.2,0.3 --r 0.5 --t-max 0.9 --dt 0.3":
+        "d9dc0413096369e3a6fad2df4a94d260eb08a7b51498422b0e7c17541cecd701",
 }
 
 
