@@ -30,6 +30,9 @@ through the same refinement and assembly: each batch carries its
 directions and a sheet column, of width 0 off the cube, so there no pair
 is cross-sheet, no tear is declared and the one live run is the whole
 front.
+
+Every time series lists its times with ``time_grid`` and walks one front
+through them with ``fronts``, so the samples of one time seed the next.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ _FULL_TOL = 1e-12
 THETA_MIN = 1e-12
 # Most samples one front may hold.
 SAMPLE_BUDGET = 2**22
+# Most points one time grid may list.
+TIME_GRID_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -414,6 +419,23 @@ def propagate(front: Front, t_target: float) -> Front:
     )
     return Front(surface=surface, source=source, t=tt, arc=front.arc, params=params,
                  components=components, **vars(batch))
+
+
+def time_grid(lo: float, hi: float, step: float) -> list:
+    """Every ``lo + k*step`` up to hi, inclusive to within 1e-9 steps; more
+    than ``TIME_GRID_BUDGET`` points are refused."""
+    span = (hi - lo) / step + 1e-9
+    if not span < TIME_GRID_BUDGET:
+        raise NumericalFailureError(f"time grid {lo!r}:{hi!r}:{step!r} has more points "
+                                    f"than the budget TIME_GRID_BUDGET={TIME_GRID_BUDGET}")
+    return [lo + k * step for k in range(int(math.floor(span)) + 1)]
+
+
+def fronts(front: Front, times):
+    """Yield ``front`` propagated to each of ``times`` in turn, step by step."""
+    for t in times:
+        front = propagate(front, t)
+        yield front
 
 
 # ---------------------------------------------------------------------------

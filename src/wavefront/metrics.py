@@ -45,16 +45,14 @@ from .frontier import (
     component_count,
     default_params,
     front_length,
+    fronts,
     init_front,
-    propagate,
+    time_grid,
 )
 from .nearest import CellIndex
 from .surfaces import NumericalFailureError, PreconditionError
 
 NOT_ACHIEVED = "not achieved by t_max"
-
-# Most checkpoints one coverage-time scan may list.
-CHECKPOINT_BUDGET = 10**6
 
 # Rounding allowance, relative to the span of the compared coordinates, on
 # the distance below which a centre's own-cell bound is exact.
@@ -398,7 +396,8 @@ def estimate_tau(
     delta_t: float,
     params: PropagationParams | None = None,
 ) -> TauEstimate:
-    """Scan checkpoints k*delta_t for persistent full coverage by balls.
+    """Scan the checkpoints ``time_grid(0, t_max, delta_t)`` for persistent
+    full coverage by balls.
 
     A ball of radius r/2 around each grid center (spacing r/2) must contain
     a live sample; every surface point lies within r/(2*sqrt(2)) of a
@@ -420,24 +419,12 @@ def estimate_tau(
         raise PreconditionError(f"t_max={t_max!r}: must be finite and nonnegative")
     if not (math.isfinite(delta_t) and delta_t > 0):
         raise PreconditionError(f"delta_t={delta_t!r}: must be finite and positive")
-    if not t_max / delta_t < CHECKPOINT_BUDGET:
-        raise NumericalFailureError(
-            f"t_max/delta_t={t_max / delta_t!r} checkpoints exceed the budget "
-            f"CHECKPOINT_BUDGET={CHECKPOINT_BUDGET}"
-        )
+    times = time_grid(0.0, t_max, delta_t)
     grid = _grid(surface, 0.5 * r)
-
-    times = []
-    k = 0
-    while k * delta_t <= t_max * (1.0 + 1e-12):
-        times.append(k * delta_t)
-        k += 1
-
-    front = init_front(surface, source, params=params)
-    covered = []
-    for tt in times:
-        front = propagate(front, tt)
-        covered.append(_covering_radius(front, grid, grid[3])[1] <= 0.5 * r)
+    covered = [
+        _covering_radius(front, grid, grid[3])[1] <= 0.5 * r
+        for front in fronts(init_front(surface, source, params=params), times)
+    ]
 
     first_full = next(
         (times[i] for i, c in enumerate(covered) if c), math.inf
@@ -482,11 +469,8 @@ def length_growth_curve(
         raise PreconditionError(
             f"the slope is fit through the times at or above the median t={med!r}: "
             f"need two, got {sum(upper)}")
-    front = init_front(surface, source, params=params)
-    points = []
-    for tt in t_list:
-        front = propagate(front, tt)
-        points.append((tt, front_length(front)))
+    points = [(front.t, front_length(front))
+              for front in fronts(init_front(surface, source, params=params), t_list)]
     ts, ls = np.array(points)[upper].T
     slope = float(np.polyfit(ts, ls, 1)[0])
     return GrowthCurve(points=tuple(points), slope=slope)

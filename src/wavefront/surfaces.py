@@ -62,6 +62,13 @@ WALK_ITERATION_RAYS = 500
 # A cube ray passing closer than this (times side) to a vertex is discarded.
 CORNER_TOL = 1e-9
 
+# Largest surface size (torus and rectangle sides, disk radius, cube side).
+# Deck images, cube clouds and renders reach about 4 sizes past the origin,
+# and distances square coordinate differences of up to 8 sizes: dx*dx + dy*dy
+# overflows once a size passes about 1e153.  This bound leaves a factor of
+# 1000 below that.
+SIZE_BOUND = 1e150
+
 
 class PreconditionError(ValueError):
     """An argument violates a documented precondition."""
@@ -94,6 +101,9 @@ class _Surface:
         values = [getattr(self, f.name) for f in fields(self)]
         if not all(math.isfinite(v) and v > 0 for v in values):
             raise PreconditionError(f"{self.kind} parameters must be positive and finite")
+        if max(values, default=0.0) > SIZE_BOUND:
+            raise PreconditionError(
+                f"{self.kind} parameters must be at most SIZE_BOUND={SIZE_BOUND!r}")
 
     @property
     def min_extent(self) -> float:

@@ -264,8 +264,8 @@ def test_density_grid_without_an_interior_cell_exit_1(tmp_path, capsys):
 @pytest.mark.filterwarnings("error")
 def test_numerical_failure_exit_2(monkeypatch, capsys):
     # size budgets, lowered so that no large grid or sample array is built
-    monkeypatch.setattr(cli, "T_GRID_BUDGET", 10)
-    monkeypatch.setattr(wavefront.metrics, "CHECKPOINT_BUDGET", 5)
+    # one budget bounds every time grid, tau's checkpoints included
+    monkeypatch.setattr(wavefront.frontier, "TIME_GRID_BUDGET", 5)
     monkeypatch.setattr(wavefront.lattice, "RECT_POINT_BUDGET", 1000)
     monkeypatch.setattr(wavefront.surfaces, "WALK_BUDGET", 10**5)
     for argv, budget in (
@@ -273,9 +273,9 @@ def test_numerical_failure_exit_2(monkeypatch, capsys):
         # rejected before the initial directions are allocated
         (["simulate", "--surface", "torus:1,1", "--p", "0.2,0.3", "--t", "1",
           "--n0", "2000000000"], "budget"),
-        (["lattice", "--t-grid", "1:11:1"], "T_GRID_BUDGET=10"),
+        (["lattice", "--t-grid", "1:11:1"], "TIME_GRID_BUDGET=5"),
         (["tau", "--surface", "torus:1,1", "--p", "0.2,0.3", "--r", "0.25",
-          "--t-max", "3", "--dt", "0.5"], "CHECKPOINT_BUDGET=5"),
+          "--t-max", "3", "--dt", "0.5"], "TIME_GRID_BUDGET=5"),
         (["verify-theorem1", "--t-grid", "10:10:1"], "RECT_POINT_BUDGET=1000"),
         # refused before t*t overflows
         (["verify-theorem1", "--t-grid", "1e300:1e300:1"], "RECT_POINT_BUDGET=1000"),
@@ -315,16 +315,57 @@ def test_subnormal_disk_radius_exit_2(capsys):
 @pytest.mark.filterwarnings("error")
 def test_grid_too_large_for_a_float_exit_2(capsys):
     # extent/spacing overflows to inf, which no integer cell count holds
+    # (the extent is at SIZE_BOUND, the spacing near the least normal float)
     for argv in (
-        ["tau", "--surface", "torus:1e300,1e-10", "--p", "0.3,1e-11", "--r", "1e-10",
+        ["tau", "--surface", "torus:1e150,1e-300", "--p", "0.3,1e-301", "--r", "1e-300",
          "--t-max", "1", "--dt", "1"],
-        ["density", "--surface", "torus:1e300,1e-10", "--p", "0.3,1e-11",
-         "--t-grid", "0:0:1", "--eps", "2e-12"],
+        ["density", "--surface", "torus:1e150,1e-300", "--p", "0.3,1e-301",
+         "--t-grid", "0:0:1", "--eps", "4e-302"],
     ):
         code, _, err = run(argv, capsys)
         assert code == 2, argv
         assert err.startswith("wavefront: error: grid of spacing "), argv
         assert "SAMPLE_BUDGET=" in err and err.count("\n") == 1, argv
+
+
+@pytest.mark.filterwarnings("error")
+def test_surface_size_past_the_bound_exit_1(tmp_path, capsys):
+    # past SIZE_BOUND a squared coordinate difference can overflow; each
+    # of these once ended in a traceback or in warnings and an inf radius
+    for argv in (
+        ["simulate", "--surface", "disk:1e155", "--p", "0,0", "--t", "1"],
+        ["density", "--surface", "torus:1e154,1e154", "--p", "0.2,0.3",
+         "--t-grid", "1:1:1", "--eps", "1e153"],
+        ["tau", "--surface", "torus:1e155,1e155", "--p", "0.2,0.3", "--r", "5e154",
+         "--t-max", "1", "--dt", "1"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == "", argv
+        kind = argv[2].split(":")[0]
+        assert err == (f"wavefront: error: {kind} parameters must be at most "
+                       "SIZE_BOUND=1e+150\n"), argv
+
+    # at the bound every distance stays finite
+    code, out, err = run(
+        ["density", "--surface", "torus:1e150,1e150", "--p", "2e149,3e149",
+         "--t-grid", "1e150:2e150:1e150", "--eps", "1e149"],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    assert "inf" not in out and "nan" not in out
+
+    # a snapshot that names such a surface is refused as a snapshot
+    snap, bad = tmp_path / "front.json", tmp_path / "bad.json"
+    code, _, _ = run(["simulate", "--surface", "disk:1", "--p", "0,0", "--t", "1",
+                      "--out", str(snap)], capsys)
+    assert code == 0
+    doc = json.loads(snap.read_bytes())
+    doc["surface"] = "disk:1e155"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(["render", "--in", str(bad), "--out", str(tmp_path / "x.svg")],
+                         capsys)
+    assert code == 3 and out == ""
+    assert "SIZE_BOUND" in err and err.count("\n") == 1
 
 
 def test_long_cube_walk_refused_before_it_starts(capsys):

@@ -57,6 +57,17 @@ def test_init_front_time_zero():
     assert np.allclose(f.pos, 0.0)
 
 
+def test_time_grid_is_inclusive_and_budgeted(monkeypatch):
+    assert frontier.time_grid(2.5, 2.5, 1.0) == [2.5]
+    # 0.9 / 0.3 rounds above 3: the end point counts, rounded to 3 * 0.3
+    assert frontier.time_grid(0.0, 0.9, 0.3) == [0.0, 0.3, 0.6, 0.8999999999999999]
+    monkeypatch.setattr(frontier, "TIME_GRID_BUDGET", 4)
+    assert len(frontier.time_grid(0.0, 0.9, 0.3)) == 4
+    monkeypatch.setattr(frontier, "TIME_GRID_BUDGET", 3)
+    with pytest.raises(NumericalFailureError, match="TIME_GRID_BUDGET=3"):
+        frontier.time_grid(0.0, 0.9, 0.3)
+
+
 def test_init_front_equal_spacing_on_arc():
     f = init_front(Torus(1.0, 1.0), (0.5, 0.5), arc=ArcInterval(0.0, math.pi), n0=4)
     assert np.allclose(f.thetas, [0.0, math.pi / 3, 2 * math.pi / 3, math.pi])

@@ -404,6 +404,27 @@ def test_tau_disk_center_never_persists():
     assert est.tau == NOT_ACHIEVED
 
 
+def test_tau_checkpoints_are_the_t_grid(monkeypatch):
+    # tau propagates to exactly the times --t-grid 0:t_max:dt lists, the
+    # case within 1e-9 steps below a grid point included
+    from wavefront import cli, frontier
+
+    seen = []
+    real = frontier.propagate
+
+    def recording(front, t):
+        seen.append(t)
+        return real(front, t)
+
+    monkeypatch.setattr(frontier, "propagate", recording)
+    for t_max, dt in ((0.9, 0.3), (0.0999999999997, 0.1), (0.7, 0.1), (2.0, 0.25),
+                      (0.0, 0.5), (1.0, 3.0)):
+        seen.clear()
+        estimate_tau(Torus(1.0, 1.0), (0.2, 0.3), r=1.5, t_max=t_max, delta_t=dt)
+        assert seen == cli._t_grid(f"0:{t_max}:{dt}"), (t_max, dt)
+    assert cli._t_grid("0:0.0999999999997:0.1") == [0.0, 0.1]
+
+
 def test_tau_radius_precondition():
     with pytest.raises(PreconditionError):
         estimate_tau(Torus(1.0, 1.0), (0.2, 0.3), r=0.005, t_max=1.0, delta_t=0.5)
