@@ -142,6 +142,9 @@ _TABLES_PINNED = {
     # tau is the rounded last checkpoint, 3 * 0.3 = 0.8999999999999999
     "tau --surface torus:1,1 --p 0.2,0.3 --r 0.5 --t-max 0.9 --dt 0.3":
         "d9dc0413096369e3a6fad2df4a94d260eb08a7b51498422b0e7c17541cecd701",
+    # a 10 x 4 ball grid, fewer than 5 cells on an axis
+    "tau --surface rect:1,0.4 --p 0.3,0.2 --r 0.2 --t-max 15 --dt 1":
+        "5c00a242c5f4033cce9300f363df263e817b114354ab112f0e86c78ab9d66e5e",
 }
 
 
