@@ -44,13 +44,9 @@ from .surfaces import (
 PROG = "wavefront"
 
 
-class UsageError(ValueError):
-    """Invalid command-line arguments."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise PreconditionError(message)
 
 
 def _diag(message: str) -> None:
@@ -58,26 +54,20 @@ def _diag(message: str) -> None:
 
 
 def _t_grid(text: str) -> list:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"bad time grid {text!r}, expected LO:HI:STEP")
-    try:
-        lo, hi, step = (float(p) for p in parts)
+    try:  # a wrong number of parts fails the unpacking with a ValueError too
+        lo, hi, step = (float(p) for p in text.split(":"))
     except ValueError:
-        raise UsageError(f"bad time grid {text!r}, expected LO:HI:STEP") from None
+        raise PreconditionError(f"bad time grid {text!r}, expected LO:HI:STEP") from None
     if not (all(map(math.isfinite, (lo, hi, step))) and step > 0 and hi >= lo):
-        raise UsageError(f"bad time grid {text!r}: need finite LO <= HI, STEP > 0")
+        raise PreconditionError(f"bad time grid {text!r}: need finite LO <= HI, STEP > 0")
     return time_grid(lo, hi, step)
 
 
 def _parse_arc(text: str) -> ArcInterval:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"bad arc {text!r}, expected LO,HI")
     try:
-        lo, hi = float(parts[0]), float(parts[1])
+        lo, hi = (float(p) for p in text.split(","))
     except ValueError:
-        raise UsageError(f"bad arc {text!r}, expected LO,HI") from None
+        raise PreconditionError(f"bad arc {text!r}, expected LO,HI") from None
     return ArcInterval(lo, hi)
 
 
@@ -103,7 +93,7 @@ def _front_series(args):
 
 def _cmd_simulate(args) -> int:
     if not (math.isfinite(args.t) and args.t >= 0.0):
-        raise UsageError(f"--t must be finite and nonnegative, got {args.t!r}")
+        raise PreconditionError(f"--t must be finite and nonnegative, got {args.t!r}")
     surface = parse_surface(args.surface)
     source = surface.parse_point(args.p)
     params = default_params(surface)
@@ -268,13 +258,10 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if not hasattr(args, "func"):
-            raise UsageError("a subcommand is required")
+            raise PreconditionError("a subcommand is required")
         return args.func(args)
     except SystemExit as e:  # argparse --help
         return 0 if e.code in (0, None) else 1
-    except UsageError as e:
-        _diag(str(e))
-        return 1
     except SnapshotError as e:
         _diag(str(e))
         return 3

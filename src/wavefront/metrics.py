@@ -21,14 +21,19 @@ lie farther from the front.
 Both ``density_report`` and ``estimate_tau`` take that largest distance
 from one routine, ``_covering_radius``, over the cells inside the domain
 and over the cells that meet it.  It consults the index only where a
-centre's own cell cannot decide it.  The occupancy pass gives every cell the
-least distance from its centre to the live samples whose home cell it is.
-Any other sample, any other deck image of the centre and any cube sample
-developed from another face lies at least half the shorter cell side away,
-less rounding, so an own-cell distance below half a cell less
-``OWN_CELL_MARGIN`` times the coordinate span is the exact nearest-sample
-distance, bit for bit.  The rest go to the index, which is built one chart
-at a time and only for the charts that hold such a centre.
+centre's own cell cannot decide it.  One key pass over the samples
+(``_own_cells``) gives every cell the least distance from its centre to the
+live samples whose home cell it is.  Any other sample, any other deck image
+of the centre and any cube sample developed from another face lies at
+least half the shorter cell side away, less rounding, so an own-cell
+distance below half a cell less ``OWN_CELL_MARGIN`` times the coordinate
+span is the exact nearest-sample distance, bit for bit.  The rest go to the
+index, which is built one chart at a time and only for the charts that hold
+such a centre.
+
+Occupancy, which only ``density_report`` reads, is the cells with a finite
+own-cell bound plus the cells that the drawn segments cross.
+``estimate_tau`` reads the bounds alone and draws no segment.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ import numpy as np
 from .frontier import (
     SAMPLE_BUDGET,
     Front,
-    PropagationParams,
     component_count,
     default_params,
     front_length,
@@ -233,9 +237,9 @@ def _mark_chart_cells(pa, pb, chart, lo, sx, sy):
 def _grid(surface, spacing: float):
     """Uniform cells no wider than ``spacing`` over the surface's box.
 
-    Returns the per-axis (count, size) pairs, the cell centres lo + s*(k+0.5)
-    as an (nx, ny, 2) array, and the masks of the cells that meet the
-    domain and that lie inside it.  The grid is laid on every chart, and
+    Returns the per-axis (count, size) pairs, each axis's cell centres
+    lo + s*(k+0.5) as a pair of arrays, and the masks of the cells that meet
+    the domain and that lie inside it.  The grid is laid on every chart, and
     its cells on all charts together number at most ``SAMPLE_BUDGET``.
     """
     lo, width, height = surface.box
@@ -245,77 +249,78 @@ def _grid(surface, spacing: float):
             f"grid of spacing {spacing!r} has {nx * ny * surface.charts} cells, more "
             f"than the budget SAMPLE_BUDGET={SAMPLE_BUDGET}"
         )
-    cx = lo + sx * (np.arange(nx) + 0.5)
-    cy = lo + sy * (np.arange(ny) + 0.5)
-    centers = np.stack(np.meshgrid(cx, cy, indexing="ij"), axis=-1)
+    centers = lo + sx * (np.arange(nx) + 0.5), lo + sy * (np.arange(ny) + 0.5)
     meets, inside = surface.cell_overlap(
         lo + sx * np.arange(nx + 1), lo + sy * np.arange(ny + 1)
     )
     return (nx, sx), (ny, sy), centers, meets, inside
 
 
-def _on_charts(surface, centers: np.ndarray):
-    """Chart points: ``centers`` repeated on every chart, with chart ids."""
-    k = surface.charts
-    return np.tile(centers, (k, 1)), np.repeat(np.arange(k), centers.shape[0])
+def _own_cells(front: Front, x_axis, y_axis, centers):
+    """Every sample's unwrapped cell and chart, and each cell's own-cell bound.
 
-
-def _hit_cells(front: Front, x_axis, y_axis, centers):
-    """Cells of a grid that the front hits, and each cell's own-cell bound.
-
-    ``x_axis``, ``y_axis`` and ``centers`` are as ``_grid`` returns them;
-    both results have shape (charts, nx, ny).  A cell is hit when a live
-    sample lands in it or a segment between adjacent live samples crosses
-    it; segments are drawn toward the image of the next sample nearest to
-    the current one, and cell indices past the grid are wrapped back by the
-    surface's rule.  Only the segments of ``_segment_pairs`` are drawn: no
-    other can add a cell.
-
-    A cell's own-cell bound is the least distance from its centre to the
-    live samples whose wrapped cell it is (``inf`` for none), computed as
-    ``CellIndex._scan`` computes the chord from the centre's untranslated
-    image to a sample.  Both results come from one flat key per sample.
+    ``x_axis``, ``y_axis`` and ``centers`` are as ``_grid`` returns them.
+    Returns ``ci, cj, charts, own``: the sample cells floored as
+    ``_mark_chart_cells`` floors a segment end, and the bounds in shape
+    (charts, nx, ny).  A cell's own-cell bound is the least distance from its
+    centre to the live samples whose wrapped cell it is (``inf`` for none),
+    computed as ``CellIndex._scan`` computes the chord from the centre's
+    untranslated image to a sample.  Live positions are finite
+    (``evaluate_batch``) and below ``SIZE_BOUND``, so a bound is finite
+    exactly in the cells where a live sample lands.
     """
     surface = front.surface
     lo = surface.box[0]
     (nx, sx), (ny, sy) = x_axis, y_axis
-    shape = (surface.charts, nx, ny)
-    hit = np.zeros(math.prod(shape), dtype=bool)
-
-    pos, alive = front.pos, front.alive
+    pos = front.pos
     charts = surface.sample_charts(front.face, pos.shape[0])
     ci, cj = _cells_of(pos, (lo, lo), sx, sy)
     i0, j0 = surface.wrap_cells(ci, cj, nx, ny)
-    dist = pos[:, 0] - centers[:, 0, 0].take(i0)  # np.sqrt(dx*dx + dy*dy), in place
+    dist = pos[:, 0] - centers[0].take(i0)  # np.sqrt(dx*dx + dy*dy), in place
     dist *= dist
-    dy = pos[:, 1] - centers[0, :, 1].take(j0)
+    dy = pos[:, 1] - centers[1].take(j0)
     dy *= dy
     dist += dy
     del dy
     np.sqrt(dist, out=dist)
-    dist[~alive] = np.inf
+    dist[~front.alive] = np.inf
     home = charts * nx  # the flat key (chart * nx + i) * ny + j, in place
     home += i0
     home *= ny
     home += j0
     del i0, j0
-    hit[home[alive]] = True
-    own = np.full(hit.size, np.inf)
+    own = np.full(surface.charts * nx * ny, np.inf)
     np.minimum.at(own, home, dist)
-    del home, dist  # freed before the segments are drawn
+    return ci, cj, charts, own.reshape(surface.charts, nx, ny)
 
+
+def _hit_cells(front: Front, x_axis, y_axis, cells):
+    """Cells of a grid that the front hits, shape (charts, nx, ny).
+
+    ``cells`` is as ``_own_cells`` returns it.  A cell is hit when a live
+    sample lands in it (its own-cell bound is finite) or a segment between
+    adjacent live samples crosses it; segments are drawn toward the image of
+    the next sample nearest to the current one, and cell indices past the
+    grid are wrapped back by the surface's rule.  Only the segments of
+    ``_segment_pairs`` are drawn: no other can add a cell.
+    """
+    surface = front.surface
+    lo = surface.box[0]
+    (nx, sx), (ny, sy) = x_axis, y_axis
+    ci, cj, charts, own = cells
+    hit = np.isfinite(own)
     pairs = _segment_pairs(front, ci, cj, charts, nx, ny)
     if pairs.size:
-        pa = pos[pairs]
-        pb = surface.lift_near(pa, pos[pairs + 1])
+        pa = front.pos[pairs]
+        pb = surface.lift_near(pa, front.pos[pairs + 1])
         for c, i, j in _mark_chart_cells(pa, pb, charts[pairs], (lo, lo), sx, sy):
             i, j = surface.wrap_cells(i, j, nx, ny)
-            hit[(c * nx + i) * ny + j] = True
-    return hit.reshape(shape), own.reshape(shape)
+            hit[c, i, j] = True
+    return hit
 
 
 def _reach(surface, x_axis, y_axis) -> float:
-    """Distance below which a centre's own-cell bound (``_hit_cells``) is
+    """Distance below which a centre's own-cell bound (``_own_cells``) is
     its nearest-sample distance: half the shorter cell side less
     ``OWN_CELL_MARGIN`` times the span of the coordinates a nearest-sample
     query compares."""
@@ -325,28 +330,25 @@ def _reach(surface, x_axis, y_axis) -> float:
     return 0.5 * min(x_axis[1], y_axis[1]) - OWN_CELL_MARGIN * span
 
 
-def _covering_radius(front: Front, grid, mask: np.ndarray):
-    """Cells of ``grid`` that the front hits (``_hit_cells``), and the
-    largest distance from a centre of the cells in ``mask``, on every chart,
-    to the nearest live sample (``inf`` when no sample is live).
+def _covering_radius(front: Front, grid, mask: np.ndarray, own: np.ndarray) -> float:
+    """The largest distance from a centre of the cells in ``mask``, on every
+    chart, to the nearest live sample (``inf`` when no sample is live).
 
-    ``grid`` is as ``_grid`` returns it.  A centre whose own-cell bound lies
-    below ``_reach`` is decided by it.  Every other centre lies at least
-    that far from the front, beyond every decided one, so when any is left
-    the radius is their maximum over ``_nearest``, which is asked about
-    them alone; otherwise it is the largest own-cell bound.
+    ``grid`` is as ``_grid`` returns it and ``own`` as ``_own_cells`` does.
+    A centre whose own-cell bound lies below ``_reach`` is decided by it.
+    Every other centre lies at least that far from the front, beyond every
+    decided one, so when any is left the radius is their maximum over
+    ``_nearest``, which is asked about them alone; otherwise it is the
+    largest own-cell bound.
     """
-    surface = front.surface
-    x_axis, y_axis, centers = grid[:3]
-    hit, own = _hit_cells(front, x_axis, y_axis, centers)
     if not front.alive.any():
-        return hit, math.inf
-    own = own[:, mask].ravel()
-    far = ~(own < _reach(surface, x_axis, y_axis))
+        return math.inf
+    x_axis, y_axis, (cx, cy) = grid[:3]
+    far = mask & ~(own < _reach(front.surface, x_axis, y_axis))
     if not far.any():
-        return hit, float(own.max())
-    pts, charts = _on_charts(surface, centers[mask])
-    return hit, float(_nearest(front, pts[far], charts[far]).max())
+        return float(own[:, mask].max())
+    charts, i, j = np.nonzero(far)
+    return float(_nearest(front, np.stack([cx[i], cy[j]], axis=-1), charts).max())
 
 
 def density_report(front: Front, eps: float) -> DensityReport:
@@ -359,9 +361,10 @@ def density_report(front: Front, eps: float) -> DensityReport:
     inside the disk; all cells elsewhere) of the distance to the nearest
     live sample.  An eps whose grid has no such centre is refused.
 
-    The covering radius is ``_covering_radius`` over the inside cells:
-    exact own-cell distances where they decide a centre, the index at the
-    other centres alone.
+    Occupancy and covering radius read one ``_own_cells`` pass.  The
+    covering radius is ``_covering_radius`` over the inside cells: exact
+    own-cell distances where they decide a centre, the index at the other
+    centres alone.
     """
     if not (math.isfinite(eps) and eps >= 4.0 * front.params.h_max):
         raise PreconditionError(
@@ -372,13 +375,16 @@ def density_report(front: Front, eps: float) -> DensityReport:
     meets, inside = grid[3:]
     if not inside.any():
         raise PreconditionError(f"eps={eps!r}: no grid cell lies inside {front.surface!r}")
-    hit, covering = _covering_radius(front, grid, inside)
+    cells = _own_cells(front, *grid[:3])
+    cells_hit = int(_hit_cells(front, *grid[:2], cells).sum())
+    own = cells[3]
+    del cells  # the sample cells are freed before _nearest builds an index
     return DensityReport(
         t=front.t,
         eps=eps,
         cells_total=front.surface.charts * int(meets.sum()),
-        cells_hit=int(hit.sum()),
-        covering_radius=covering,
+        cells_hit=cells_hit,
+        covering_radius=_covering_radius(front, grid, inside, own),
         length=front_length(front),
         n_components=component_count(front),
     )
@@ -394,7 +400,6 @@ def estimate_tau(
     r: float,
     t_max: float,
     delta_t: float,
-    params: PropagationParams | None = None,
 ) -> TauEstimate:
     """Scan the checkpoints ``time_grid(0, t_max, delta_t)`` for persistent
     full coverage by balls.
@@ -409,9 +414,7 @@ def estimate_tau(
     the cells that meet the domain is at most r/2 (disk centres outside the
     rim count too).
     """
-    if params is None:
-        params = default_params(surface)
-    if not (math.isfinite(r) and r > 2.0 * params.h_max):
+    if not (math.isfinite(r) and r > 2.0 * default_params(surface).h_max):
         raise PreconditionError(
             f"r={r!r}: ball radius must be finite and exceed 2*h_max"
         )
@@ -422,8 +425,8 @@ def estimate_tau(
     times = time_grid(0.0, t_max, delta_t)
     grid = _grid(surface, 0.5 * r)
     covered = [
-        _covering_radius(front, grid, grid[3])[1] <= 0.5 * r
-        for front in fronts(init_front(surface, source, params=params), times)
+        _covering_radius(front, grid, grid[3], _own_cells(front, *grid[:3])[3]) <= 0.5 * r
+        for front in fronts(init_front(surface, source), times)
     ]
 
     first_full = next(
@@ -447,12 +450,7 @@ def estimate_tau(
 # length growth
 
 
-def length_growth_curve(
-    surface,
-    source,
-    t_list,
-    params: PropagationParams | None = None,
-) -> GrowthCurve:
+def length_growth_curve(surface, source, t_list) -> GrowthCurve:
     """Front length at each time in t_list plus the upper-half OLS slope.
 
     The slope is fit by ordinary least squares through the points with
@@ -470,7 +468,7 @@ def length_growth_curve(
             f"the slope is fit through the times at or above the median t={med!r}: "
             f"need two, got {sum(upper)}")
     points = [(front.t, front_length(front))
-              for front in fronts(init_front(surface, source, params=params), t_list)]
+              for front in fronts(init_front(surface, source), t_list)]
     ts, ls = np.array(points)[upper].T
     slope = float(np.polyfit(ts, ls, 1)[0])
     return GrowthCurve(points=tuple(points), slope=slope)

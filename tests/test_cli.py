@@ -241,6 +241,11 @@ def test_invalid_arguments_exit_1(capsys):
           "--t-grid", "1:1:1", "--eps", "inf"], "eps=inf"),
         (["lattice", "--t-grid", "1:1:1", "--h", "nan"], "h=nan"),
         (["lattice", "--t-grid", "1:1:1", "--h", "inf"], "h=inf"),
+        # malformed time grids and arcs: too few parts, parts not numbers
+        *[(["lattice", "--t-grid", grid], f"bad time grid {grid!r}, expected LO:HI:STEP")
+          for grid in ("1:2", "a:b:c", "1:2:3:4")],
+        *[(["simulate", "--surface", "torus:1,1", "--p", "0,0", "--t", "1", "--arc", arc],
+           f"bad arc {arc!r}, expected LO,HI") for arc in ("1", "a,b", "0,1,2")],
     ]
     for argv, name in [(argv, "") for argv in cases] + named:
         code, _, err = run(argv, capsys)

@@ -267,6 +267,8 @@ METADATA_FORGERIES = {
                               "params delta_t_check must be 0.5, got 0.3"),
     "arc-narrower-than-theta-min": ("torus", _zero_width_arc,
                                     "arc width must exceed THETA_MIN=1e-12"),
+    "live-sample-listed-dead": ("torus", lambda d: d["dead_directions"].append(
+        [d["components"][0]["samples"][0][0], 0.5]), "live sample listed among dead directions"),
 }
 _FORGERY_CASES = {
     **{name: (*case, "differs from evaluation") for name, case in FORGERIES.items()},
@@ -464,6 +466,25 @@ def test_svg_time_zero_is_a_dot():
     svg = render_svg(f).decode()
     assert "<circle" in svg  # rim outline plus the source marker
     assert 'viewBox="0 0 2.0 2.0"' in svg
+
+
+def test_svg_lone_sample_is_a_dot_and_an_empty_component_draws_nothing():
+    import dataclasses
+
+    from wavefront.io import _PALETTE
+
+    f = _front(Torus(1.0, 1.0), (0.2, 0.3), 1.0)
+    comp = f.components[0]
+    empty = dataclasses.replace(comp, segments=((5, 5),))
+    lone = dataclasses.replace(comp, segments=((5, 6),))
+    svg = render_svg(dataclasses.replace(f, components=[empty, lone])).decode()
+    sw = 1.2 * 1.0 / 1600
+    x, y = f.pos[5]
+    dot = (f'<circle cx="{float(x)!r}" cy="{1.0 - float(y)!r}" r="{2 * sw!r}" '
+           f'fill="{_PALETTE[1]}"/>')
+    assert svg.count(dot) == 1
+    assert "<path" not in svg and _PALETTE[0] not in svg
+    assert svg.count("<circle") == 2  # the dot and the source marker
 
 
 # --- CSV ---------------------------------------------------------------------

@@ -36,7 +36,7 @@ from wavefront.metrics import (
     _hit_cells,
     _mark_chart_cells,
     _nearest,
-    _on_charts,
+    _own_cells,
     _reach,
     _segment_pairs,
 )
@@ -158,11 +158,8 @@ def test_segment_crossing_counts_cells_without_samples():
 # --- occupancy against all-pairs marking -------------------------------------
 
 
-def _all_pairs_hits(front, x_axis, y_axis):
-    """The reference occupancy: every live sample's cell, and every segment
-    between adjacent live samples of a component on one chart drawn toward
-    the lifted next sample (``lift_near``, ``_mark_chart_cells``).  Also
-    returns the pairs whose lifted end is not the next sample itself."""
+def _live_sample_cells(front, x_axis, y_axis):
+    """The cells, shape (charts, nx, ny), that a live sample lands in."""
     surface = front.surface
     lo = surface.box[0]
     (nx, sx), (ny, sy) = x_axis, y_axis
@@ -174,6 +171,20 @@ def _all_pairs_hits(front, x_axis, y_axis):
     j0 = np.floor((pos[li, 1] - lo) / sy).astype(np.int64)
     i0, j0 = surface.wrap_cells(i0, j0, nx, ny)
     hit[charts[li], i0, j0] = True
+    return hit
+
+
+def _all_pairs_hits(front, x_axis, y_axis):
+    """The reference occupancy: every live sample's cell, and every segment
+    between adjacent live samples of a component on one chart drawn toward
+    the lifted next sample (``lift_near``, ``_mark_chart_cells``).  Also
+    returns the pairs whose lifted end is not the next sample itself."""
+    surface = front.surface
+    lo = surface.box[0]
+    (nx, sx), (ny, sy) = x_axis, y_axis
+    hit = _live_sample_cells(front, x_axis, y_axis)
+    pos = front.pos
+    charts = surface.sample_charts(front.face, pos.shape[0])
     pairs = np.concatenate([np.arange(start, stop - 1, dtype=np.int64)
                             for comp in front.components
                             for start, stop in comp.segments] + [np.zeros(0, np.int64)])
@@ -221,7 +232,7 @@ def test_occupancy_equals_all_pairs_marking(surface, source, times, eps_list):
         for eps in eps_list:
             x_axis, y_axis, centers, *_ = _grid(surface, eps)
             expect, lifted = _all_pairs_hits(front, x_axis, y_axis)
-            hit, _ = _hit_cells(front, x_axis, y_axis, centers)
+            hit = _hit_cells(front, x_axis, y_axis, _own_cells(front, x_axis, y_axis, centers))
             assert np.array_equal(hit, expect), (t, eps)
             assert np.isin(lifted, _drawn_pairs(front, x_axis, y_axis)).all(), (t, eps)
     assert (dead > 0) == (surface.kind == "cube")  # the cube fronts have dead samples
@@ -240,7 +251,7 @@ def test_occupancy_with_far_apart_samples():
     for eps in (0.21, 0.26, 0.34, 0.5):
         x_axis, y_axis, centers, *_ = _grid(klein, eps)
         expect, lifted = _all_pairs_hits(front, x_axis, y_axis)
-        hit, _ = _hit_cells(front, x_axis, y_axis, centers)
+        hit = _hit_cells(front, x_axis, y_axis, _own_cells(front, x_axis, y_axis, centers))
         assert np.array_equal(hit, expect), eps
         assert np.isin(lifted, _drawn_pairs(front, x_axis, y_axis)).all(), eps
 
@@ -271,7 +282,7 @@ def test_occupancy_marks_every_cell_a_long_segment_crosses():
     i, j = klein.wrap_cells(i, j, nx, ny)
     crossed = np.zeros((klein.charts, nx, ny), dtype=bool)
     crossed[np.tile(charts[pairs], along.shape[0]), i, j] = True
-    hit, _ = _hit_cells(front, x_axis, y_axis, centers)
+    hit = _hit_cells(front, x_axis, y_axis, _own_cells(front, x_axis, y_axis, centers))
     assert not (crossed & ~hit).any(), f"{int((crossed & ~hit).sum())} of {int(crossed.sum())}"
 
 
@@ -283,15 +294,20 @@ def _against_the_index(front, spacing, meets=False):
     ``spacing`` that lie inside the domain (``density_report``) or, with
     ``meets``, that meet it (``estimate_tau``), after checking the radius
     and every decided centre's own-cell bound bitwise against the
-    nearest-sample index queried at every such centre."""
+    nearest-sample index queried at every such centre, and that the
+    own-cell bounds are finite exactly in the live-sample cells."""
     surface = front.surface
     grid = _grid(surface, spacing)
-    x_axis, y_axis, centers, mask = *grid[:3], grid[3 if meets else 4]
-    own = _hit_cells(front, x_axis, y_axis, centers)[1][:, mask].ravel()
-    dist = _nearest(front, *_on_charts(surface, centers[mask]))
+    x_axis, y_axis, (cx, cy), mask = *grid[:3], grid[3 if meets else 4]
+    bounds = _own_cells(front, x_axis, y_axis, (cx, cy))[3]
+    assert np.array_equal(np.isfinite(bounds), _live_sample_cells(front, x_axis, y_axis))
+    pts = np.stack(np.meshgrid(cx, cy, indexing="ij"), axis=-1)[mask]
+    charts = np.repeat(np.arange(surface.charts), pts.shape[0])
+    dist = _nearest(front, np.tile(pts, (surface.charts, 1)), charts)
+    own = bounds[:, mask].ravel()
     decided = own < _reach(surface, x_axis, y_axis)
     assert np.array_equal(own[decided], dist[decided])
-    radius = _covering_radius(front, grid, mask)[1]
+    radius = _covering_radius(front, grid, mask, bounds)
     assert radius.hex() == float(dist.max()).hex()
     if not meets:
         assert density_report(front, spacing).covering_radius.hex() == radius.hex()
@@ -333,10 +349,10 @@ def test_covering_radius_equals_the_index_over_every_centre():
         surface = parse_surface(desc)
         front = init_front(surface, surface.parse_point(point))
         if meets:
-            (nx, _), (ny, _), centers, mask, _ = _grid(surface, spacing)
+            (nx, _), (ny, _), (cx, cy), mask, _ = _grid(surface, spacing)
             tau_cells.update((nx, ny))
             if surface.kind == "disk":
-                outside_rim += int((np.hypot(*centers[mask].T) > surface.radius).sum())
+                outside_rim += int((np.hypot.outer(cx, cy)[mask] > surface.radius).sum())
         for t in times:
             front = propagate(front, t)
             decided, centres = _against_the_index(front, spacing, meets)
@@ -428,6 +444,59 @@ def test_tau_checkpoints_are_the_t_grid(monkeypatch):
 def test_tau_radius_precondition():
     with pytest.raises(PreconditionError):
         estimate_tau(Torus(1.0, 1.0), (0.2, 0.3), r=0.005, t_max=1.0, delta_t=0.5)
+
+
+def test_tau_draws_no_segment_and_density_keys_each_front_once(monkeypatch):
+    # tau reads the own-cell bounds alone; density keys the samples of each
+    # front in one _own_cells pass, shared by occupancy and covering radius
+    from wavefront import metrics
+
+    calls = []
+    real = metrics._own_cells
+
+    def counting(front, *grid):
+        calls.append(front.t)
+        return real(front, *grid)
+
+    monkeypatch.setattr(metrics, "_own_cells", counting)
+    cube = CubeSurface(1.0)
+    front = init_front(cube, CubePoint("U", 0.31, 0.47))
+    times = (0.0, 2.0, 5.0)
+    for t in times:
+        front = propagate(front, t)
+        density_report(front, 0.1)
+        density_report(front, 0.25)
+    assert calls == [t for t in times for _ in range(2)]
+
+    def refused(*args):
+        raise AssertionError("tau drew a segment")
+
+    monkeypatch.setattr(metrics, "_segment_pairs", refused)
+    monkeypatch.setattr(metrics, "_mark_chart_cells", refused)
+    calls.clear()
+    est = estimate_tau(RectBilliard(1.0, 0.4), (0.3, 0.2), r=0.2, t_max=15.0, delta_t=1.0)
+    assert (est.tau, est.first_full_cover_time) == (1.0, 1.0)
+    assert calls == [float(t) for t in range(16)]
+    est = estimate_tau(cube, CubePoint("U", 0.31, 0.47), r=0.8, t_max=8.0, delta_t=1.0)
+    assert (est.tau, est.first_full_cover_time) == (6.0, 6.0)
+    with pytest.raises(AssertionError, match="tau drew a segment"):
+        density_report(front, 0.1)
+
+
+def test_covering_radius_without_a_live_sample_builds_no_index(monkeypatch):
+    from wavefront import metrics
+
+    front = propagate(init_front(CubeSurface(1.0), CubePoint("U", 0.31, 0.47)), 2.0)
+    front.alive[:] = False
+    grid = _grid(front.surface, 0.4)
+    own = _own_cells(front, *grid[:3])[3]
+    assert not np.isfinite(own).any()
+
+    def refused(*args):
+        raise AssertionError("index built")
+
+    monkeypatch.setattr(metrics, "_nearest", refused)
+    assert _covering_radius(front, grid, grid[3], own) == math.inf
 
 
 # --- growth curves -----------------------------------------------------------
