@@ -145,6 +145,9 @@ _TABLES_PINNED = {
     # a 10 x 4 ball grid, fewer than 5 cells on an axis
     "tau --surface rect:1,0.4 --p 0.3,0.2 --r 0.2 --t-max 15 --dt 1":
         "5c00a242c5f4033cce9300f363df263e817b114354ab112f0e86c78ab9d66e5e",
+    # the README grid; its projected covering radius is a nine-image query
+    "verify-theorem1 --t-grid 10:1000:90":
+        "3b5617b9b6794fb2d5cf07a3d18935b3774ed719925dd6a73a8a17bf58b918cb",
 }
 
 
