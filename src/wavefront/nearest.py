@@ -10,10 +10,12 @@ answer is the minimum over the whole cloud, bit for bit, not an estimate.
 A query may carry a cap: the search then also stops once every unvisited
 cell lies at least ``cap`` away.  The answer is still exact wherever it is
 below the cap; elsewhere it is some distance at least the cap (possibly
-``inf``).  Minimising over deck images of a query with the running minimum
-as cap therefore gives the exact minimum over all of them, while images far
-from the cloud end without visiting a cell; ``CellIndex.query_images`` does
-that, starting from the middle image.
+``inf``).  ``CellIndex.query_images`` minimises over the deck images of each
+query in two passes: the middle (untranslated) image uncapped, then every
+other image of every query in one search, capped by that query's first
+answer.  The minimum is exact, bit for bit: an image nearer than the first
+answer gets its exact distance, and every other answer is at least the first
+answer.  Images far from the cloud end without visiting a cell.
 
 The module needs numpy only and knows nothing of surfaces or fronts.
 """
@@ -110,16 +112,24 @@ class CellIndex:
         """Least distance from each query point to the cloud over its images.
 
         ``images`` has shape (k, n, 2): k images of n query points, the
-        untranslated one in the middle.  That one is searched first and
-        every other image with the running minimum as cap, so the result is
-        the exact minimum over all k images.
+        untranslated one in the middle.  That one is searched first, and
+        then every other image of every point in one capped search, each
+        capped by its point's first answer.  A capped answer is exact below
+        its cap, so the minimum of the two passes is the exact minimum over
+        all k images, bit for bit.  Points are taken ``QUERY_CHUNK`` at a
+        time, so the copied images and caps stay small.
         """
-        home = len(images) // 2
-        best = self.query(images[home])
-        for k, img in enumerate(images):
-            if k != home:
-                best = np.minimum(best, self.query(img, cap=best))
-        return best
+        k, n = len(images), images.shape[1]
+        home = k // 2
+        out = np.empty(n)
+        for s in range(0, n, QUERY_CHUNK):
+            img = images[:, s:s + QUERY_CHUNK]
+            best = self.query(img[home])
+            rest = self.query(np.delete(img, home, axis=0), cap=np.tile(best, k - 1))
+            # initial: a single image leaves no rest
+            out[s:s + QUERY_CHUNK] = np.minimum(
+                best, rest.reshape(k - 1, best.size).min(axis=0, initial=np.inf))
+        return out
 
     def _search(self, q, cap):
         u, v = self._coords(q)
@@ -138,23 +148,20 @@ class CellIndex:
 
     def _unvisited_distance(self, u, v, hi, hj, r):
         """Distance, in cell sides, from (u, v) to the cells outside the
-        rings 0..r around (hi, hj): the grid minus a rectangle of cells is
-        at most four strips.  ``inf`` once every cell has been visited."""
+        rings 0..r around (hi, hj): the grid minus a block of cells is at
+        most four strips.  The home cell is clamped into the grid, so a
+        strip that exists lies beyond the block on its side: its distance is
+        the coordinate gap to that side, and across the strip the offset of
+        (u, v) from the grid.  ``inf`` once every cell has been visited."""
         nx, ny = self._shape
+        ox = np.maximum(np.maximum(-u, u - nx), 0.0)
+        oy = np.maximum(np.maximum(-v, v - ny), 0.0)
         if r < 0:
-            return _box_distance(u, v, 0, nx, 0, ny)
-        i0, i1 = np.maximum(hi - r, 0), np.minimum(hi + r + 1, nx)
-        j0, j1 = np.maximum(hj - r, 0), np.minimum(hj + r + 1, ny)
-        strips = (
-            (i0 > 0, _box_distance(u, v, 0, i0, 0, ny)),
-            (i1 < nx, _box_distance(u, v, i1, nx, 0, ny)),
-            (j0 > 0, _box_distance(u, v, i0, i1, 0, j0)),
-            (j1 < ny, _box_distance(u, v, i0, i1, j1, ny)),
-        )
-        out = np.full(u.shape, np.inf)
-        for exists, d in strips:
-            np.minimum(out, np.where(exists, d, np.inf), out=out)
-        return out
+            return np.sqrt(ox * ox + oy * oy)
+        i0, i1, j0, j1 = hi - r, hi + r + 1, hj - r, hj + r + 1
+        gx = np.minimum(np.where(i0 > 0, u - i0, np.inf), np.where(i1 < nx, i1 - u, np.inf))
+        gy = np.minimum(np.where(j0 > 0, v - j0, np.inf), np.where(j1 < ny, j1 - v, np.inf))
+        return np.minimum(np.sqrt(gx * gx + oy * oy), np.sqrt(gy * gy + ox * ox))
 
     def _visit_ring(self, q, hi, hj, act, r, best):
         """Lower ``best`` of the queries ``act`` over the samples in the
@@ -211,9 +218,3 @@ def _stable_order(key):
     high = (key >> 16).astype(np.uint16)
     return low[np.argsort(high[low], kind="stable")]
 
-
-def _box_distance(u, v, x0, x1, y0, y1):
-    """Euclidean distance from (u, v) to the box [x0, x1] x [y0, y1]."""
-    dx = np.maximum(np.maximum(x0 - u, u - x1), 0.0)
-    dy = np.maximum(np.maximum(y0 - v, v - y1), 0.0)
-    return np.sqrt(dx * dx + dy * dy)

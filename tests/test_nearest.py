@@ -3,8 +3,11 @@
 ``CellIndex`` must return exactly ``min np.sqrt(dx*dx + dy*dy)`` over the
 cloud: on the sample clouds and deck images of all five surfaces, on
 degenerate clouds, far outside the cloud's box, and under a cap wherever
-the answer is below it.  The pruned rectangle maximum of ``lattice`` must
-equal the full evaluation of every centre.
+the answer is below it.  ``query_images`` must equal the minimum over images
+of brute force and of one capped search per image in turn, and the ring
+search's stop bound must be the distance to the cells it has not visited.
+The pruned rectangle maximum of ``lattice`` must equal the full evaluation
+of every centre.
 """
 
 import numpy as np
@@ -35,6 +38,17 @@ def brute(cloud, q):
             dy = cloud[:, 1] - y
             out[k] = np.sqrt(dx * dx + dy * dy).min()
     return out
+
+
+def sequential_images(index, images):
+    """The former ``query_images``: one search per image in turn, each
+    capped by the running minimum, starting from the middle image."""
+    home = len(images) // 2
+    best = index.query(images[home])
+    for k, img in enumerate(images):
+        if k != home:
+            best = np.minimum(best, index.query(img, cap=best))
+    return best
 
 
 FRONTS = [
@@ -80,6 +94,8 @@ def test_degenerate_clouds_and_far_queries(cloud):
     q = np.concatenate([near, far, cloud[:5]])
     index = CellIndex(cloud)
     assert np.array_equal(index.query(q), brute(cloud, q))
+    # a single image, as the cube, rectangle and disk pass
+    assert np.array_equal(index.query_images(q[None]), brute(cloud, q))
 
 
 def test_capped_queries_exact_below_cap():
@@ -102,7 +118,13 @@ def test_queries_span_chunks(monkeypatch):
     rng = np.random.default_rng(5)
     cloud = rng.random((400, 2))
     q = rng.random((500, 2)) * 2.0 - 0.5
-    assert np.array_equal(CellIndex(cloud).query(q), brute(cloud, q))
+    index = CellIndex(cloud)
+    assert np.array_equal(index.query(q), brute(cloud, q))
+    # the capped pass over eight images spans chunks too
+    images = KleinBottle().images(q[:100])
+    got = index.query_images(images)
+    assert np.array_equal(got, np.min([brute(cloud, img) for img in images], axis=0))
+    assert np.array_equal(got, sequential_images(index, images))
 
 
 @pytest.mark.parametrize("cloud", [
@@ -130,11 +152,77 @@ def test_stable_order_on_wide_keys():
 
 
 def test_empty_cloud_gives_inf():
-    assert np.all(np.isinf(CellIndex(np.empty((0, 2))).query(np.zeros((3, 2)))))
+    empty = CellIndex(np.empty((0, 2)))
+    assert np.all(np.isinf(empty.query(np.zeros((3, 2)))))
+    images = Torus(1.0, 1.0).images(np.array([[0.5, 0.5], [0.0, 1.0], [2.0, -3.0]]))
+    assert np.all(np.isinf(empty.query_images(images)))
+    index = CellIndex(np.random.default_rng(14).random((50, 2)))
+    for k in (1, 9):  # no query points
+        assert index.query_images(np.empty((k, 0, 2))).shape == (0,)
     front = propagate(init_front(Torus(1.0, 1.0), (0.2, 0.3)), 1.0)
     front.alive[:] = False
     q = np.array([[0.5, 0.5], [0.1, 0.9]])
     assert np.all(np.isinf(_nearest(front, q, np.zeros(2, dtype=int))))
+
+
+@pytest.mark.parametrize("surface,source", [
+    (Torus(1.0, 0.7), (0.37, 0.61)),
+    (KleinBottle(), (0.2, 0.3)),
+], ids=["torus", "klein"])
+def test_query_images_is_the_minimum_over_images(surface, source):
+    front = propagate(init_front(surface, source), 3.0)
+    (cloud,) = surface.sample_clouds(front.pos, front.face, front.alive)
+    rng = np.random.default_rng(12)
+    lo, w, h = surface.box
+    seams = lo + np.stack(np.meshgrid(w * np.array([0.0, 0.5, 1.0]),
+                                      h * np.array([0.0, 0.5, 1.0])), axis=-1).reshape(-1, 2)
+    inside = lo + rng.random((150, 2)) * [w, h]
+    far = rng.normal(size=(40, 2)) * 1e3
+    images = surface.images(np.concatenate([seams, inside, far]))
+    assert images.shape == (9, 199, 2)
+    index = CellIndex(cloud)
+    got = index.query_images(images)
+    assert np.array_equal(got, np.min([brute(cloud, img) for img in images], axis=0))
+    assert np.array_equal(got, sequential_images(index, images))
+
+
+def _unvisited_cells_distance(index, u, v, hi, hj, r):
+    """Brute force: for each query, the least distance in cell sides to a
+    cell outside the visited block of rings 0..r, clamped to the grid
+    (``inf`` when none is left)."""
+    nx, ny = index._shape
+    ci, cj = np.divmod(np.arange(nx * ny), ny)
+    dx = np.maximum(np.maximum(ci - u[:, None], u[:, None] - (ci + 1)), 0.0)
+    dy = np.maximum(np.maximum(cj - v[:, None], v[:, None] - (cj + 1)), 0.0)
+    d = np.sqrt(dx * dx + dy * dy)
+    visited = ((np.abs(ci - hi[:, None]) <= r) & (np.abs(cj - hj[:, None]) <= r))
+    return np.where(visited, np.inf, d).min(axis=1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_unvisited_distance_bounds_every_unvisited_cell(seed, monkeypatch):
+    from wavefront import nearest
+    rng = np.random.default_rng(seed)
+    cloud = rng.random((int(rng.integers(2, 300)), 2)) * rng.random(2) * 4.0
+    if seed == 5:  # one row of cells, few enough to visit them all
+        cloud[:, 1] = 0.5
+        monkeypatch.setattr(nearest, "MAX_CELLS_PER_AXIS", 60)
+    index = CellIndex(cloud)
+    nx, ny = index._shape
+    edges = np.array([[0, 0], [nx, ny], [0, ny], [nx, 0], [nx / 2, 0], [0, ny / 2]])
+    inside = rng.random((100, 2)) * [nx, ny]
+    outside = rng.normal(size=(100, 2)) * 3 * max(nx, ny)
+    u, v = np.concatenate([edges, inside, outside]).T
+    hi, hj = index._cells(np.stack([index._lo[0] + u * index._side,
+                                    index._lo[1] + v * index._side], axis=1))
+    for r in range(-1, max(nx, ny)):
+        bound = index._unvisited_distance(u, v, hi, hj, r)
+        ref = _unvisited_cells_distance(index, u, v, hi, hj, r)
+        assert np.all(bound <= ref), r
+        # and no weaker, so inf exactly when no cell is left: a looser bound
+        # lets a query far off a one-row grid visit every ring
+        assert np.array_equal(bound, ref), r
+    assert np.all(np.isinf(bound))
 
 
 def _full_max(f, m):
