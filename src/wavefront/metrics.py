@@ -26,7 +26,7 @@ centre's own cell cannot decide it.  One key pass over the samples
 live samples whose home cell it is.  Any other sample, any other deck image
 of the centre and any cube sample developed from another face lies at
 least half the shorter cell side away, less rounding, so an own-cell
-distance below half a cell less ``OWN_CELL_MARGIN`` times the coordinate
+distance below half a cell less ``ROUNDING_MARGIN`` times the coordinate
 span is the exact nearest-sample distance, bit for bit.  The rest go to the
 index, which is built one chart at a time and only for the charts that hold
 such a centre.
@@ -59,8 +59,9 @@ from .surfaces import NumericalFailureError, PreconditionError
 NOT_ACHIEVED = "not achieved by t_max"
 
 # Rounding allowance, relative to the span of the compared coordinates, on
-# the distance below which a centre's own-cell bound is exact.
-OWN_CELL_MARGIN = 1e-12
+# the distance below which a centre's own-cell bound is exact and on the
+# reach of the developed samples a nearest-sample query searches.
+ROUNDING_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -125,11 +126,25 @@ def _grid_axis(extent: float, eps: float):
 def _nearest(front: Front, pts: np.ndarray, charts: np.ndarray) -> np.ndarray:
     """Min geodesic distance from each query point to the front's live samples.
 
-    ``charts`` gives the chart of each query point.  The result is the
-    minimum over all deck images of the query (``surface.images``, searched
-    by ``CellIndex.query_images``).  A chart's index is built only when the
-    chart holds a query, and it and its cloud are dropped before the next
-    chart's cloud is developed.
+    ``charts`` gives the chart of each query point, which lies in that
+    chart's box.  The result is the minimum over all deck images of the
+    query (``surface.images``, searched by ``CellIndex.query_images``).  A
+    chart is searched only when it holds a query, in two passes:
+
+    * its own live samples, uncapped: the first answers;
+    * the samples of other charts developed into it (``surface.sample_clouds``;
+      the cube's, which need no images), only those within R of the box on
+      both axes plus ``ROUNDING_MARGIN`` times R and the coordinate span, R
+      being the largest first answer.  Each query is capped by its first
+      answer.
+
+    A developed sample left out lies more than R from every query on one
+    axis, so its chord rounds to more than every first answer, and a capped
+    answer is exact below its cap: the minimum of the two passes is the
+    minimum over every developed sample, bit for bit.  A chart without a live
+    sample of its own answers ``inf`` first and then searches every developed
+    sample, uncapped.  Each chart's clouds and indexes are dropped before the
+    next chart's samples are developed.
 
     On the cube each sample is searched as developed across at most two
     edges into the query's face.  Each such chord is at least the geodesic
@@ -138,11 +153,20 @@ def _nearest(front: Front, pts: np.ndarray, charts: np.ndarray) -> np.ndarray:
     that short crosses at most two edges.  Beyond that it can be too long.
     """
     surface = front.surface
+    span = _span(surface)
     out = np.full(pts.shape[0], np.inf)
-    for chart, cloud in enumerate(surface.sample_clouds(front.pos, front.face, front.alive)):
+    for chart, (cloud, developed) in enumerate(
+            surface.sample_clouds(front.pos, front.face, front.alive)):
         m = charts == chart
-        if m.any():
-            out[m] = CellIndex(cloud).query_images(surface.images(pts[m]))
+        if not m.any():
+            continue
+        q = pts[m]
+        best = CellIndex(cloud).query_images(surface.images(q))
+        if developed is not None:
+            far = float(best.max())
+            cloud = developed(far + ROUNDING_MARGIN * (far + span))
+            best = np.minimum(best, CellIndex(cloud).query(q, cap=best))
+        out[m] = best
         del cloud
     return out
 
@@ -322,12 +346,16 @@ def _hit_cells(front: Front, x_axis, y_axis, cells):
 def _reach(surface, x_axis, y_axis) -> float:
     """Distance below which a centre's own-cell bound (``_own_cells``) is
     its nearest-sample distance: half the shorter cell side less
-    ``OWN_CELL_MARGIN`` times the span of the coordinates a nearest-sample
+    ``ROUNDING_MARGIN`` times the span of the coordinates a nearest-sample
     query compares."""
+    return 0.5 * min(x_axis[1], y_axis[1]) - ROUNDING_MARGIN * _span(surface)
+
+
+def _span(surface) -> float:
+    """The largest coordinate magnitude a nearest-sample query compares:
+    cube clouds develop samples up to two faces past the chart's box."""
     lo, width, height = surface.box
-    # cube clouds develop samples up to two faces past the chart's box
-    span = abs(lo) + 3.0 * max(width, height)
-    return 0.5 * min(x_axis[1], y_axis[1]) - OWN_CELL_MARGIN * span
+    return abs(lo) + 3.0 * max(width, height)
 
 
 def _covering_radius(front: Front, grid, mask: np.ndarray, own: np.ndarray) -> float:

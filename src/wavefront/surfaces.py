@@ -38,6 +38,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 import reprlib
 from dataclasses import dataclass, fields
@@ -197,8 +198,11 @@ class _Surface:
         return np.array(list(map(math.hypot, dx, dy)), dtype=np.float64)
 
     def sample_clouds(self, pos: np.ndarray, face, live: np.ndarray):
-        """Per chart in turn, the live samples a nearest-sample query searches."""
-        yield pos.compress(live, axis=0)
+        """Per chart in turn, the live samples on it and ``developed``: a
+        function of a distance r giving the samples of other charts developed
+        into it that lie within r of its box on both axes (None here: one
+        chart, nothing developed)."""
+        yield pos.compress(live, axis=0), None
 
     # -- eps-grids
 
@@ -516,15 +520,44 @@ class CubeSurface(_Surface):
         return out
 
     def sample_clouds(self, pos, face, live):
-        """Per face in turn, the live samples on it and on the faces one or two
-        edges away, developed into its chart (so queries need no images)."""
+        """Per face in turn, the live samples on it and a function of a
+        distance r that develops into its chart the live samples on the faces
+        one or two edges away lying within r of its square (``_developed``),
+        so queries need no images."""
         on = [pos.compress(live & (face == g), axis=0) for g in range(6)]
-        for paths in _FACE_PATHS:
-            near = paths.depth <= 2
-            yield np.concatenate([
-                on[g] @ r.T + c * self.side
-                for g, r, c in zip(paths.end[near], paths.rot[near], paths.shift[near])
-            ], axis=0)
+        for f, paths in enumerate(_FACE_PATHS):
+            yield on[f], functools.partial(self._developed, on, paths)
+
+    def _developed(self, on, paths, reach):
+        """The samples ``on[g]`` of each face g one or two edges along
+        ``paths``, developed as ``p @ R.T + c * side``, that land within
+        ``reach`` of the chart's square [0, side]^2 on both axes.  R is a
+        signed permutation, so each developed axis reads one coordinate of a
+        sample: the samples are cut on that coordinate before they are
+        developed, and a path whose developed square lies wholly beyond
+        ``reach`` is not developed.  The cuts are rounded by a few ulps of
+        the side and ``reach``; an infinite ``reach`` keeps every sample."""
+        s = self.side
+        near = (paths.depth >= 1) & (paths.depth <= 2)
+        parts = []
+        for g, r, c in zip(paths.end[near], paths.rot[near], paths.shift[near]):
+            # developed axis i is sign * p[k] + c[i] * side: the interval of
+            # p[k] that develops into [-reach, side + reach]
+            cuts = []
+            for (r0, r1), cs in zip(r.tolist(), (c * s).tolist()):
+                k, sign = (0, r0) if r0 else (1, r1)
+                cuts.append((k, -reach - cs, s + reach - cs) if sign > 0
+                            else (k, cs - s - reach, cs + reach))
+            if any(lo > s or hi < 0.0 for _, lo, hi in cuts):
+                continue
+            pts = on[g]
+            for k, lo, hi in cuts:
+                if lo > 0.0:
+                    pts = pts.compress(pts[:, k] >= lo, axis=0)
+                if hi < s:
+                    pts = pts.compress(pts[:, k] <= hi, axis=0)
+            parts.append(pts @ r.T + c * s)
+        return np.concatenate(parts, axis=0)
 
     @property
     def viewport(self):
@@ -713,27 +746,40 @@ def _build_face_paths():
     last face into the source chart, where each face of the path develops to
     the square [corner, corner + 1] * side.  Integers, in side units.
     """
-    zero = np.zeros(2, dtype=np.int64)
-    step = [[(int(_NEXT_FACE[f, e]), r, -(r @ _TRANS_SHIFT[f, e]))
-             for e in range(4) for r in [_ROT2[-_TRANS_ROT[f, e] % 4]]] for f in range(6)]
-    tables = []
+    # Python ints throughout, each matrix a flat (a, b, c, d) row-major tuple:
+    # numpy arrays are made once per column
+    eye, zero = (1, 0, 0, 1), (0, 0)
+    rot2 = [tuple(r) for r in _ROT2.reshape(4, 4).tolist()]
+    step = [[(g, r, (-(r[0] * x + r[1] * y), -(r[2] * x + r[3] * y)))
+             for g, k, (x, y) in zip(_NEXT_FACE[f].tolist(), _TRANS_ROT[f].tolist(),
+                                     _TRANS_SHIFT[f].tolist())
+             for r in [rot2[-k % 4]]] for f in range(6)]
+    columns = [[] for _ in _FacePaths._fields]  # every source face's rows, flattened
+
+    def walk(faces, rots, shifts, rot, shift, corners):
+        depth = len(faces) - 1
+        pad = 5 - depth
+        row = ((faces[-1],), (depth,), rots + eye * pad, shifts + zero * pad,
+               rot, shift, corners + corners[-2:] * pad)
+        for column, values in zip(columns, row):
+            column.extend(values)
+        a, b, c, d = rot
+        for g, (e, f, h, k), (x, y) in step[faces[-1]]:
+            if g not in faces:
+                r_all = (a * e + b * h, a * f + b * k, c * e + d * h, c * f + d * k)
+                c_all = (a * x + b * y + shift[0], c * x + d * y + shift[1])
+                corner = (c_all[0] + min(r_all[0], 0) + min(r_all[1], 0),
+                          c_all[1] + min(r_all[2], 0) + min(r_all[3], 0))
+                walk(faces + [g], rots + (e, f, h, k), shifts + (x, y), r_all, c_all,
+                     corners + corner)
+
     for f0 in range(6):
-        rows = []
-
-        def walk(faces, rots, shifts, rot, shift, corners):
-            pad = 5 - len(rots)
-            rows.append((faces[-1], len(rots), rots + [_ROT2[0]] * pad, shifts + [zero] * pad,
-                         rot, shift, corners + corners[-1:] * pad))
-            for g, r, c in step[faces[-1]]:
-                if g not in faces:
-                    r_all, c_all = rot @ r, rot @ c + shift
-                    walk(faces + [g], rots + [r], shifts + [c], r_all, c_all,
-                         corners + [c_all + np.minimum(r_all, 0).sum(axis=1)])
-
-        walk([f0], [], [], _ROT2[0], zero, [zero])
-        assert len(rows) == 133, f0
-        tables.append(_FacePaths(*(np.array(column) for column in zip(*rows))))
-    return tables
+        walk([f0], (), (), eye, zero, zero)
+    assert len(columns[0]) == 6 * 133
+    shapes = [(), (), (5, 2, 2), (5, 2), (2, 2), (2,), (6, 2)]
+    arrays = [np.array(column, dtype=np.int64).reshape(6, 133, *shape)
+              for column, shape in zip(columns, shapes)]
+    return [_FacePaths(*(a[f0] for a in arrays)) for f0 in range(6)]
 
 
 _FACE_PATHS = _build_face_paths()
@@ -885,6 +931,12 @@ def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t, on_cross=None
     step_cos, step_sin = _ROT2_COS.take(step_rot) * 1.0, _ROT2_SIN.take(step_rot) * 1.0
     shift_u, shift_v = (_TRANS_SHIFT.reshape(24, 2) * side).T
     step_hash = (step_face + 1).astype(np.uint64)
+    # by key 24 * rotation + code: the development rotation after the crossing
+    # and the translation it takes off, each entry computed as a ray's would be
+    rot_next = (np.arange(4)[:, None] - step_rot) & 3
+    rc, rs = _ROT2_COS.take(rot_next), _ROT2_SIN.take(rot_next)
+    rot_next, tvu_step, tvv_step = (
+        a.ravel() for a in (rot_next, rc * shift_u - rs * shift_v, rs * shift_u + rc * shift_v))
 
     events = 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -895,8 +947,12 @@ def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t, on_cross=None
                     f"cube tracing exceeded EVENT_BUDGET={EVENT_BUDGET} face crossings per ray"
                 )
             upos, vpos = du > 0, dv > 0
-            su = np.where(upos, (side - pu) / du, np.where(du < 0, -pu / du, np.inf))
-            sv = np.where(vpos, (side - pv) / dv, np.where(dv < 0, -pv / dv, np.inf))
+            su = np.where(upos, side - pu, -pu)
+            su /= du
+            np.copyto(su, np.inf, where=du == 0)
+            sv = np.where(vpos, side - pv, -pv)
+            sv /= dv
+            np.copyto(sv, np.inf, where=dv == 0)
             s = np.minimum(su, sv)
             cu = su <= sv
             done = trem <= s
@@ -930,14 +986,18 @@ def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t, on_cross=None
                 on_cross(face)
             c, sn = step_cos.take(code), step_sin.take(code)
             shu, shv = shift_u.take(code), shift_v.take(code)
-            pu = np.clip(c * peu - sn * pev + shu, 0.0, side)
-            pv = np.clip(sn * peu + c * pev + shv, 0.0, side)
+            pu = c * peu - sn * pev + shu
+            np.minimum(np.maximum(pu, 0.0, out=pu), side, out=pu)
+            pv = sn * peu + c * pev + shv
+            np.minimum(np.maximum(pv, 0.0, out=pv), side, out=pv)
             du, dv = c * du - sn * dv, sn * du + c * dv
-            rot = (rot - step_rot.take(code)) & 3
-            rc, rs = _ROT2_COS.take(rot), _ROT2_SIN.take(rot)
-            tvu = tvu - (rc * shu - rs * shv)
-            tvv = tvv - (rs * shu + rc * shv)
-            hh = (hh * _HASH_PRIME) ^ step_hash.take(code)
+            key = rot * 24
+            key += code
+            rot = rot_next.take(key)
+            tvu -= tvu_step.take(key)
+            tvv -= tvv_step.take(key)
+            hh *= _HASH_PRIME
+            hh ^= step_hash.take(code)
             tgone += s
             trem -= s
 

@@ -345,12 +345,13 @@ def test_cube_covering_radius_within_the_torus_bound(cube_fronts, face, a, b, de
 
 
 def test_cube_density_report_memory(cube_fronts):
-    """The nearest-sample index is built one chart at a time, so the
-    covering radius of a 90,691-sample cube front at t = 20 holds one
-    developed chart cloud and its index at once, not all six: 14 MB of
-    numpy arrays above what was held before, against 53 MB when the six
-    were built together.  25 MB leaves room for numpy versions and fails
-    if the six are held together again."""
+    """The nearest-sample index is built one chart at a time, and its
+    second pass indexes only the developed samples within the chart's
+    largest first answer, so the covering radius of a 90,691-sample cube
+    front at t = 20 holds 5.1 MB of numpy arrays above what was held before,
+    against 14 MB for one whole developed chart cloud and its index and 53
+    MB when the six were built together.  10 MB leaves room for numpy
+    versions and fails if a whole developed cloud is indexed again."""
     front = cube_fronts["U", 31, 47, 100, 20.0]
     tracemalloc.start()
     try:
@@ -359,7 +360,7 @@ def test_cube_density_report_memory(cube_fronts):
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert peak < 25e6, peak
+    assert peak < 10e6, peak
 
 
 def test_criterion_08_gauss_circle_oracle(criterion):

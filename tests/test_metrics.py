@@ -30,6 +30,7 @@ from wavefront import (
 )
 from wavefront.metrics import (
     NOT_ACHIEVED,
+    ROUNDING_MARGIN,
     _covering_radius,
     _grid,
     _grid_axis,
@@ -39,7 +40,9 @@ from wavefront.metrics import (
     _own_cells,
     _reach,
     _segment_pairs,
+    _span,
 )
+from wavefront.nearest import CellIndex
 from wavefront.surfaces import _fold
 
 TWO_PI = 2.0 * math.pi
@@ -289,13 +292,29 @@ def test_occupancy_marks_every_cell_a_long_segment_crosses():
 # --- covering radius against the index over every centre ---------------------
 
 
+def _full_cloud_nearest(front, pts, charts):
+    """The former ``_nearest``, kept as an oracle: one uncapped search per
+    chart over its own live samples and every sample developed into it."""
+    surface = front.surface
+    out = np.full(pts.shape[0], np.inf)
+    for chart, (cloud, developed) in enumerate(
+            surface.sample_clouds(front.pos, front.face, front.alive)):
+        m = charts == chart
+        if m.any():
+            if developed is not None:
+                cloud = np.concatenate([cloud, developed(np.inf)])
+            out[m] = CellIndex(cloud).query_images(surface.images(pts[m]))
+    return out
+
+
 def _against_the_index(front, spacing, meets=False):
     """Decided centres of the covering radius over the cells of a grid of
     ``spacing`` that lie inside the domain (``density_report``) or, with
-    ``meets``, that meet it (``estimate_tau``), after checking the radius
-    and every decided centre's own-cell bound bitwise against the
-    nearest-sample index queried at every such centre, and that the
-    own-cell bounds are finite exactly in the live-sample cells."""
+    ``meets``, that meet it (``estimate_tau``), after checking the radius,
+    every decided centre's own-cell bound and ``_nearest`` at every other
+    centre bitwise against the full-cloud search queried at every such
+    centre, and that the own-cell bounds are finite exactly in the
+    live-sample cells."""
     surface = front.surface
     grid = _grid(surface, spacing)
     x_axis, y_axis, (cx, cy), mask = *grid[:3], grid[3 if meets else 4]
@@ -303,10 +322,13 @@ def _against_the_index(front, spacing, meets=False):
     assert np.array_equal(np.isfinite(bounds), _live_sample_cells(front, x_axis, y_axis))
     pts = np.stack(np.meshgrid(cx, cy, indexing="ij"), axis=-1)[mask]
     charts = np.repeat(np.arange(surface.charts), pts.shape[0])
-    dist = _nearest(front, np.tile(pts, (surface.charts, 1)), charts)
+    pts = np.tile(pts, (surface.charts, 1))
+    dist = _full_cloud_nearest(front, pts, charts)
     own = bounds[:, mask].ravel()
     decided = own < _reach(surface, x_axis, y_axis)
     assert np.array_equal(own[decided], dist[decided])
+    # the centres the covering radius asks _nearest about
+    assert np.array_equal(_nearest(front, pts[~decided], charts[~decided]), dist[~decided])
     radius = _covering_radius(front, grid, mask, bounds)
     assert radius.hex() == float(dist.max()).hex()
     if not meets:
@@ -359,6 +381,48 @@ def test_covering_radius_equals_the_index_over_every_centre():
             regimes.add((meets, "all" if decided == centres else "some" if decided else "none"))
     assert regimes == {(m, r) for m in (False, True) for r in ("all", "some", "none")}
     assert {1, 2, 3} <= tau_cells and outside_rim > 0
+
+
+def test_two_pass_nearest_equals_the_full_cloud_on_cube_fronts(cube_tear_fronts):
+    # the benchmark's cube density fronts (t = 5 to 20, where the reach crops
+    # the developed samples) and two early ones: cube:1 at t = 0.5, and
+    # cube:2.5 at t = 0.5, with three faces holding no live sample and a
+    # radius past one side
+    early = [propagate(init_front(cube, cube.parse_point(point)), 0.5)
+             for cube, point in ((CubeSurface(1.0), "U/0.31/0.47"), (CubeSurface(2.5), "D/0.1/2.3"))]
+    dropped_total = empty_charts = 0
+    for front, eps in [(early[0], 0.05), *((f, 0.05) for f in cube_tear_fronts[:4]),
+                       (early[1], 0.25)]:
+        surface, key = front.surface, (front.surface.side, front.t)
+        x_axis, y_axis, (cx, cy), _, inside = _grid(surface, eps)
+        own = _own_cells(front, x_axis, y_axis, (cx, cy))[3]
+        charts, i, j = np.nonzero(inside & ~(own < _reach(surface, x_axis, y_axis)))
+        q = np.stack([cx[i], cy[j]], axis=-1)
+        got = _nearest(front, q, charts)
+        assert np.array_equal(got, _full_cloud_nearest(front, q, charts)), key
+        # the second pass's crop, redone: what it leaves out is farther than
+        # every first answer, so no nearer than any answer (checked on the
+        # samples within twice the reach on both axes: any other lies more
+        # than twice it from every centre on one axis)
+        for chart, (cloud, developed) in enumerate(
+                surface.sample_clouds(front.pos, front.face, front.alive)):
+            m = charts == chart
+            if not m.any():
+                continue
+            far = float(CellIndex(cloud).query(q[m]).max())
+            reach = far + ROUNDING_MARGIN * (far + _span(surface))
+            every = developed(np.inf)
+            x, y = every[:, 0], every[:, 1]
+            gap = np.maximum(np.maximum(-x, x - surface.side), np.maximum(-y, y - surface.side))
+            assert developed(reach).tobytes() == every[gap <= reach].tobytes(), key
+            dropped = every[(gap > reach) & (gap <= 2.0 * reach)]
+            if dropped.size:
+                assert CellIndex(dropped).query(q[m]).min() > far, (key, chart)
+            dropped_total += dropped.shape[0]
+            empty_charts += cloud.shape[0] == 0
+    # three empty faces at cube:1 t = 0.5 and three at cube:2.5
+    assert dropped_total > 0 and empty_charts == 6
+    assert got.max() > 2.5  # cube:2.5, the last front
 
 
 def test_covering_radius_with_samples_on_cell_edges():

@@ -63,7 +63,9 @@ FRONTS = [
 @pytest.mark.parametrize("surface,source,t", FRONTS, ids=lambda v: getattr(v, "kind", ""))
 def test_sample_clouds_and_images_match_brute_force(surface, source, t):
     front = propagate(init_front(surface, source), t)
-    clouds = list(surface.sample_clouds(front.pos, front.face, front.alive))
+    # each chart's whole cloud: its own samples and every developed one
+    clouds = [cloud if developed is None else np.concatenate([cloud, developed(np.inf)])
+              for cloud, developed in surface.sample_clouds(front.pos, front.face, front.alive)]
     rng = np.random.default_rng(7)
     lo, w, h = surface.box
     q = np.stack([lo + w * rng.random(300), lo + h * rng.random(300)], axis=1)
@@ -171,7 +173,8 @@ def test_empty_cloud_gives_inf():
 ], ids=["torus", "klein"])
 def test_query_images_is_the_minimum_over_images(surface, source):
     front = propagate(init_front(surface, source), 3.0)
-    (cloud,) = surface.sample_clouds(front.pos, front.face, front.alive)
+    ((cloud, developed),) = surface.sample_clouds(front.pos, front.face, front.alive)
+    assert developed is None
     rng = np.random.default_rng(12)
     lo, w, h = surface.box
     seams = lo + np.stack(np.meshgrid(w * np.array([0.0, 0.5, 1.0]),

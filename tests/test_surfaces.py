@@ -391,11 +391,12 @@ _WALK_CASES = [
     (1.0, CubePoint("U", 0.23, 0.61)),
     (2.5, CubePoint("D", 0.1, 2.3)),
     (1.0, CubePoint("L", 0.0, 0.4)),  # on an edge
+    (0.3, CubePoint("R", 0.093, 0.201)),  # sums of sides round: 0.3 + 0.3 + 0.3 != 0.9
 ]
 
 
 @pytest.mark.parametrize("side,source", _WALK_CASES)
-@pytest.mark.parametrize("t", [0.0, 0.3, 2.5, 17.0])
+@pytest.mark.parametrize("t", [0.0, 0.3, 2.5, 17.0, 20.0])
 def test_cube_walk_matches_gather_scatter_walk(side, source, t):
     thetas = np.concatenate([
         np.linspace(0.0, 2.0 * math.pi, 2049),
@@ -649,21 +650,6 @@ def _cube_distance_one_pair(side, q1, q2):
     return float(np.hypot(d[:, 0], d[:, 1])[ok].min())
 
 
-@pytest.fixture(scope="module")
-def cube_tear_fronts():
-    """The fronts of the benchmark's two cube-tear commands at every time of
-    their grids: density from U/0.31/0.47 over 5:20:5 and components from
-    U/0.5/0.5 over 0.5:1.5:0.25, both with the default parameters."""
-    fronts = []
-    for source, times in ((CubePoint("U", 0.31, 0.47), (5.0, 10.0, 15.0, 20.0)),
-                          (CubePoint("U", 0.5, 0.5), (0.5, 0.75, 1.0, 1.25, 1.5))):
-        front = init_front(CubeSurface(1.0), source)
-        for t in times:
-            front = propagate(front, t)
-            fronts.append(front)
-    return fronts
-
-
 def test_batched_cube_distance_matches_one_pair_oracle(cube_tear_fronts):
     pairs = 0
     for front in cube_tear_fronts:
@@ -703,13 +689,25 @@ def _sample_clouds_by_path_masks(side, pos, face, live):
 
 
 def test_sample_clouds_match_per_path_masks(cube_tear_fronts):
+    # each chart's own samples, then every developed one, are the former
+    # whole cloud; a finite reach keeps the developed samples within it of
+    # the chart's square on both axes, in the same order
     for front in cube_tear_fronts:
+        side = front.surface.side
         got = list(front.surface.sample_clouds(front.pos, front.face, front.alive))
-        want = _sample_clouds_by_path_masks(front.surface.side, front.pos, front.face, front.alive)
+        want = _sample_clouds_by_path_masks(side, front.pos, front.face, front.alive)
         assert len(got) == len(want) == 6
-        for mine, cloud in zip(got, want):
-            assert mine.dtype == cloud.dtype and mine.shape == cloud.shape, front.t
-            assert mine.tobytes() == cloud.tobytes(), front.t
+        for (own, developed), cloud in zip(got, want):
+            n = own.shape[0]
+            every = developed(np.inf)
+            assert own.dtype == every.dtype == cloud.dtype, front.t
+            assert own.shape[0] + every.shape[0] == cloud.shape[0], front.t
+            assert own.tobytes() == cloud[:n].tobytes(), front.t
+            assert every.tobytes() == cloud[n:].tobytes(), front.t
+            x, y = every[:, 0], every[:, 1]
+            gap = np.maximum(np.maximum(-x, x - side), np.maximum(-y, y - side))
+            for reach in (0.0, 0.05 * side, 0.3 * side, 1.2 * side):
+                assert developed(reach).tobytes() == every[gap <= reach].tobytes(), (front.t, reach)
 
 
 def test_planar_distances_are_the_pairwise_distance():
