@@ -29,7 +29,8 @@ least half the shorter cell side away, less rounding, so an own-cell
 distance below half a cell less ``ROUNDING_MARGIN`` times the coordinate
 span is the exact nearest-sample distance, bit for bit.  The rest go to the
 index, which is built one chart at a time and only for the charts that hold
-such a centre.
+such a centre: first over the chart's own samples, then over the cube
+samples developed into it that lie within reach of those first answers.
 
 Occupancy, which only ``density_report`` reads, is the cells with a finite
 own-cell bound plus the cells that the drawn segments cross.
