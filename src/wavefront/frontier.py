@@ -282,8 +282,7 @@ def _pick(upper, when_upper, otherwise, gap):
     out = otherwise.rows(gap)
     rows = gap[upper]
     for name, col in vars(out).items():
-        if col is not None:
-            col[upper] = getattr(when_upper, name)[rows]
+        col[upper] = getattr(when_upper, name)[rows]
     return out
 
 
@@ -292,10 +291,8 @@ def _merge(batch, rounds):
     (one stable sort: a midpoint lies strictly inside its gap)."""
     parts = [batch, *rounds]
     order = np.argsort(np.concatenate([b.thetas for b in parts]), kind="stable")
-    return GeodesicBatch(**{
-        name: None if col is None else np.concatenate([getattr(b, name) for b in parts])[order]
-        for name, col in vars(batch).items()
-    })
+    return GeodesicBatch(**{name: np.concatenate([getattr(b, name) for b in parts])[order]
+                            for name in vars(batch)})
 
 
 def _sheets_match(sa, sb):

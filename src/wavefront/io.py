@@ -177,7 +177,7 @@ def _parse_front(doc: dict) -> Front:
         if not isinstance(doc[key], str):
             raise SnapshotError(f"{key} must be a string, got {reprlib.repr(doc[key])}")
     surface = parse_surface(doc["surface"])
-    source = surface.parse_point(doc["source"])
+    source = surface.validate_point(surface.parse_point(doc["source"]), forbid_vertex=True)
     fixed = _fixed_params(surface)
     _require_keys(doc["params"], ("h_max", *fixed), "params")
     for key, value in doc["params"].items():
@@ -246,12 +246,11 @@ def _parse_front(doc: dict) -> Front:
     batch = evaluate_batch(surface, source, thetas, t)
     live, pos = batch.alive, np.column_stack((xs, ys))[order]
     moved = (pos != batch.pos) | (np.signbit(pos) != np.signbit(batch.pos))
-    charts = surface.sample_charts(batch.face, thetas.shape[0])
     need = _needs_bisection(surface, t, batch, params)
     for what, bad in (
         ("alive flag differs from evaluation", alive != live),
         ("position differs from evaluation", live & moved.any(axis=1)),
-        ("face differs from evaluation", live & (np.array(faces)[order] != charts)),
+        ("face differs from evaluation", live & (np.array(faces)[order] != batch.face)),
         ("death time differs from evaluation", ~live & (death != batch.death_time)),
         ("outside the arc", (thetas < arc.theta_lo) | (thetas > arc.theta_hi)),
         ("gap to the next sample needs bisection", np.append(need, False)),
@@ -370,7 +369,7 @@ def render_svg(front: Front, width_px: int = 1600) -> bytes:
             f'stroke="{color}" stroke-width="{sw!r}" stroke-linejoin="round"/>'
         )
 
-    x, y = surface.plane_point(front.source)
+    (x, y), = surface.plane(*surface.point_rows([front.source]))
     lines.append(
         f'<circle cx="{float(x)!r}" cy="{(h - float(y))!r}" '
         f'r="{(3 * sw)!r}" fill="#000000"/>'

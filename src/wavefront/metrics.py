@@ -297,8 +297,7 @@ def _own_cells(front: Front, x_axis, y_axis, centers):
     surface = front.surface
     lo = surface.box[0]
     (nx, sx), (ny, sy) = x_axis, y_axis
-    pos = front.pos
-    charts = surface.sample_charts(front.face, pos.shape[0])
+    pos, charts = front.pos, front.face
     ci, cj = _cells_of(pos, (lo, lo), sx, sy)
     i0, j0 = surface.wrap_cells(ci, cj, nx, ny)
     dist = pos[:, 0] - centers[0].take(i0)  # np.sqrt(dx*dx + dy*dy), in place
@@ -309,7 +308,8 @@ def _own_cells(front: Front, x_axis, y_axis, centers):
     del dy
     np.sqrt(dist, out=dist)
     dist[~front.alive] = np.inf
-    home = charts * nx  # the flat key (chart * nx + i) * ny + j, in place
+    home = charts.astype(np.int64)  # the flat key (chart * nx + i) * ny + j, in place
+    home *= nx
     home += i0
     home *= ny
     home += j0

@@ -88,8 +88,8 @@ class _Surface:
     """What a surface model answers; the defaults describe a planar table.
 
     A planar surface has one chart, the plane of its fundamental domain, and
-    one development sheet: its sample arrays carry no face ids (``face`` is
-    None) and sheets of width 0.  ``box`` is ``(lo, width, height)``: the
+    one development sheet: its sample arrays carry chart 0 in ``face`` and
+    sheets of width 0.  ``box`` is ``(lo, width, height)``: the
     domain's bounding box [lo, lo + width] x [lo, lo + height], which
     eps-grids tile and renders show.
     """
@@ -147,13 +147,14 @@ class _Surface:
         return lo <= x <= lo + w and lo <= y <= lo + h
 
     def point_at(self, pos: np.ndarray, face, i: int):
-        """The surface point of row ``i`` of position (and face) arrays."""
+        """The surface point of row ``i`` of position and chart arrays."""
         return (float(pos[i, 0]), float(pos[i, 1]))
 
     def point_rows(self, points) -> tuple:
-        """Position (and face) arrays of surface points, a row each: the
+        """Position and chart arrays of surface points, a row each: the
         inverse of ``point_at``."""
-        return np.array([(p[0], p[1]) for p in points], dtype=np.float64), None
+        return (np.array([(p[0], p[1]) for p in points], dtype=np.float64),
+                np.zeros(len(points), dtype=np.uint8))
 
     def coordinate_columns(self, pos: np.ndarray, face) -> list:
         """Snapshot coordinate columns of sample positions, as Python lists."""
@@ -163,10 +164,6 @@ class _Surface:
         """Chart ids, x and y from snapshot coordinate columns."""
         x, y = columns
         return [0] * len(x), x, y
-
-    def sample_charts(self, face, n: int) -> np.ndarray:
-        """Chart id of each of ``n`` samples."""
-        return np.zeros(n, dtype=np.int64)
 
     # -- evaluation
 
@@ -193,7 +190,7 @@ class _Surface:
         return pts[None, :, :]
 
     def distances(self, pos: np.ndarray, face, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Distance between rows i[k] and j[k] of position (and face) arrays."""
+        """Distance between rows i[k] and j[k] of position and chart arrays."""
         dx, dy = (pos[j] - pos[i]).T.tolist()
         return np.array(list(map(math.hypot, dx, dy)), dtype=np.float64)
 
@@ -228,9 +225,6 @@ class _Surface:
     def plane(self, pos: np.ndarray, face) -> np.ndarray:
         """Viewport coordinates (y up) of chart positions."""
         return pos - self.box[0]
-
-    def plane_point(self, point) -> np.ndarray:
-        return self.plane(*self.point_rows([point]))[0]
 
     def seam_breaks(self, plane: np.ndarray) -> np.ndarray:
         """Mask of segments that cross an identification seam (drawn as gaps)."""
@@ -423,7 +417,9 @@ class DiskBilliard(_Surface):
         far = [np.maximum(np.abs(e[:-1]), np.abs(e[1:])) for e in (xe, ye)]
         near2 = near[0][:, None] ** 2 + near[1][None, :] ** 2
         far2 = far[0][:, None] ** 2 + far[1][None, :] ** 2
-        return near2 < self.radius**2, far2 <= self.radius**2 * (1.0 + 1e-12)
+        r2 = self.radius**2
+        inside = far2 <= r2 * (1.0 + 1e-12)
+        return (near2 < r2) | inside, inside  # inside meets, even where r2 underflows to 0
 
     def svg_outline(self, style):
         r = self.radius
@@ -489,7 +485,7 @@ class CubeSurface(_Surface):
 
     def point_rows(self, points):
         return (np.array([(p.u, p.v) for p in points], dtype=np.float64),
-                np.array([FACE_INDEX[p.face] for p in points]))
+                np.array([FACE_INDEX[p.face] for p in points], dtype=np.uint8))
 
     def coordinate_columns(self, pos, face):
         return [list(map(FACE_NAMES.__getitem__, face.tolist())),
@@ -501,9 +497,6 @@ class CubeSurface(_Surface):
             bad = next(f for f in face if f not in FACE_NAMES)
             raise PreconditionError(f"unknown cube face {reprlib.repr(bad)}")
         return list(map(FACE_NAMES.index, face)), x, y
-
-    def sample_charts(self, face, n):
-        return face
 
     def evaluate(self, source, thetas, t):
         return _eval_cube(self, source, thetas, t)
@@ -823,10 +816,12 @@ class GeodesicBatch:
     """Struct-of-arrays result of evaluating many directions at one time.
 
     ``thetas`` holds the evaluated directions, one row each, and every other
-    column is read along it.  ``pos`` holds fundamental-domain coordinates
-    ((u, v) for the cube, whose face lives in ``face``; ``face`` is None on
-    the other surfaces).  ``cover`` holds development-plane coordinates; for
-    the disk the development is the identity, so cover equals pos.
+    column is read along it.  ``pos`` holds chart coordinates and ``face``
+    (uint8) the chart: the face id on the cube, whose positions are (u, v)
+    in that face, and 0 on the other surfaces.  ``group`` (uint8) indexes
+    the cube rotation the development carries (0 elsewhere).  ``cover``
+    holds development-plane coordinates; for the disk the development is
+    the identity, so cover equals pos.
     ``sheet`` identifies the development sheet of each ray: on the cube a
     rolling hash of the face sequence plus its length, shape (n, 2); on the
     other surfaces, which have one sheet, shape (n, 0).  Rays on a common
@@ -841,15 +836,13 @@ class GeodesicBatch:
     refl: np.ndarray
     group: np.ndarray
     sheet: np.ndarray
-    face: np.ndarray | None = None
+    face: np.ndarray
 
     def rows(self, index) -> GeodesicBatch:
         """Every column taken at ``index``, as a plain batch (also from a
-        ``Front``); a ``face`` of None stays None."""
-        return GeodesicBatch(**{
-            f.name: None if (col := getattr(self, f.name)) is None else col[index]
-            for f in fields(GeodesicBatch)
-        })
+        ``Front``)."""
+        return GeodesicBatch(**{f.name: getattr(self, f.name)[index]
+                                for f in fields(GeodesicBatch)})
 
 
 def _empty_planar_batch(thetas, pos, cover, refl=None) -> GeodesicBatch:
@@ -861,8 +854,9 @@ def _empty_planar_batch(thetas, pos, cover, refl=None) -> GeodesicBatch:
         alive=np.ones(n, dtype=bool),
         death_time=np.full(n, np.inf),
         refl=np.zeros(n, dtype=np.int64) if refl is None else refl,
-        group=np.zeros(n, dtype=np.int64),
+        group=np.zeros(n, dtype=np.uint8),
         sheet=np.empty((n, 0), dtype=np.uint64),
+        face=np.zeros(n, dtype=np.uint8),
     )
 
 
@@ -903,7 +897,7 @@ def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t, on_cross=None
     face0 = FACE_INDEX[source.face]
     end_pu = np.full(n, float(source.u))
     end_pv = np.full(n, float(source.v))
-    end_face = np.full(n, face0, dtype=np.int64)
+    end_face = np.full(n, face0, dtype=np.uint8)
     end_rot = np.zeros(n, dtype=np.int64)
     end_tvu = np.zeros(n)
     end_tvv = np.zeros(n)
@@ -1005,7 +999,7 @@ def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t, on_cross=None
     cover = np.stack(
         [rc * end_pu - rs * end_pv + end_tvu, rs * end_pu + rc * end_pv + end_tvv], axis=1
     )
-    group = _GROUP[face0, end_face, end_rot]
+    group = _GROUP[face0, end_face, end_rot].astype(np.uint8)
     sheet = np.stack([end_hh, end_hl.astype(np.uint64)], axis=1)
     return GeodesicBatch(
         thetas=thetas,
@@ -1111,7 +1105,7 @@ def cube_geodesic_distance(side: float, f1: int, p1: np.ndarray, f2: int, p2: np
     d = img - p1.T[:, :, None]
     # where the chord enters and leaves each developed face (axes: xy, face, pair, path)
     lo = paths.corners.T[:, :, None, :] * side - (p1 + 1e-12 * side).T[:, None, :, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ta = lo / d[:, None]
         tb = (lo + side * (1.0 + 2e-12)) / d[:, None]
     enter, leave = np.maximum(*np.minimum(ta, tb)), np.minimum(*np.maximum(ta, tb))

@@ -249,6 +249,15 @@ def test_invalid_arguments_exit_1(capsys):
           for grid in ("1:2", "a:b:c", "1:2:3:4")],
         *[(["simulate", "--surface", "torus:1,1", "--p", "0,0", "--t", "1", "--arc", arc],
            f"bad arc {arc!r}, expected LO,HI") for arc in ("1", "a,b", "0,1,2")],
+        # malformed points and surface parameters
+        (["simulate", "--surface", "torus:1,1", "--p", "0.3", "--t", "1"],
+         "planar points look like x,y, got '0.3'"),
+        (["simulate", "--surface", "torus:1,1", "--p", "a,b", "--t", "1"],
+         "bad coordinates in 'a,b'"),
+        (["simulate", "--surface", "cube:1", "--p", "U/a/0.5", "--t", "1"],
+         "bad cube coordinates in 'U/a/0.5'"),
+        (["simulate", "--surface", "torus:a,1", "--p", "0,0", "--t", "1"],
+         "bad surface parameters in 'torus:a,1'"),
     ]
     for argv, name in [(argv, "") for argv in cases] + named:
         code, _, err = run(argv, capsys)
@@ -321,6 +330,34 @@ def test_subnormal_disk_radius_exit_2(capsys):
         assert code == 2 and out == "", argv
         assert err == ("wavefront: error: geodesics at t=1.0 end at non-finite "
                        "positions, the first at theta=0.0\n"), argv
+
+
+@pytest.mark.filterwarnings("error")
+def test_disk_radius_squared_underflow_still_grids_the_disk(capsys):
+    # radius**2 underflows to 0, so no cell is nearer than it to the centre,
+    # yet the one cell inside the disk meets it: each command prints a row
+    for argv, row in (
+        (["density", "--surface", "disk:1e-300", "--p", "0,0", "--t-grid", "0.5:0.5:1",
+          "--eps", "0.05"], "0.5,0.0,1.0,0.0,1"),
+        (["tau", "--surface", "disk:1e-300", "--p", "0,0", "--r", "0.5", "--t-max", "2",
+          "--dt", "1"], "0.5,0.0,2.0,1.0,0.0"),
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 0 and err == "", argv
+        assert out.splitlines()[2:] == [row], argv
+
+
+@pytest.mark.filterwarnings("error")
+def test_cube_front_at_a_tiny_time_warns_of_nothing(capsys):
+    # cross-sheet distances divide by chords near 1e-300 and overflow to inf,
+    # which the face-crossing test reads as intended
+    code, out, err = run(["simulate", "--surface", "cube:1", "--p", "F/0/0.5", "--t", "1e-300"],
+                         capsys)
+    assert code == 0 and err == "" and json.loads(out)["t"] == 1e-300
+    code, out, err = run(["density", "--surface", "cube:2.5", "--p", "F/0/0.5",
+                          "--t-grid", "1e-300:1e-300:1", "--eps", "0.02"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("wavefront: error: eps=0.02: ") and err.count("\n") == 1
 
 
 @pytest.mark.filterwarnings("error")
@@ -406,6 +443,17 @@ def test_io_errors_exit_3(tmp_path, capsys):
     )
     assert code == 3
     assert "malformed JSON" in err
+    # a JSON integer past the float range is no finite number
+    snap = tmp_path / "front.json"
+    code, _, _ = run(["simulate", "--surface", "torus:1,1", "--p", "0.2,0.3", "--t", "1",
+                      "--out", str(snap)], capsys)
+    assert code == 0
+    doc = json.loads(snap.read_bytes())
+    doc["t"] = 10**400
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(["render", "--in", str(bad), "--out", str(tmp_path / "x.svg")], capsys)
+    assert code == 3 and err.count("\n") == 1
+    assert err.startswith("wavefront: error: t must be a finite number, got 1000")
 
 
 def test_density_rerun_gives_same_bytes(capsys):

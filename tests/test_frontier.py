@@ -369,11 +369,8 @@ def test_batch_rows_take_every_column():
         rows = batch.rows(idx)
         for name, col in vars(batch).items():
             got = getattr(rows, name)
-            if col is None:
-                assert got is None, name
-            else:
-                assert got.dtype == col.dtype and got.tobytes() == col[idx].tobytes(), name
-        assert (rows.face is None) == (surface.charts == 1)
+            assert got.dtype == col.dtype and got.tobytes() == col[idx].tobytes(), name
+        assert rows.face.dtype == rows.group.dtype == np.uint8  # every surface has charts
         # a front gives a plain batch of its columns
         part = front.rows(slice(1, 4))
         assert type(part) is GeodesicBatch

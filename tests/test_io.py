@@ -32,6 +32,7 @@ from wavefront import (
     propagate,
 )
 from wavefront import cli
+from wavefront.frontier import FULL_CIRCLE, Front, _assemble_components, _refine, default_params
 from wavefront.io import (
     SnapshotError,
     emit_series,
@@ -40,6 +41,7 @@ from wavefront.io import (
     render_svg,
 )
 from wavefront.metrics import density_report
+from wavefront.surfaces import evaluate_batch
 
 CASES = [
     (Torus(1.0, 1.0), (0.2, 0.3), 3.0),
@@ -269,6 +271,8 @@ METADATA_FORGERIES = {
                                     "arc width must exceed THETA_MIN=1e-12"),
     "live-sample-listed-dead": ("torus", lambda d: d["dead_directions"].append(
         [d["components"][0]["samples"][0][0], 0.5]), "live sample listed among dead directions"),
+    "cube-source-on-a-vertex": ("cube", lambda d: d.update(source="U/0.0/0.0"),
+                                "source sits on a cube vertex"),
 }
 _FORGERY_CASES = {
     **{name: (*case, "differs from evaluation") for name, case in FORGERIES.items()},
@@ -286,6 +290,24 @@ def test_snapshot_forgery_rejected(name, valid_docs, tmp_path, capsys):
         parse_snapshot(data)
     code, err = _render(data, tmp_path, capsys)
     assert code == 3 and re.search(match, err)
+
+
+def test_snapshot_of_a_vertex_source_rejected(tmp_path, capsys):
+    # a document that agrees with its own evaluation, refinement and
+    # assembly, from a source that init_front refuses: the direction field
+    # of a cone point is undefined
+    cube, source, t = CubeSurface(1.0), CubePoint("U", 0.0, 0.0), 0.5
+    params = default_params(cube)
+    thetas = np.linspace(FULL_CIRCLE.theta_lo, FULL_CIRCLE.theta_hi, 1024)
+    batch = _refine(cube, source, t, evaluate_batch(cube, source, thetas, t), params)
+    comps = _assemble_components(cube, FULL_CIRCLE, t, batch, params)
+    front = Front(surface=cube, source=source, t=t, arc=FULL_CIRCLE, params=params,
+                  components=comps, **vars(batch))
+    data = emit_snapshot(front)
+    with pytest.raises(SnapshotError, match="source sits on a cube vertex"):
+        parse_snapshot(data)
+    code, err = _render(data, tmp_path, capsys)
+    assert code == 3 and "source sits on a cube vertex" in err
 
 
 def _fuzz_key(node, rng):

@@ -167,8 +167,7 @@ def _live_sample_cells(front, x_axis, y_axis):
     lo = surface.box[0]
     (nx, sx), (ny, sy) = x_axis, y_axis
     hit = np.zeros((surface.charts, nx, ny), dtype=bool)
-    pos = front.pos
-    charts = surface.sample_charts(front.face, pos.shape[0])
+    pos, charts = front.pos, front.face
     li = np.nonzero(front.alive)[0]
     i0 = np.floor((pos[li, 0] - lo) / sx).astype(np.int64)
     j0 = np.floor((pos[li, 1] - lo) / sy).astype(np.int64)
@@ -186,8 +185,7 @@ def _all_pairs_hits(front, x_axis, y_axis):
     lo = surface.box[0]
     (nx, sx), (ny, sy) = x_axis, y_axis
     hit = _live_sample_cells(front, x_axis, y_axis)
-    pos = front.pos
-    charts = surface.sample_charts(front.face, pos.shape[0])
+    pos, charts = front.pos, front.face
     pairs = np.concatenate([np.arange(start, stop - 1, dtype=np.int64)
                             for comp in front.components
                             for start, stop in comp.segments] + [np.zeros(0, np.int64)])
@@ -206,7 +204,7 @@ def _drawn_pairs(front, x_axis, y_axis):
     (nx, sx), (ny, sy) = x_axis, y_axis
     ci = np.floor((front.pos[:, 0] - lo) / sx).astype(np.int64)
     cj = np.floor((front.pos[:, 1] - lo) / sy).astype(np.int64)
-    charts = front.surface.sample_charts(front.face, front.pos.shape[0])
+    charts = front.face
     return _segment_pairs(front, ci, cj, charts, nx, ny)
 
 
@@ -272,7 +270,7 @@ def test_occupancy_marks_every_cell_a_long_segment_crosses():
     x_axis, y_axis, centers, *_ = _grid(klein, 0.02)
     (nx, sx), (ny, sy) = x_axis, y_axis
     lo = klein.box[0]
-    charts = klein.sample_charts(front.face, front.pos.shape[0])
+    charts = front.face
     pairs = np.concatenate([np.arange(start, stop - 1)
                             for comp in front.components for start, stop in comp.segments])
     pairs = pairs[charts[pairs] == charts[pairs + 1]]

@@ -85,6 +85,18 @@ def test_point_descriptor_rejects_garbage():
             cube.parse_point(text)
     with pytest.raises((PreconditionError, ValueError)):
         DiskBilliard(1.0).parse_point("2,0")
+    # values only the API can pass: no descriptor spells them
+    tor = Torus(1.0, 1.0)
+    for call, match in (
+        (lambda: tor.validate_point(object()), "bad planar point <object"),
+        (lambda: init_front(cube, (0.5, 0.5)), "cube surfaces need CubePoint sources"),
+        (lambda: cube.validate_point(CubePoint("X", 0.5, 0.5)), "unknown cube face 'X'"),
+        (lambda: evaluate_batch(tor, (0.2, 0.3), np.array([0.0]), -1.0),
+         "time must be finite and nonnegative"),
+        (lambda: exp_point(tor, (0.2, 0.3), 7.0, 1.0), r"direction angle must lie in \[0, 2\*pi\]"),
+    ):
+        with pytest.raises(PreconditionError, match=match):
+            call()
 
 
 # --- exponential map, closed forms ----------------------------------------
@@ -380,8 +392,8 @@ def _eval_cube_by_gather(side, source, thetas, t, on_cross=None):
         alive=alive,
         death_time=death,
         refl=np.zeros(n, dtype=np.int64),
-        group=_GROUP[FACE_INDEX[source.face], face, rot],
-        face=face,
+        group=_GROUP[FACE_INDEX[source.face], face, rot].astype(np.uint8),
+        face=face.astype(np.uint8),
         sheet=np.stack([hh, hl.astype(np.uint64)], axis=1),
     )
 
