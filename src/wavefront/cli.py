@@ -80,11 +80,12 @@ def _write_out(data: bytes, out: str | None) -> None:
             fh.write(data)
 
 
-def _front_series(args):
-    """The fronts over the time grid, the source checked before the grid."""
+def _front_series(args, measure) -> list:
+    """``measure`` of each front over the time grid, the source checked
+    before the grid."""
     surface = parse_surface(args.surface)
     front = init_front(surface, surface.parse_point(args.p))
-    return fronts(front, _t_grid(args.t_grid))
+    return list(fronts(front, _t_grid(args.t_grid), measure))
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +119,7 @@ def density_csv(reports, params: dict | None = None) -> bytes:
 
 
 def _cmd_density(args) -> int:
-    reports = [density_report(front, args.eps) for front in _front_series(args)]
+    reports = _front_series(args, lambda front: density_report(front, args.eps))
     params = {"surface": args.surface, "p": args.p, "t_grid": args.t_grid,
               "eps": args.eps}
     _write_out(density_csv(reports, params), args.out)
@@ -148,7 +149,7 @@ def _cmd_length(args) -> int:
 
 
 def _cmd_components(args) -> int:
-    rows = [(front.t, component_count(front)) for front in _front_series(args)]
+    rows = _front_series(args, lambda front: (front.t, component_count(front)))
     params = {"surface": args.surface, "p": args.p, "t_grid": args.t_grid}
     _write_out(emit_series("t,components", rows, params), None)
     return 0

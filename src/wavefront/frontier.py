@@ -3,13 +3,15 @@
 A front is the set of geodesic endpoints exp_P(t * v(theta)) for theta in a
 direction arc.  It is represented by an ordered set of sampled directions,
 refined by bisection until adjacent surface images are within ``h_max`` of
-each other.  Refinement carries batch rows: the gaps still open are rows
-of two batches, their lower and upper ends.  Each round evaluates their
-midpoints in one batch and re-tests only the two halves of each bisected
-gap; the midpoint batches of all rounds are sorted into the front once, at
-the end.  Because evaluation is exact at any time (see ``surfaces``),
-propagation re-evaluates samples rather than stepping them, so results are
-pure functions of (surface, source, arc, parameters, target time).
+each other.  Refinement carries the ends of the gaps still open: in the
+first round as indices into the evaluated batch, then as the few columns
+the pair test reads.  Each round evaluates their midpoints in one batch
+and re-tests only the two halves of each bisected gap; the midpoint
+batches of all rounds are sorted into the front once, at the end, column
+by column, each input column freed once merged.  Because evaluation is
+exact at any time (see ``surfaces``), propagation re-evaluates samples
+rather than stepping them, so results are pure functions of (surface,
+source, arc, parameters, target time).
 
 On the cube the flow is discontinuous at vertex-hitting directions: the
 front tears there.  Tears are detected by comparing the development-sheet
@@ -33,6 +35,9 @@ front.
 
 Every time series lists its times with ``time_grid`` and walks one front
 through them with ``fronts``, so the samples of one time seed the next.
+The walk measures each front as it is built and then keeps only what the
+next step reads of it, so a series holds one front plus the parent's
+directions, never two whole fronts.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -217,14 +223,16 @@ def _pair_needs_bisection(surface, tt, params, a, b) -> np.ndarray:
     of the front.
     """
     h = params.h_max
-    alive2 = a.alive & b.alive
+    alive_a, alive_b = a.alive, b.alive  # each column is read once
+    alive2 = alive_a & alive_b
     gap = b.thetas - a.thetas
-    chord = np.hypot(b.cover[:, 0] - a.cover[:, 0], b.cover[:, 1] - a.cover[:, 1])
+    d = b.cover - a.cover
+    chord = np.hypot(d[:, 0], d[:, 1])
     same = _sheets_match(a.sheet, b.sheet)
     need = ((same & (chord > h)) | ~same) & alive2
     kink = (a.refl != b.refl) & ((tt + surface.box[1]) * gap > h)
     need |= kink & alive2
-    need |= a.alive ^ b.alive
+    need |= alive_a ^ alive_b
     return need & (gap > THETA_MIN)
 
 
@@ -237,33 +245,55 @@ def _needs_bisection(surface, tt, batch, params) -> np.ndarray:
     )
 
 
-def _refine(surface, source, tt, batch, params):
-    """Bisect direction gaps until no adjacent pair needs bisection.
+# The columns ``_pair_needs_bisection`` reads: all that refinement keeps of
+# the ends of a pending gap.
+_PAIR_COLUMNS = ("thetas", "alive", "cover", "sheet", "refl")
 
-    Refinement carries batch rows: the pending gaps are the rows of two
-    batches, ``lo`` and ``hi``.  Each round evaluates their midpoints in one
-    batch, ``mid``, and re-tests only the two halves of each gap: a gap that
-    passed the test keeps passing it, since the test reads the pair alone.
-    The halves that still need bisection, in theta order, are the next
-    round's pending gaps.  Midpoints are exact dyadic averages, so the
-    refined direction set is independent of the order in which gaps are
-    processed; the midpoint batches of all rounds are merged into the front
-    once, at the end.
+
+class _Rows:
+    """Rows ``index`` of a batch, each column gathered only when read."""
+
+    def __init__(self, batch, index):
+        self._batch, self._index = batch, index
+
+    def __getattr__(self, name):
+        return getattr(self._batch, name)[self._index]
+
+
+def _refine(surface, source, tt, thetas, params):
+    """Evaluate directions ``thetas`` at ``tt`` and bisect their gaps until no
+    adjacent pair needs bisection.
+
+    The pending gaps have two ends, ``lo`` and ``hi``.  In the first round
+    they are rows of the batch, read by index, so the pair test gathers only
+    the columns it reads; from then on they hold those columns alone
+    (``_PAIR_COLUMNS``).  Each round evaluates the midpoints of the pending
+    gaps in one batch, ``mid``, and re-tests only the two halves of each
+    gap: a gap that passed the test keeps passing it, since the test reads
+    the pair alone.  The halves that still need bisection, in theta order,
+    are the next round's pending gaps.  Midpoints are exact dyadic
+    averages, so the refined direction set is independent of the order in
+    which gaps are processed.  The batch and the midpoint batches of all
+    rounds are handed over to ``_merge`` once, at the end, and no frame
+    keeps them, so each column is freed once merged.  (The batch is
+    evaluated here: a batch passed in would stay referenced by the caller,
+    on Python 3.10 by its argument stack alone.)
     """
+    batch = evaluate_batch(surface, source, thetas, tt)
     pending = np.flatnonzero(_needs_bisection(surface, tt, batch, params))
-    lo, hi = batch.rows(pending), batch.rows(pending + 1)
+    lo, hi = _Rows(batch, pending), _Rows(batch, pending + 1)
+    parts = [dict(vars(batch))]
     count = batch.thetas.size
-    rounds = []
-    while lo.thetas.size:
-        if count + lo.thetas.size > SAMPLE_BUDGET:
+    while (mids := 0.5 * (lo.thetas + hi.thetas)).size:
+        if count + mids.size > SAMPLE_BUDGET:
             raise NumericalFailureError(
                 f"sample budget {SAMPLE_BUDGET} exceeded while refining "
                 f"near theta in [{float(lo.thetas[0])!r}, {float(hi.thetas[0])!r}] "
                 f"at t={float(tt)!r}"
             )
-        count += lo.thetas.size
-        mid = evaluate_batch(surface, source, 0.5 * (lo.thetas + hi.thetas), tt)
-        rounds.append(mid)
+        count += mids.size
+        mid = evaluate_batch(surface, source, mids, tt)
+        parts.append(dict(vars(mid)))
         halves = np.column_stack((
             _pair_needs_bisection(surface, tt, params, lo, mid),
             _pair_needs_bisection(surface, tt, params, mid, hi),
@@ -272,27 +302,47 @@ def _refine(surface, source, tt, batch, params):
         k = np.flatnonzero(halves)
         gap, upper = k >> 1, (k & 1).astype(bool)
         lo, hi = _pick(upper, mid, lo, gap), _pick(upper, hi, mid, gap)
-    if not rounds:
+        del mid  # its columns live on in parts alone
+    if len(parts) == 1:
         return batch
-    return _merge(batch, rounds)
+    del batch
+    return _merge(parts)
 
 
 def _pick(upper, when_upper, otherwise, gap):
-    """Row ``gap[i]`` of ``when_upper`` where ``upper[i]``, else of ``otherwise``."""
-    out = otherwise.rows(gap)
+    """The pair-test columns of row ``gap[i]`` of ``when_upper`` where
+    ``upper[i]``, else of ``otherwise``."""
     rows = gap[upper]
-    for name, col in vars(out).items():
+    out = {}
+    for name in _PAIR_COLUMNS:
+        col = out[name] = getattr(otherwise, name)[gap]
         col[upper] = getattr(when_upper, name)[rows]
-    return out
+    return SimpleNamespace(**out)
 
 
-def _merge(batch, rounds):
-    """The batch with every round's midpoint batch merged in, in theta order
-    (one stable sort: a midpoint lies strictly inside its gap)."""
-    parts = [batch, *rounds]
-    order = np.argsort(np.concatenate([b.thetas for b in parts]), kind="stable")
-    return GeodesicBatch(**{name: np.concatenate([getattr(b, name) for b in parts])[order]
-                            for name in vars(batch)})
+def _merge(parts):
+    """One batch of the columns in ``parts`` (a dict of columns per batch:
+    the refined batch, then each round's midpoints), in theta order (one
+    stable sort: a midpoint lies strictly inside its gap).
+
+    Each merged column is written part by part, each row to its sorted
+    place, and each input column is popped from its part once written, so
+    inputs that nothing else holds are freed column by column.  The widest
+    columns go first, so that the narrower outputs can reuse the memory of
+    the wider inputs.
+    """
+    order = np.argsort(np.concatenate([p["thetas"] for p in parts]), kind="stable")
+    dest = np.empty_like(order)  # the sorted place of each input row
+    dest[order] = np.arange(order.size)
+    del order
+    rows = np.split(dest, np.cumsum([p["thetas"].shape[0] for p in parts[:-1]]))
+    merged = {}
+    for name in sorted(parts[0], key=lambda k: -parts[0][k].nbytes):
+        shape, dtype = parts[0][name].shape[1:], parts[0][name].dtype
+        out = merged[name] = np.empty((dest.size, *shape), dtype=dtype)
+        for part, at in zip(parts, rows):
+            out[at] = part.pop(name)
+    return GeodesicBatch(**merged)
 
 
 def _sheets_match(sa, sb):
@@ -404,13 +454,16 @@ def propagate(front: Front, t_target: float) -> Front:
     witness (the exact moment that direction's ray hit the vertex), which
     is sharper than any checkpoint spacing.  The flat surfaces have
     direction-continuous flows and never split at all.
+
+    Of ``front`` it reads only ``_PARENT_FIELDS``, which is all that
+    ``fronts`` keeps of a measured front.
     """
     if t_target < front.t:
         raise PreconditionError("cannot propagate backwards in time")
     surface, source, params = front.surface, front.source, front.params
     tt = t_target
 
-    batch = _refine(surface, source, tt, evaluate_batch(surface, source, front.thetas, tt), params)
+    batch = _refine(surface, source, tt, front.thetas, params)
     components = _assemble_components(
         surface, front.arc, tt, batch, params, front.thetas, front.components
     )
@@ -428,11 +481,26 @@ def time_grid(lo: float, hi: float, step: float) -> list:
     return [lo + k * step for k in range(int(math.floor(span)) + 1)]
 
 
-def fronts(front: Front, times):
-    """Yield ``front`` propagated to each of ``times`` in turn, step by step."""
+# What ``propagate`` reads of the front it advances: all that ``fronts``
+# keeps of a front once it is measured.
+_PARENT_FIELDS = ("surface", "source", "t", "arc", "params", "thetas", "components")
+
+
+def fronts(front: Front, times, measure):
+    """Yield ``measure`` of ``front`` propagated to each of ``times`` in
+    turn, step by step.
+
+    A walk holds one front: each is cut down to what ``propagate`` reads of
+    a parent (``_PARENT_FIELDS``: its directions, components, time, arc,
+    parameters, surface and source) once it is measured, before the next is
+    built.  So a caller that keeps only the measurements holds one front
+    plus the parent's directions, never two whole fronts.
+    """
     for t in times:
         front = propagate(front, t)
-        yield front
+        value = measure(front)
+        front = SimpleNamespace(**{name: getattr(front, name) for name in _PARENT_FIELDS})
+        yield value
 
 
 # ---------------------------------------------------------------------------

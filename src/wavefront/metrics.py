@@ -212,11 +212,23 @@ def _segment_pairs(front: Front, ci, cj, charts, nx: int, ny: int):
 
 
 def _cells_of(p, lo, sx, sy):
-    """Unwrapped (i, j) grid cells of chart points ``p``."""
+    """Unwrapped (i, j) grid cells of chart points ``p``, as int32.
+
+    int32 holds every cell and every flat key built from one.  A grid has
+    at most ``SAMPLE_BUDGET`` = 2^22 cells on all charts together (``_grid``),
+    so a flat key (chart * nx + i) * ny + j of a wrapped cell is below 2^22.
+    The points given are sample positions, which lie in their chart's box,
+    and segment ends, which ``lift_near`` moves at most one period past it,
+    so an unwrapped cell lies within one grid length of the grid: its
+    indices are below 2^24 in magnitude, far from 2^31.  Every point is
+    finite, dead samples' too: every front's columns are an evaluation (a
+    parsed snapshot's as well), and ``evaluate_batch`` refuses a batch with
+    a non-finite position.
+    """
     u, v = p[:, 0] - lo[0], p[:, 1] - lo[1]
     u /= sx
     v /= sy
-    return np.floor(u, out=u).astype(np.int64), np.floor(v, out=v).astype(np.int64)
+    return np.floor(u, out=u).astype(np.int32), np.floor(v, out=v).astype(np.int32)
 
 
 def _mark_chart_cells(pa, pb, chart, lo, sx, sy):
@@ -308,7 +320,7 @@ def _own_cells(front: Front, x_axis, y_axis, centers):
     del dy
     np.sqrt(dist, out=dist)
     dist[~front.alive] = np.inf
-    home = charts.astype(np.int64)  # the flat key (chart * nx + i) * ny + j, in place
+    home = charts.astype(np.int32)  # the flat key (chart * nx + i) * ny + j, in place
     home *= nx
     home += i0
     home *= ny
@@ -453,10 +465,12 @@ def estimate_tau(
         raise PreconditionError(f"delta_t={delta_t!r}: must be finite and positive")
     times = time_grid(0.0, t_max, delta_t)
     grid = _grid(surface, 0.5 * r)
-    covered = [
-        _covering_radius(front, grid, grid[3], _own_cells(front, *grid[:3])[3]) <= 0.5 * r
-        for front in fronts(init_front(surface, source), times)
-    ]
+
+    def is_covered(front) -> bool:
+        own = _own_cells(front, *grid[:3])[3]
+        return _covering_radius(front, grid, grid[3], own) <= 0.5 * r
+
+    covered = list(fronts(init_front(surface, source), times, is_covered))
 
     first_full = next(
         (times[i] for i, c in enumerate(covered) if c), math.inf
@@ -496,8 +510,8 @@ def length_growth_curve(surface, source, t_list) -> GrowthCurve:
         raise PreconditionError(
             f"the slope is fit through the times at or above the median t={med!r}: "
             f"need two, got {sum(upper)}")
-    points = [(front.t, front_length(front))
-              for front in fronts(init_front(surface, source), t_list)]
+    points = list(fronts(init_front(surface, source), t_list,
+                         lambda front: (front.t, front_length(front))))
     ts, ls = np.array(points)[upper].T
     slope = float(np.polyfit(ts, ls, 1)[0])
     return GrowthCurve(points=tuple(points), slope=slope)

@@ -9,6 +9,7 @@ test, never from the code under test.
 
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -31,7 +32,9 @@ from wavefront import (
     wavefront_return_oracle,
 )
 from wavefront import cli
+from wavefront.frontier import fronts
 from wavefront.io import emit_snapshot, render_svg
+from wavefront.surfaces import GeodesicBatch
 
 
 def _covering_radii(surface_desc, source, t_list, eps=0.02, h_max=0.005):
@@ -361,6 +364,35 @@ def test_cube_density_report_memory(cube_fronts):
     finally:
         tracemalloc.stop()
     assert peak < 10e6, peak
+
+
+def test_torus_doubling_step_memory():
+    """The walk's step from t = 100 to 125 on the README torus doubles the
+    front (130,945 -> 261,889 samples) and measures it at eps = 0.02.  With
+    the first refinement round reading the batch by index, the merge
+    freeing each input column once merged and int32 cell keys, the step
+    holds 1.68 times the new front's column bytes above what was held; it
+    held 2.29 times with full-row copies of every pending gap, a merge that
+    kept its inputs and int64 keys.  The bound is 2.0 times."""
+    parent = propagate(init_front(parse_surface("torus:1,1"), (0.37, 0.61)), 100.0)
+    assert parent.sample_count == 130_945
+    sizes = []
+
+    def measure(front):
+        sizes.append((front.sample_count,
+                      sum(getattr(front, f.name).nbytes for f in fields(GeodesicBatch))))
+        return density_report(front, 0.02)
+
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        list(fronts(parent, [125.0], measure))
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    [(count, column_bytes)] = sizes
+    assert count == 261_889
+    assert peak < 2.0 * column_bytes, peak / column_bytes
 
 
 def test_criterion_08_gauss_circle_oracle(criterion):

@@ -6,8 +6,10 @@ so the circle of directions tears into 4 arcs once t passes that radius
 and stays 4-torn until the next vertex ring (beyond t = 1.5).
 """
 
+import gc
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -254,11 +256,12 @@ def test_sample_budget_enforced(monkeypatch):
         propagate(f, 50.0)
 
 
-def _refine_by_rounds(surface, source, tt, batch, params):
+def _refine_by_rounds(surface, source, tt, thetas, params):
     """Reference refinement: every round re-tests all adjacent pairs and
     inserts that round's midpoints into each column, ``thetas`` included,
     with np.insert.  It evaluates and reads its budget through the frontier
     module, as ``_refine`` does."""
+    batch = frontier.evaluate_batch(surface, source, thetas, tt)
     while True:
         idx = np.nonzero(_needs_bisection(surface, tt, batch, params))[0]
         if idx.size == 0:
@@ -281,8 +284,8 @@ def _refine_by_rounds(surface, source, tt, batch, params):
 
 
 def _refine_both(monkeypatch, surface, source, thetas, tt, params):
-    """Run both refinements on the evaluation of ``thetas`` at ``tt``;
-    returns each one's result and the sizes of its evaluation calls."""
+    """Run both refinements of ``thetas`` at ``tt``; returns each one's
+    result and the sizes of its evaluation calls."""
     out = []
     for refine in (_refine, _refine_by_rounds):
         sizes = []
@@ -291,10 +294,9 @@ def _refine_both(monkeypatch, surface, source, thetas, tt, params):
             sizes.append(thetas.size)
             return evaluate_batch(surface, source, thetas, t)
 
-        batch = evaluate_batch(surface, source, thetas, tt)
         monkeypatch.setattr(frontier, "evaluate_batch", counted)
         try:
-            out.append((refine(surface, source, tt, batch, params), sizes))
+            out.append((refine(surface, source, tt, thetas, params), sizes))
         finally:
             monkeypatch.undo()
     return out
@@ -337,7 +339,7 @@ def test_refine_matches_round_by_round_insertion(monkeypatch, surface, source, a
                 assert got.dtype == col.dtype and got.shape == col.shape, name
                 assert got.tobytes() == col.tobytes(), name
     if times == (1e-3,):
-        assert sizes == [] and thetas.size == front.thetas.size
+        assert sizes == [front.thetas.size] and thetas.size == front.thetas.size
 
 
 @pytest.mark.parametrize("surface,source,tt,budget", [
@@ -352,12 +354,109 @@ def test_refine_budget_error_matches_round_by_round(monkeypatch, surface, source
     front = init_front(surface, source, params=params)
     messages = []
     for refine in (_refine, _refine_by_rounds):
-        batch = evaluate_batch(surface, front.source, front.thetas, tt)
         with pytest.raises(NumericalFailureError) as err:
-            refine(surface, front.source, tt, batch, params)
+            refine(surface, front.source, tt, front.thetas, params)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert f"sample budget {budget} exceeded" in messages[0]
+
+
+def _refine_by_gather(surface, source, tt, batch, params):
+    """Reference refinement by whole rows: the first round copies every
+    column of both ends of every pending gap, later rounds pick whole
+    rows, and the merge concatenates each column of the batch and every
+    round's midpoints and gathers it in theta order.  Returns the refined
+    batch and the number of rounds."""
+    pending = np.flatnonzero(_needs_bisection(surface, tt, batch, params))
+    lo, hi = batch.rows(pending), batch.rows(pending + 1)
+    rounds = []
+    while lo.thetas.size:
+        mid = frontier.evaluate_batch(surface, source, 0.5 * (lo.thetas + hi.thetas), tt)
+        rounds.append(mid)
+        halves = np.column_stack((
+            frontier._pair_needs_bisection(surface, tt, params, lo, mid),
+            frontier._pair_needs_bisection(surface, tt, params, mid, hi),
+        ))
+        k = np.flatnonzero(halves)
+        gap, upper = k >> 1, (k & 1).astype(bool)
+        lo, hi = _pick_rows(upper, mid, lo, gap), _pick_rows(upper, hi, mid, gap)
+    parts = [batch, *rounds]
+    order = np.argsort(np.concatenate([b.thetas for b in parts]), kind="stable")
+    return GeodesicBatch(**{name: np.concatenate([getattr(b, name) for b in parts])[order]
+                            for name in vars(batch)}), len(rounds)
+
+
+def _pick_rows(upper, when_upper, otherwise, gap):
+    out = otherwise.rows(gap)
+    for name, col in vars(out).items():
+        col[upper] = getattr(when_upper, name)[gap[upper]]
+    return out
+
+
+@pytest.mark.parametrize("surface,source,tt", [
+    # tears bisected over many rounds down to dead witness directions
+    (CubeSurface(1.0), CubePoint("U", 0.5, 0.5), 1.0),
+    # the disk's reflection kinks
+    (DiskBilliard(1.0), (0.4, 0.1), 5.0),
+    # a Klein front crossing the glide seam
+    (KleinBottle(), (0.2, 0.3), 5.0),
+])
+def test_refine_matches_the_gather_merge_bitwise(surface, source, tt):
+    front = init_front(surface, source)
+    got = _refine(surface, front.source, tt, front.thetas, front.params)
+    batch = evaluate_batch(surface, front.source, front.thetas, tt)
+    want, rounds = _refine_by_gather(surface, front.source, tt, batch, front.params)
+    assert rounds >= 3
+    for name, col in vars(want).items():
+        out = getattr(got, name)
+        assert out.dtype == col.dtype and out.shape == col.shape, name
+        assert out.tobytes() == col.tobytes(), name
+    if isinstance(surface, CubeSurface):
+        assert not got.alive.all()
+    elif isinstance(surface, DiskBilliard):
+        assert (np.diff(got.refl) != 0).any()
+    else:  # adjacent samples on either side of the glide seam y = 0 ~ 1
+        assert (np.abs(np.diff(got.pos[:, 1])) > 0.5).any()
+
+
+@pytest.mark.parametrize("surface,source,times", [
+    (Torus(1.0, 1.0), (0.2, 0.3), (1.0, 2.0, 3.0, 4.0)),
+    (CubeSurface(1.0), CubePoint("U", 0.5, 0.5), (0.5, 0.75, 1.0, 1.25, 1.5)),
+])
+def test_walk_drops_each_front_once_measured(monkeypatch, surface, source, times):
+    """``fronts`` keeps only what ``propagate`` reads of a measured front, so
+    the next front is built and measured without it: it is gone before
+    the next step evaluates a single direction, collected by reference
+    counting alone, with the cycle collector off.  The split times match
+    propagation step by step."""
+    refs = []
+
+    def dropped():
+        return [ref() for ref in refs] == [None] * len(refs)
+
+    def evaluate(*args):
+        assert dropped()
+        return evaluate_batch(*args)
+
+    def measure(front):
+        assert dropped()
+        refs.append(weakref.ref(front))
+        return _components_digest(front), front.sample_count
+
+    monkeypatch.setattr(frontier, "evaluate_batch", evaluate)
+    gc.disable()
+    try:
+        got = list(frontier.fronts(init_front(surface, source), times, measure))
+    finally:
+        gc.enable()
+    monkeypatch.undo()
+    front, want = init_front(surface, source), []
+    for t in times:
+        front = propagate(front, t)
+        want.append((_components_digest(front), front.sample_count))
+    assert got == want
+    if isinstance(surface, CubeSurface):
+        assert len(front.components) == 4 and max(c.split_time for c in front.components) > 0
 
 
 def test_batch_rows_take_every_column():

@@ -41,7 +41,6 @@ from wavefront.io import (
     render_svg,
 )
 from wavefront.metrics import density_report
-from wavefront.surfaces import evaluate_batch
 
 CASES = [
     (Torus(1.0, 1.0), (0.2, 0.3), 3.0),
@@ -299,7 +298,7 @@ def test_snapshot_of_a_vertex_source_rejected(tmp_path, capsys):
     cube, source, t = CubeSurface(1.0), CubePoint("U", 0.0, 0.0), 0.5
     params = default_params(cube)
     thetas = np.linspace(FULL_CIRCLE.theta_lo, FULL_CIRCLE.theta_hi, 1024)
-    batch = _refine(cube, source, t, evaluate_batch(cube, source, thetas, t), params)
+    batch = _refine(cube, source, t, thetas, params)
     comps = _assemble_components(cube, FULL_CIRCLE, t, batch, params)
     front = Front(surface=cube, source=source, t=t, arc=FULL_CIRCLE, params=params,
                   components=comps, **vars(batch))
