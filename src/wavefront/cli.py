@@ -29,9 +29,9 @@ from .frontier import (
 from .io import (
     SnapshotError,
     emit_series,
-    emit_snapshot,
     parse_snapshot,
     render_svg,
+    snapshot_blocks,
 )
 from .lattice import lattice_count, theorem1_rectangle_check
 from .metrics import density_report, estimate_tau, length_growth_curve
@@ -71,13 +71,14 @@ def _parse_arc(text: str) -> ArcInterval:
     return ArcInterval(lo, hi)
 
 
-def _write_out(data: bytes, out: str | None) -> None:
+def _write_out(blocks, out: str | None) -> None:
+    """Write byte blocks to ``out``, or to stdout, as they come."""
     if out is None:
-        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.writelines(blocks)
         sys.stdout.buffer.flush()
     else:
         with open(out, "wb") as fh:
-            fh.write(data)
+            fh.writelines(blocks)
 
 
 def _front_series(args, measure) -> list:
@@ -104,7 +105,7 @@ def _cmd_simulate(args) -> int:
     front = init_front(surface, source, arc=arc, n0=args.n0, params=params)
     if args.t > 0.0:
         front = propagate(front, args.t)
-    _write_out(emit_snapshot(front), args.out)
+    _write_out(snapshot_blocks(front), args.out)
     return 0
 
 
@@ -122,7 +123,7 @@ def _cmd_density(args) -> int:
     reports = _front_series(args, lambda front: density_report(front, args.eps))
     params = {"surface": args.surface, "p": args.p, "t_grid": args.t_grid,
               "eps": args.eps}
-    _write_out(density_csv(reports, params), args.out)
+    _write_out([density_csv(reports, params)], args.out)
     return 0
 
 
@@ -133,8 +134,8 @@ def _cmd_tau(args) -> int:
     row = (est.r, est.tau, est.t_max, est.delta_t, est.first_full_cover_time)
     params = {"surface": args.surface, "p": args.p, "r": args.r,
               "t_max": args.t_max, "dt": args.dt}
-    _write_out(emit_series("r,tau,t_max,delta_t,first_full_cover_time", [row],
-                           params), None)
+    _write_out([emit_series("r,tau,t_max,delta_t,first_full_cover_time", [row],
+                            params)], None)
     return 0
 
 
@@ -143,15 +144,15 @@ def _cmd_length(args) -> int:
     source = surface.parse_point(args.p)
     curve = length_growth_curve(surface, source, _t_grid(args.t_grid))
     params = {"surface": args.surface, "p": args.p, "t_grid": args.t_grid}
-    _write_out(emit_series("t,length", curve.points, params,
-                           footer={"slope": curve.slope}), None)
+    _write_out([emit_series("t,length", curve.points, params,
+                            footer={"slope": curve.slope})], None)
     return 0
 
 
 def _cmd_components(args) -> int:
     rows = _front_series(args, lambda front: (front.t, component_count(front)))
     params = {"surface": args.surface, "p": args.p, "t_grid": args.t_grid}
-    _write_out(emit_series("t,components", rows, params), None)
+    _write_out([emit_series("t,components", rows, params)], None)
     return 0
 
 
@@ -164,8 +165,8 @@ def _cmd_lattice(args) -> int:
         rows.append((c.t, c.h, c.N_t, c.annulus_count, 2.0 * math.pi * c.t * c.h,
                      c.E_t, math.sqrt(2.0) * 2.0 * math.pi * c.t))
     params = {"t_grid": args.t_grid, "h": "1/sqrt(t)" if args.h is None else args.h}
-    _write_out(emit_series(
-        "t,h,N_t,annulus_count,expected_area,E_t,gauss_bound", rows, params), None)
+    _write_out([emit_series(
+        "t,h,N_t,annulus_count,expected_area,E_t,gauss_bound", rows, params)], None)
     return 0
 
 
@@ -173,8 +174,8 @@ def _cmd_verify_theorem1(args) -> int:
     reports = [theorem1_rectangle_check(t) for t in _t_grid(args.t_grid)]
     rows = [(r.t, r.a, r.b, r.height, r.slope_max, r.projected_covering_radius,
              r.passed) for r in reports]
-    _write_out(emit_series(
-        "t,a,b,height,slope_max,projected_covering_radius,passed", rows), None)
+    _write_out([emit_series(
+        "t,a,b,height,slope_max,projected_covering_radius,passed", rows)], None)
     if not all(r.passed for r in reports):
         _diag("rectangle-argument verification failed")
         return 4
@@ -184,7 +185,7 @@ def _cmd_verify_theorem1(args) -> int:
 def _cmd_render(args) -> int:
     with open(args.infile, "rb") as fh:
         front = parse_snapshot(fh.read())
-    _write_out(render_svg(front, width_px=args.width), args.out)
+    _write_out([render_svg(front, width_px=args.width)], args.out)
     return 0
 
 

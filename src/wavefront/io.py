@@ -11,6 +11,19 @@ evaluation, with a direction outside its arc or a split time outside
 propagation values other than ``h_max`` differ from the fixed ones.  Its
 components must be the evaluated front's assembly (the one propagation
 uses), listed as ``emit_snapshot`` writes it; only split times are read.
+A direction listed twice is refused, except a dead component sample that
+is also listed among the dead directions.
+
+Both artifacts are written in blocks of at most ``BLOCK_ROWS`` rows
+(samples, dead directions or path points), each through the one encoder,
+so a writer holds one block's Python objects at a time.  The CLI writes
+``snapshot_blocks`` as they come; ``emit_snapshot`` and ``render_svg``
+join their blocks, so the bytes are the same either way.  Parsing drops
+the input bytes once decoded (when the caller passed them on) and the
+text once parsed, and copies each component's samples into numpy
+columns, dropping them from the document as it goes: its peak is the
+parsed document, and the evaluation runs after the document's per-sample
+objects are gone.
 
 Renders are static SVG: flat surfaces in their rectangular viewport, the
 disk in its bounding square with the rim drawn, the cube as a cross net
@@ -24,9 +37,11 @@ with ``str``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import reprlib
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -35,6 +50,11 @@ from .frontier import _assemble_components, _needs_bisection
 from .surfaces import PreconditionError, evaluate_batch, format_surface, parse_surface
 
 SNAPSHOT_VERSION = 1
+# rows (samples, dead directions, path points) serialized per block
+BLOCK_ROWS = 4096
+# the one JSON encoding of every snapshot block: floats as shortest
+# round-trip decimals, no NaN or Infinity
+_dumps = functools.partial(json.dumps, separators=(",", ":"), allow_nan=False)
 
 _PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -56,35 +76,61 @@ def _fixed_params(surface) -> dict:
             "sample_budget": SAMPLE_BUDGET}
 
 
-def emit_snapshot(front: Front) -> bytes:
-    """Serialize a front to JSON bytes (schema version 1)."""
-    # plain Python columns; json writes their tuples as arrays
-    thetas = front.thetas.tolist()
-    alive = front.alive.tolist()
-    coords = list(zip(*front.surface.coordinate_columns(front.pos, front.face)))
-    comps = []
-    for comp in sorted(front.components, key=lambda c: c.interval.theta_lo):
-        samples = []
-        for start, stop in comp.segments:
-            samples += zip(thetas[start:stop], coords[start:stop], alive[start:stop])
-        comps.append(
-            {
-                "interval": [comp.interval.theta_lo, comp.interval.theta_hi],
-                "split_time": comp.split_time,
-                "samples": samples,
-            }
-        )
-    doc = {
+def _json_items(blocks) -> Iterator[bytes]:
+    """The items of one JSON array, written a non-empty block of rows at a
+    time; every block after the first opens with its comma."""
+    sep = b""
+    for rows in blocks:
+        yield sep + _dumps(rows)[1:-1].encode()
+        sep = b","
+
+
+def _sample_rows(front: Front, segments) -> Iterator[list]:
+    """A component's samples as ``[theta, coordinates, alive]`` rows, in
+    blocks of at most ``BLOCK_ROWS``."""
+    for start, stop in segments:
+        for lo in range(start, stop, BLOCK_ROWS):
+            rows = slice(lo, min(lo + BLOCK_ROWS, stop))
+            coords = front.surface.coordinate_columns(front.pos[rows], front.face[rows])
+            yield list(zip(front.thetas[rows].tolist(), zip(*coords),
+                           front.alive[rows].tolist()))
+
+
+def _dead_rows(front: Front) -> Iterator[list]:
+    """The ``[theta, death time]`` rows of the dead directions, in blocks."""
+    dead = np.flatnonzero(~front.alive)
+    for lo in range(0, dead.size, BLOCK_ROWS):
+        rows = dead[lo:lo + BLOCK_ROWS]
+        yield list(zip(front.thetas[rows].tolist(), front.death_time[rows].tolist()))
+
+
+def snapshot_blocks(front: Front) -> Iterator[bytes]:
+    """The snapshot's JSON bytes (schema version 1), at most
+    ``BLOCK_ROWS`` samples or dead directions to a block."""
+    head = {
         "version": SNAPSHOT_VERSION,
         "surface": format_surface(front.surface),
         "source": front.surface.format_point(front.source),
         "t": front.t,
         "arc": [front.arc.theta_lo, front.arc.theta_hi],
         "params": {"h_max": front.params.h_max, **_fixed_params(front.surface)},
-        "components": comps,
-        "dead_directions": [list(pair) for pair in front.dead_directions],
     }
-    return json.dumps(doc, separators=(",", ":"), allow_nan=False).encode("utf-8")
+    yield _dumps(head)[:-1].encode() + b',"components":['
+    comps = sorted(front.components, key=lambda c: c.interval.theta_lo)
+    for k, comp in enumerate(comps):
+        entry = {"interval": [comp.interval.theta_lo, comp.interval.theta_hi],
+                 "split_time": comp.split_time}
+        yield (b"," if k else b"") + _dumps(entry)[:-1].encode() + b',"samples":['
+        yield from _json_items(_sample_rows(front, comp.segments))
+        yield b"]}"
+    yield b'],"dead_directions":['
+    yield from _json_items(_dead_rows(front))
+    yield b"]}"
+
+
+def emit_snapshot(front: Front) -> bytes:
+    """Serialize a front to JSON bytes (schema version 1)."""
+    return b"".join(snapshot_blocks(front))
 
 
 def _require_keys(obj, keys: tuple, where: str):
@@ -142,20 +188,26 @@ def parse_snapshot(data: bytes) -> Front:
     The front is the evaluation of the document's directions at its time,
     with the components ``frontier`` assembles from it.  Unknown keys,
     values of the wrong shape or type, fixed propagation values other than
-    their own, samples that the evaluation contradicts or that lie outside
-    the arc, split times outside [0, t], gaps that refinement would bisect
-    and a component list other than the assembly raise a SnapshotError.
+    their own, a direction listed twice (a dead component sample may also
+    be listed among the dead directions), samples that the evaluation
+    contradicts or that lie outside the arc, split times outside [0, t],
+    gaps that refinement would bisect and a component list other than the
+    assembly raise a SnapshotError.
     """
     try:
-        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as e:
         raise SnapshotError(f"snapshot is not UTF-8 (byte {e.start})") from None
+    del data  # a caller that passed its bytes on no longer holds them
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise SnapshotError(
             f"malformed JSON at line {e.lineno} column {e.colno}: {e.msg}"
         ) from None
     except RecursionError:
         raise SnapshotError("JSON nested too deeply") from None
+    del text
     _require_keys(
         doc,
         (
@@ -170,6 +222,60 @@ def parse_snapshot(data: bytes) -> Front:
         return _parse_front(doc)
     except PreconditionError as e:  # a model or interval the document spells
         raise SnapshotError(str(e)) from None
+
+
+def _sample_columns(surface, samples) -> tuple:
+    """Checked theta, x, y, chart and alive columns of one component's
+    samples, as lists."""
+    _require_lists(samples, 3, "sample")
+    theta, coords, live = _columns(samples, 3)
+    _require_lists(coords, surface.coordinate_width, "sample coordinates")
+    face, x, y = surface.split_coordinates(_columns(coords, surface.coordinate_width))
+    if not set(map(type, live)) <= {bool}:
+        bad = next(v for v in live if type(v) is not bool)
+        raise SnapshotError(f"sample alive flag must be a boolean, got {reprlib.repr(bad)}")
+    return (_reals(theta, "sample theta"), _reals(x, "sample x"), _reals(y, "sample y"),
+            face, live)
+
+
+def _listed_rows(surface, entries, pairs) -> tuple:
+    """Columns of every direction the document lists, and its components.
+
+    The columns are theta, x, y, chart, alive, death time and owner: each
+    component's samples in turn (owner: the component's index), then the
+    dead directions (no position, chart 0, owner -1).  The second value
+    holds each component's interval ends and split time, a row each.  The
+    columns are allocated first and each component's samples leave the
+    document once copied, so no object made while it is read outlives it
+    and its memory can go back to the system.
+    """
+    entries = _require_list(entries, None, "components")
+    pairs = _require_list(pairs, None, "dead_directions")
+    listed, sizes = [], [0]
+    for entry in entries:
+        _require_keys(entry, ("interval", "split_time", "samples"), "component")
+        interval = _require_list(entry["interval"], 2, "component interval")
+        listed.append((*_reals(interval, "component interval"),
+                       _real(entry["split_time"], "split_time")))
+        sizes.append(len(_require_list(entry["samples"], None, "component samples")))
+    starts = np.cumsum(sizes).tolist()
+    n = starts[-1] + len(pairs)
+    thetas, xs, ys = np.empty(n), np.full(n, math.nan), np.full(n, math.nan)
+    faces, alive = np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=bool)
+    death, owner = np.full(n, math.inf), np.full(n, -1, dtype=np.int32)
+    for k, entry in enumerate(entries):
+        rows = slice(starts[k], starts[k + 1])
+        thetas[rows], xs[rows], ys[rows], faces[rows], alive[rows] = (
+            _sample_columns(surface, entry.pop("samples")))
+        owner[rows] = k
+    _require_lists(pairs, 2, "dead direction")
+    theta, when = _columns(pairs, 2)
+    thetas[starts[-1]:] = _reals(theta, "dead direction")
+    death[starts[-1]:] = _reals(when, "death time")
+    # the interval ends and split times leave as an array: the document's
+    # own float objects would keep its memory from going back
+    columns = thetas, xs, ys, faces, alive, death, owner
+    return columns, np.array(listed, dtype=np.float64).reshape(-1, 3)
 
 
 def _parse_front(doc: dict) -> Front:
@@ -188,69 +294,39 @@ def _parse_front(doc: dict) -> Front:
     lo, hi = _require_list(doc["arc"], 2, "arc")
     arc = ArcInterval(_real(lo, "arc"), _real(hi, "arc"))
     t = _real(doc["t"], "t")
-    doc_comps = _require_list(doc["components"], None, "components")
 
-    # one row per sample direction, sorted by theta below; each entry's
-    # samples are checked and converted a column at a time
-    thetas, xs, ys, faces, alive, owner = [], [], [], [], [], []
-    for ci, comp in enumerate(doc_comps):
-        _require_keys(comp, ("interval", "split_time", "samples"), "component")
-        samples = _require_list(comp["samples"], None, "component samples")
-        _require_lists(samples, 3, "sample")
-        theta, coords, live = _columns(samples, 3)
-        _require_lists(coords, surface.coordinate_width, "sample coordinates")
-        face, x, y = surface.split_coordinates(_columns(coords, surface.coordinate_width))
-        faces.extend(face)
-        thetas.extend(_reals(theta, "sample theta"))
-        xs.extend(_reals(x, "sample x"))
-        ys.extend(_reals(y, "sample y"))
-        if not set(map(type, live)) <= {bool}:
-            bad = next(v for v in live if type(v) is not bool)
-            raise SnapshotError(
-                f"sample alive flag must be a boolean, got {reprlib.repr(bad)}"
-            )
-        alive.extend(live)
-        owner.extend([ci] * len(samples))
-    death = [math.inf] * len(thetas)
-    row_of = dict(zip(thetas, range(len(thetas))))
-    if len(row_of) != len(thetas):
-        raise SnapshotError("duplicate sample direction")
-    for pair in _require_list(doc["dead_directions"], None, "dead_directions"):
-        theta, when = _require_list(pair, 2, "dead direction")
-        theta, when = _real(theta, "dead direction"), _real(when, "death time")
-        i = row_of.get(theta)
-        if i is None:
-            thetas.append(theta)
-            xs.append(math.nan)
-            ys.append(math.nan)
-            faces.append(0)
-            alive.append(False)
-            death.append(when)
-            owner.append(-1)
-        elif alive[i]:
-            raise SnapshotError("live sample listed among dead directions")
-        else:
-            death[i] = when
-    if not thetas:
+    # one row per listed direction, component samples first; the document's
+    # per-sample objects are gone before the evaluation below
+    (thetas, xs, ys, faces, alive, death, owner), entries = _listed_rows(
+        surface, doc.pop("components"), doc.pop("dead_directions"))
+    if not thetas.size:
         raise SnapshotError("snapshot has no samples")
 
-    order = np.argsort(np.array(thetas), kind="stable")
-    thetas = np.array(thetas)[order]
-    alive = np.array(alive, dtype=bool)[order]
-    death = np.array(death)[order]
+    # sorted by theta; a direction listed twice is refused, except a dead
+    # component sample that is also a dead direction (-0.0 repeats 0.0)
+    order = np.argsort(thetas, kind="stable")
+    again = np.flatnonzero(thetas[order[1:]] == thetas[order[:-1]])
+    first, second = order[again], order[again + 1]
+    if np.any((owner[first] < 0) | (owner[second] >= 0)):
+        raise SnapshotError("duplicate sample direction")
+    if alive[first].any():
+        raise SnapshotError("live sample listed among dead directions")
+    death[first] = death[second]
+    order = np.delete(order, again + 1)
+    thetas, alive, death = thetas[order], alive[order], death[order]
     if np.any(~alive & ~np.isfinite(death)):
         raise SnapshotError("dead sample without a death time")
 
     # the front is the evaluation; the document must agree with it bitwise,
     # keep to its arc and be refined (a fixed point of bisection)
     batch = evaluate_batch(surface, source, thetas, t)
-    live, pos = batch.alive, np.column_stack((xs, ys))[order]
+    live, pos = batch.alive, np.column_stack((xs[order], ys[order]))
     moved = (pos != batch.pos) | (np.signbit(pos) != np.signbit(batch.pos))
     need = _needs_bisection(surface, t, batch, params)
     for what, bad in (
         ("alive flag differs from evaluation", alive != live),
         ("position differs from evaluation", live & moved.any(axis=1)),
-        ("face differs from evaluation", live & (np.array(faces)[order] != batch.face)),
+        ("face differs from evaluation", live & (faces[order] != batch.face)),
         ("death time differs from evaluation", ~live & (death != batch.death_time)),
         ("outside the arc", (thetas < arc.theta_lo) | (thetas > arc.theta_hi)),
         ("gap to the next sample needs bisection", np.append(need, False)),
@@ -262,21 +338,19 @@ def _parse_front(doc: dict) -> Front:
     # the components are the front's assembly, listed in emit order; only
     # their split times, which depend on history, come from the document
     components = _assemble_components(surface, arc, t, batch, params)
-    if len(doc_comps) != len(components):
+    if len(entries) != len(components):
         raise SnapshotError(
-            f"{len(doc_comps)} components listed, {len(components)} assembled")
+            f"{len(entries)} components listed, {len(components)} assembled")
     assembled = np.full(thetas.shape[0], -1)
-    for k, (entry, comp) in enumerate(zip(doc_comps, components)):
-        lo, hi = _require_list(entry["interval"], 2, "component interval")
-        interval = _reals([lo, hi], "component interval")
-        if list(map(float.hex, interval)) != [comp.interval.theta_lo.hex(),
-                                              comp.interval.theta_hi.hex()]:
+    for k, ((lo, hi, split_time), comp) in enumerate(zip(entries.tolist(), components)):
+        if [lo.hex(), hi.hex()] != [comp.interval.theta_lo.hex(),
+                                    comp.interval.theta_hi.hex()]:
             raise SnapshotError(f"component {k}: interval differs from assembly")
-        comp.split_time = _real(entry["split_time"], "split_time")
-        if not 0.0 <= comp.split_time <= t:
-            raise SnapshotError(f"split_time {comp.split_time!r} lies outside [0, t]")
+        if not 0.0 <= split_time <= t:
+            raise SnapshotError(f"split_time {split_time!r} lies outside [0, t]")
+        comp.split_time = split_time
         assembled[comp.sample_indices] = k
-    listed = np.array(owner)[order]
+    listed = owner[order]
     stray = live & (listed != assembled)
     if stray.any():
         i = int(np.argmax(stray))
@@ -314,22 +388,21 @@ def emit_series(header: str, rows, params: dict | None = None,
 # ---------------------------------------------------------------------------
 # SVG rendering
 
-def _path_data(plane: np.ndarray, breaks: np.ndarray, height: float) -> str:
-    parts = []
-    pen_up = True
-    for (x, y), lift in zip(plane.tolist(), breaks.tolist() + [True]):
-        parts.append(f"{'M' if pen_up else 'L'}{x!r} {height - y!r}")
-        pen_up = lift
-    return "".join(parts)
+def _path_blocks(plane: np.ndarray, breaks: np.ndarray, height: float) -> Iterator[bytes]:
+    """Path data of one polyline, ``BLOCK_ROWS`` points to a block: a
+    move to the first point and past every seam break, else a line."""
+    pen_up = np.append(True, breaks)
+    for lo in range(0, plane.shape[0], BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
+        yield "".join(
+            f"{'M' if up else 'L'}{x!r} {height - y!r}"
+            for (x, y), up in zip(plane[rows].tolist(), pen_up[rows].tolist())
+        ).encode()
 
 
-def render_svg(front: Front, width_px: int = 1600) -> bytes:
-    """Render a front as SVG bytes, one path per component in its own colour.
-
-    Identification seams and the gaps between components are pen-up moves,
-    so torn fronts are never visually joined.  The source is marked with a
-    dot.  Output bytes are a pure function of the front.
-    """
+def _svg_blocks(front: Front, width_px: int) -> Iterator[bytes]:
+    """The bytes of ``render_svg``, a component's path ``BLOCK_ROWS``
+    points to a block."""
     if not width_px >= 1:
         raise PreconditionError(f"width_px={width_px!r}: need at least 1 pixel")
     surface = front.surface
@@ -345,10 +418,9 @@ def render_svg(front: Front, width_px: int = 1600) -> bytes:
         f"h_max={front.params.h_max!r} "
         + "".join(f"{k}={v!r} " for k, v in _fixed_params(surface).items()) + "-->",
         f'<rect width="{w!r}" height="{h!r}" fill="white"/>',
+        *surface.svg_outline(f'fill="none" stroke="#cccccc" stroke-width="{sw!r}"'),
     ]
-    lines += surface.svg_outline(
-        f'fill="none" stroke="#cccccc" stroke-width="{sw!r}"'
-    )
+    yield "".join(line + "\n" for line in lines).encode()
 
     plane_all = surface.plane(front.pos, front.face)
     for k, comp in enumerate(front.components):
@@ -359,20 +431,24 @@ def render_svg(front: Front, width_px: int = 1600) -> bytes:
         color = _PALETTE[k % len(_PALETTE)]
         if idx.size == 1:
             x, y = float(plane[0, 0]), h - float(plane[0, 1])
-            lines.append(
-                f'<circle cx="{x!r}" cy="{y!r}" r="{(2 * sw)!r}" fill="{color}"/>'
-            )
+            yield (f'<circle cx="{x!r}" cy="{y!r}" r="{(2 * sw)!r}" '
+                   f'fill="{color}"/>\n').encode()
             continue
-        breaks = surface.seam_breaks(plane)
-        lines.append(
-            f'<path d="{_path_data(plane, breaks, h)}" fill="none" '
-            f'stroke="{color}" stroke-width="{sw!r}" stroke-linejoin="round"/>'
-        )
+        yield b'<path d="'
+        yield from _path_blocks(plane, surface.seam_breaks(plane), h)
+        yield (f'" fill="none" stroke="{color}" stroke-width="{sw!r}" '
+               f'stroke-linejoin="round"/>\n').encode()
 
     (x, y), = surface.plane(*surface.point_rows([front.source]))
-    lines.append(
-        f'<circle cx="{float(x)!r}" cy="{(h - float(y))!r}" '
-        f'r="{(3 * sw)!r}" fill="#000000"/>'
-    )
-    lines.append("</svg>")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    yield (f'<circle cx="{float(x)!r}" cy="{(h - float(y))!r}" '
+           f'r="{(3 * sw)!r}" fill="#000000"/>\n</svg>\n').encode()
+
+
+def render_svg(front: Front, width_px: int = 1600) -> bytes:
+    """Render a front as SVG bytes, one path per component in its own colour.
+
+    Identification seams and the gaps between components are pen-up moves,
+    so torn fronts are never visually joined.  The source is marked with a
+    dot.  Output bytes are a pure function of the front.
+    """
+    return b"".join(_svg_blocks(front, width_px))

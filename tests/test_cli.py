@@ -189,6 +189,26 @@ def test_simulate_then_render(tmp_path, capsys):
         assert "width" in err and not bad.exists()
 
 
+def test_artifacts_to_stdout_equal_those_to_out(tmp_path, capsysbinary):
+    # a torus front of several row blocks
+    snap, svg = tmp_path / "front.json", tmp_path / "front.svg"
+    argv = ["simulate", "--surface", "torus:1,1", "--p", "0.37,0.61", "--t", "25"]
+    assert cli.run(argv + ["--out", str(snap)]) == 0
+    assert cli.run(argv) == 0
+    assert capsysbinary.readouterr().out == snap.read_bytes()
+    samples = json.loads(snap.read_bytes())["components"][0]["samples"]
+    assert len(samples) > 5 * wavefront.io.BLOCK_ROWS
+    # render writes the file it is given: /dev/stdout, as from a shell
+    assert cli.run(["render", "--in", str(snap), "--out", str(svg)]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(wavefront.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "wavefront", "render", "--in", str(snap),
+         "--out", "/dev/stdout"], capture_output=True, env=env,
+    )
+    assert result.returncode == 0 and result.stderr == b""
+    assert result.stdout == svg.read_bytes()
+
+
 def test_simulate_arc_and_hmax_flags(tmp_path, capsys):
     snap = tmp_path / "arc.json"
     code, _, _ = run(
