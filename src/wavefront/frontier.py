@@ -220,20 +220,30 @@ def _pair_needs_bisection(surface, tt, params, a, b) -> np.ndarray:
     toward the tear, so the component's samples extend all the way to the
     vanished direction.  No pair closer than THETA_MIN is bisected.  The
     test reads the pair alone, so its answer does not depend on the rest
-    of the front.
+    of the front.  Each column is read once, and the masks are built from
+    1-D column differences in place: no (n, 2) temporary.
     """
     h = params.h_max
-    alive_a, alive_b = a.alive, b.alive  # each column is read once
-    alive2 = alive_a & alive_b
     gap = b.thetas - a.thetas
-    d = b.cover - a.cover
-    chord = np.hypot(d[:, 0], d[:, 1])
-    same = _sheets_match(a.sheet, b.sheet)
-    need = ((same & (chord > h)) | ~same) & alive2
-    kink = (a.refl != b.refl) & ((tt + surface.box[1]) * gap > h)
-    need |= kink & alive2
+    wide = gap > THETA_MIN
+    gap *= tt + surface.box[1]
+    kink = a.refl != b.refl
+    kink &= gap > h
+    del gap
+    ca, cb = a.cover, b.cover
+    chord = cb[:, 0] - ca[:, 0]
+    dy = cb[:, 1] - ca[:, 1]
+    np.hypot(chord, dy, out=chord)
+    del ca, cb, dy
+    need = chord > h
+    del chord
+    need |= ~_sheets_match(a.sheet, b.sheet)
+    need |= kink
+    alive_a, alive_b = a.alive, b.alive
+    need &= alive_a & alive_b
     need |= alive_a ^ alive_b
-    return need & (gap > THETA_MIN)
+    need &= wide
+    return need
 
 
 def _needs_bisection(surface, tt, batch, params) -> np.ndarray:
@@ -329,7 +339,8 @@ def _merge(parts):
     place, and each input column is popped from its part once written, so
     inputs that nothing else holds are freed column by column.  The widest
     columns go first, so that the narrower outputs can reuse the memory of
-    the wider inputs.
+    the wider inputs.  A column that is a zero-stride view of one value in
+    every part stays a view of it (the ``GeodesicBatch`` rule).
     """
     order = np.argsort(np.concatenate([p["thetas"] for p in parts]), kind="stable")
     dest = np.empty_like(order)  # the sorted place of each input row
@@ -338,8 +349,14 @@ def _merge(parts):
     rows = np.split(dest, np.cumsum([p["thetas"].shape[0] for p in parts[:-1]]))
     merged = {}
     for name in sorted(parts[0], key=lambda k: -parts[0][k].nbytes):
-        shape, dtype = parts[0][name].shape[1:], parts[0][name].dtype
-        out = merged[name] = np.empty((dest.size, *shape), dtype=dtype)
+        first = parts[0][name][:1].copy()
+        if first.size and all(p[name].strides[0] == 0
+                              and p[name][:1].tobytes() == first.tobytes() for p in parts):
+            merged[name] = np.broadcast_to(first, (dest.size, *first.shape[1:]))
+            for part in parts:
+                del part[name]
+            continue
+        out = merged[name] = np.empty((dest.size, *first.shape[1:]), dtype=first.dtype)
         for part, at in zip(parts, rows):
             out[at] = part.pop(name)
     return GeodesicBatch(**merged)

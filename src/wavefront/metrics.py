@@ -64,6 +64,10 @@ NOT_ACHIEVED = "not achieved by t_max"
 # reach of the developed samples a nearest-sample query searches.
 ROUNDING_MARGIN = 1e-12
 
+# Samples the own-cell pass takes at a time: its temporaries stay a few
+# block-sized arrays, reused from block to block.
+OWN_CELL_ROWS = 1 << 16
+
 
 @dataclass(frozen=True)
 class DensityReport:
@@ -304,30 +308,36 @@ def _own_cells(front: Front, x_axis, y_axis, centers):
     computed as ``CellIndex._scan`` computes the chord from the centre's
     untranslated image to a sample.  Live positions are finite
     (``evaluate_batch``) and below ``SIZE_BOUND``, so a bound is finite
-    exactly in the cells where a live sample lands.
+    exactly in the cells where a live sample lands.  The samples are taken
+    ``OWN_CELL_ROWS`` at a time, so the pass holds the cells and a few
+    block-sized temporaries whatever the front's size; a minimum does not
+    depend on the order it is taken in, so neither do the bounds.
     """
     surface = front.surface
     lo = surface.box[0]
     (nx, sx), (ny, sy) = x_axis, y_axis
-    pos, charts = front.pos, front.face
-    ci, cj = _cells_of(pos, (lo, lo), sx, sy)
-    i0, j0 = surface.wrap_cells(ci, cj, nx, ny)
-    dist = pos[:, 0] - centers[0].take(i0)  # np.sqrt(dx*dx + dy*dy), in place
-    dist *= dist
-    dy = pos[:, 1] - centers[1].take(j0)
-    dy *= dy
-    dist += dy
-    del dy
-    np.sqrt(dist, out=dist)
-    dist[~front.alive] = np.inf
-    home = charts.astype(np.int32)  # the flat key (chart * nx + i) * ny + j, in place
-    home *= nx
-    home += i0
-    home *= ny
-    home += j0
-    del i0, j0
+    pos, charts, alive = front.pos, front.face, front.alive
+    n = pos.shape[0]
+    ci, cj = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32)
     own = np.full(surface.charts * nx * ny, np.inf)
-    np.minimum.at(own, home, dist)
+    for start in range(0, n, OWN_CELL_ROWS):
+        rows = slice(start, start + OWN_CELL_ROWS)
+        p = pos[rows]
+        ci[rows], cj[rows] = _cells_of(p, (lo, lo), sx, sy)
+        i0, j0 = surface.wrap_cells(ci[rows], cj[rows], nx, ny)
+        dist = p[:, 0] - centers[0].take(i0)  # np.sqrt(dx*dx + dy*dy), in place
+        dist *= dist
+        dy = p[:, 1] - centers[1].take(j0)
+        dy *= dy
+        dist += dy
+        np.sqrt(dist, out=dist)
+        dist[~alive[rows]] = np.inf
+        home = charts[rows].astype(np.int32)  # the flat key (chart * nx + i) * ny + j
+        home *= nx
+        home += i0
+        home *= ny
+        home += j0
+        np.minimum.at(own, home, dist)
     return ci, cj, charts, own.reshape(surface.charts, nx, ny)
 
 

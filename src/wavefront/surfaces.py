@@ -168,11 +168,20 @@ class _Surface:
     # -- evaluation
 
     def evaluate(self, source, thetas: np.ndarray, t: float) -> "GeodesicBatch":
-        """Straight lines in the cover, reduced to the fundamental domain."""
-        x = source[0] + t * np.cos(thetas)
-        y = source[1] + t * np.sin(thetas)
-        px, py = self._reduce(x, y)
-        return _empty_planar_batch(thetas, np.stack([px, py], axis=1), np.stack([x, y], axis=1))
+        """Straight lines in the cover, reduced to the fundamental domain.
+
+        ``cover`` and ``pos`` are written column by column where they are
+        allocated, through one float temporary (``t * cos`` or ``t * sin``).
+        """
+        n = thetas.shape[0]
+        cover, pos, step = np.empty((n, 2)), np.empty((n, 2)), np.empty(n)
+        for k, trig in enumerate((np.cos, np.sin)):
+            trig(thetas, out=step)
+            step *= t
+            np.add(source[k], step, out=cover[:, k])
+        del step
+        self._reduce(cover[:, 0], cover[:, 1], out=(pos[:, 0], pos[:, 1]))
+        return _empty_planar_batch(thetas, pos, cover)
 
     # -- distance
 
@@ -250,11 +259,13 @@ class _FlatQuotient(_Surface):
         """``flip - x`` where a glide's y-step count is odd, else ``x``."""
         return np.where(steps % 2 == 1, flip - x, x) if self.glide else x
 
-    def _reduce(self, x, y):
+    def _reduce(self, x, y, out=(None, None)):
+        """The deck image in the fundamental domain of each cover point
+        (x, y), as x and y arrays, written to the arrays ``out`` if given."""
         if self.glide:
-            steps, y = np.divmod(y, self.beta)
-            return np.mod(self._mirror(steps, x, self.alpha), self.alpha), y
-        return np.mod(x, self.alpha), np.mod(y, self.beta)
+            steps, y = np.divmod(y, self.beta, out=(None, out[1]))
+            return np.mod(self._mirror(steps, x, self.alpha), self.alpha, out=out[0]), y
+        return np.mod(x, self.alpha, out=out[0]), np.mod(y, self.beta, out=out[1])
 
     def images(self, pts):
         out = []
@@ -331,8 +342,8 @@ class RectBilliard(_Surface):
     def box(self) -> tuple:
         return 0.0, self.a, self.b
 
-    def _reduce(self, x, y):
-        return _fold(x, self.a), _fold(y, self.b)
+    def _reduce(self, x, y, out=(None, None)):
+        return _fold(x, self.a, out[0]), _fold(y, self.b, out[1])
 
 
 @dataclass(frozen=True)
@@ -826,6 +837,14 @@ class GeodesicBatch:
     rolling hash of the face sequence plus its length, shape (n, 2); on the
     other surfaces, which have one sheet, shape (n, 0).  Rays on a common
     sheet have directly comparable cover coordinates.
+
+    A column that repeats one value is held as a read-only zero-stride view
+    of it (``np.broadcast_to``), with the dtype and shape of the full
+    column: ``alive``, ``death_time``, ``group`` and ``face`` off the cube,
+    and ``refl`` on every surface but the disk.  A merge of batches keeps a
+    column so when it is a view of one value in every part.  Such a column
+    takes no memory per row; a caller that changes it assigns a new column
+    instead of writing into it.
     """
 
     thetas: np.ndarray
@@ -851,19 +870,22 @@ def _empty_planar_batch(thetas, pos, cover, refl=None) -> GeodesicBatch:
         thetas=thetas,
         pos=pos,
         cover=cover,
-        alive=np.ones(n, dtype=bool),
-        death_time=np.full(n, np.inf),
-        refl=np.zeros(n, dtype=np.int64) if refl is None else refl,
-        group=np.zeros(n, dtype=np.uint8),
+        alive=np.broadcast_to(np.True_, (n,)),
+        death_time=np.broadcast_to(np.float64(np.inf), (n,)),
+        refl=np.broadcast_to(np.int64(0), (n,)) if refl is None else refl,
+        group=np.broadcast_to(np.uint8(0), (n,)),
         sheet=np.empty((n, 0), dtype=np.uint64),
-        face=np.zeros(n, dtype=np.uint8),
+        face=np.broadcast_to(np.uint8(0), (n,)),
     )
 
 
-def _fold(w: np.ndarray, length: float) -> np.ndarray:
-    # tent map with period 2*length: identity on [0, L], mirrored on [L, 2L]
-    r = np.mod(w, 2.0 * length)
-    return length - np.abs(r - length)
+def _fold(w: np.ndarray, length: float, out=None) -> np.ndarray:
+    # tent map with period 2*length: identity on [0, L], mirrored on [L, 2L]:
+    # L - |(w mod 2L) - L|, computed in one array (``out`` if given)
+    r = np.mod(w, 2.0 * length, out=out)
+    r -= length
+    np.abs(r, out=r)
+    return np.subtract(length, r, out=r)
 
 
 def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t, on_cross=None):
@@ -1007,7 +1029,7 @@ def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t, on_cross=None
         cover=cover,
         alive=alive,
         death_time=death,
-        refl=np.zeros(n, dtype=np.int64),
+        refl=np.broadcast_to(np.int64(0), (n,)),
         group=group,
         sheet=sheet,
         face=end_face,

@@ -36,12 +36,16 @@ from wavefront import (
 )
 from wavefront.frontier import (
     FULL_CIRCLE,
+    THETA_MIN,
     Front,
     FrontComponent,
     _assemble_components,
+    _merge,
     _needs_bisection,
     _owning_parents,
+    _pair_needs_bisection,
     _refine,
+    _Rows,
     _sheets_match,
     _unwitnessed_tears,
 )
@@ -474,6 +478,169 @@ def test_batch_rows_take_every_column():
         part = front.rows(slice(1, 4))
         assert type(part) is GeodesicBatch
         assert part.thetas.tobytes() == front.thetas[1:4].tobytes()
+
+
+def _constant_columns(surface, n):
+    """The columns a batch of ``n`` rows holds as zero-stride views, each
+    as the materialized array it was before: every surface's ``refl`` but
+    the disk's, and off the cube ``alive``, ``death_time``, ``group`` and
+    ``face``."""
+    cols = {} if isinstance(surface, DiskBilliard) else {"refl": np.zeros(n, dtype=np.int64)}
+    if not isinstance(surface, CubeSurface):
+        cols.update(alive=np.ones(n, dtype=bool), death_time=np.full(n, np.inf),
+                    group=np.zeros(n, dtype=np.uint8), face=np.zeros(n, dtype=np.uint8))
+    return cols
+
+
+def _assert_constant_columns(surface, batch):
+    n = batch.thetas.shape[0]
+    for name, want in _constant_columns(surface, n).items():
+        col = getattr(batch, name)
+        assert col.strides == (0,) and not col.flags.writeable, name
+        assert col.dtype == want.dtype and col.shape == want.shape, name
+        assert col.tobytes() == want.tobytes(), name
+        with pytest.raises(ValueError, match="read-only"):
+            col[:1] = want[:1]
+    for name in ("thetas", "pos", "cover"):  # what varies is held row by row
+        assert getattr(batch, name).strides[0] != 0, name
+
+
+_CONSTANT_CASES = [
+    (Torus(1.0, 1.0), (0.37, 0.61)),
+    (KleinBottle(), (0.2, 0.3)),
+    (RectBilliard(1.0, 0.4), (0.3, 0.2)),
+    (DiskBilliard(1.0), (0.4, 0.1)),
+    (CubeSurface(1.0), CubePoint("U", 0.31, 0.47)),
+]
+
+
+@pytest.mark.parametrize("surface,source", _CONSTANT_CASES,
+                         ids=["torus", "klein", "rect", "disk", "cube"])
+def test_constant_columns_stay_zero_stride_views_through_a_walk(surface, source):
+    """Every front of a walk whose steps double the front (each doubling
+    step's columns go through ``_merge``) holds its constant columns as
+    read-only zero-stride views, equal bit for bit to the arrays they
+    replace; so does the snapshot it reads back as."""
+    counts = []
+
+    def measure(front):
+        _assert_constant_columns(surface, front)
+        counts.append(front.sample_count)
+        return front.sample_count
+
+    front = init_front(surface, source)
+    _assert_constant_columns(surface, front)
+    list(frontier.fronts(front, (0.5, 1.0, 2.0, 4.0, 8.0), measure))
+    assert counts == sorted(counts) and counts[-1] > counts[1], counts
+    if not isinstance(surface, DiskBilliard):  # the disk's fronts grow, not double
+        assert any(b >= 2 * a - 1 for a, b in zip(counts, counts[1:])), counts
+    _assert_constant_columns(surface, parse_snapshot(emit_snapshot(propagate(front, 3.0))))
+    if isinstance(surface, DiskBilliard):  # reflection counts vary, row by row
+        assert propagate(front, 3.0).refl.strides == (8,)
+
+
+def test_merge_keeps_a_column_constant_only_where_every_part_is():
+    """``_merge`` keeps a column a view where it is a zero-stride view of
+    one value in every part, and otherwise writes every row, equal to a
+    sort of the concatenated columns."""
+    surface, source = Torus(1.0, 1.0), (0.37, 0.61)
+    thetas = np.linspace(0.0, TWO_PI, 9)
+    views = [evaluate_batch(surface, source, th, 2.0)
+             for th in (thetas, 0.5 * (thetas[1:] + thetas[:-1]), thetas[:3] + 1e-3)]
+    n = sum(b.thetas.size for b in views)
+    order = np.argsort(np.concatenate([b.thetas for b in views]), kind="stable")
+
+    def merged(batches):
+        want = {name: np.concatenate([getattr(b, name) for b in batches])[order]
+                for name in vars(batches[0])}
+        return _merge([dict(vars(b)) for b in batches]), want
+
+    got, want = merged(views)
+    _assert_constant_columns(surface, got)
+    for name, col in want.items():
+        assert getattr(got, name).tobytes() == col.tobytes(), name
+    # one part materialized, one part a view of another value
+    mixed = [GeodesicBatch(**vars(b)) for b in views]
+    mixed[1].face = np.zeros(mixed[1].thetas.size, dtype=np.uint8)
+    mixed[2].alive = np.broadcast_to(False, mixed[2].thetas.shape)
+    mixed[2].death_time = np.broadcast_to(-0.0, mixed[2].thetas.shape)  # not 0.0 bitwise
+    mixed[0].death_time = np.broadcast_to(0.0, mixed[0].thetas.shape)
+    mixed[1].death_time = np.broadcast_to(0.0, mixed[1].thetas.shape)
+    got, want = merged(mixed)
+    for name in ("face", "alive", "death_time"):
+        col = getattr(got, name)
+        assert col.strides == (col.itemsize,) and col.flags.writeable, name
+    assert got.refl.strides == got.group.strides == (0,)
+    for name, col in want.items():
+        out = getattr(got, name)
+        assert out.dtype == col.dtype and out.shape == col.shape == (n, *col.shape[1:]), name
+        assert out.tobytes() == col.tobytes(), name
+
+
+def _former_pair_needs_bisection(surface, tt, params, a, b):
+    """``_pair_needs_bisection`` as it was written before it built its masks
+    from 1-D column differences in place: the reference."""
+    h = params.h_max
+    alive_a, alive_b = a.alive, b.alive
+    alive2 = alive_a & alive_b
+    gap = b.thetas - a.thetas
+    d = b.cover - a.cover
+    chord = np.hypot(d[:, 0], d[:, 1])
+    same = _sheets_match(a.sheet, b.sheet)
+    need = ((same & (chord > h)) | ~same) & alive2
+    kink = (a.refl != b.refl) & ((tt + surface.box[1]) * gap > h)
+    need |= kink & alive2
+    need |= alive_a ^ alive_b
+    return need & (gap > THETA_MIN)
+
+
+@pytest.mark.parametrize("surface,source,t,front_source", [
+    (Torus(1.0, 1.0), (0.37, 0.61), 6.7e11, (0.37, 0.61)),
+    (Torus(2.0, 0.5), (-7.3e5, 2.1e6), 25.0, (0.2, 0.3)),  # a source far from the box
+    (KleinBottle(), (0.2, 0.3), 6.7e11, (0.2, 0.3)),
+    (KleinBottle(), (0.0, 1.0), 3.0, (0.0, 1.0)),
+    (RectBilliard(1.0, 0.4), (0.3, 0.2), 1e4, (0.3, 0.2)),
+    (DiskBilliard(1.0), (0.4, 0.1), 5.0, (0.4, 0.1)),
+    (DiskBilliard(1.0), (0.4, 0.1), 6.7e11, (0.4, 0.1)),
+    (CubeSurface(1.0), CubePoint("U", 0.5, 0.5), 1.0, CubePoint("U", 0.5, 0.5)),
+    (CubeSurface(2.5), CubePoint("F", 0.3, 1.1), 7.0, CubePoint("F", 0.3, 1.1)),
+], ids=["torus-late", "torus-far", "klein-late", "klein-corner", "rect", "disk",
+        "disk-late", "cube", "cube-side"])
+def test_pair_test_matches_the_former_expressions_bitwise(surface, source, t, front_source):
+    """On adjacent rows (views, as ``_needs_bisection`` passes them), on
+    random rows (plain batches) and on rows read by index (``_Rows``),
+    with directions that include +-0.0, repeats, gaps of about THETA_MIN
+    and the directions of a front refined from ``front_source`` to t or
+    t = 7 (on the cube, dead witnesses), and three values of h_max."""
+    rng = np.random.default_rng(29)
+    thetas = np.concatenate([
+        rng.uniform(0.0, TWO_PI, 3000),
+        [0.0, -0.0, 0.0, 1e-13, 2e-12, math.pi, math.pi, TWO_PI, TWO_PI],
+        np.cumsum(rng.uniform(0.0, 3e-12, 50)) + 1.0,
+        propagate(init_front(surface, front_source), min(t, 7.0)).thetas,
+    ])
+    thetas.sort(kind="stable")
+    batch = evaluate_batch(surface, source, thetas, t)
+    i, j = rng.integers(0, thetas.size, (2, 4000))
+    pairs = [
+        (batch.rows(slice(None, -1)), batch.rows(slice(1, None))),
+        (batch.rows(i), batch.rows(j)),
+        (_Rows(batch, i), _Rows(batch, j)),
+    ]
+    outcomes = set()
+    for h in (1e-4, 0.05, 2.0):
+        params = PropagationParams(h * surface.min_extent)
+        for a, b in pairs:
+            got = _pair_needs_bisection(surface, t, params, a, b)
+            want = _former_pair_needs_bisection(surface, t, params, a, b)
+            assert got.dtype == want.dtype == bool and got.shape == want.shape
+            assert np.array_equal(got, want)
+            outcomes.update(got.tolist())
+    assert outcomes == {False, True}
+    if isinstance(surface, CubeSurface):
+        assert not batch.alive.all() and not _sheets_match(batch.sheet[i], batch.sheet[j]).all()
+    if isinstance(surface, DiskBilliard):
+        assert (batch.refl[i] != batch.refl[j]).any()
 
 
 def test_sheets_match_is_row_wise_on_every_width():

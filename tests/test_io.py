@@ -490,7 +490,9 @@ def test_artifact_bytes_do_not_depend_on_the_block_size(rows, block_cases, monke
 def test_snapshot_write_and_read_memory():
     """Writing and reading the snapshot of a 65,473-sample torus front at
     t = 50 (4.32 MB of JSON).  ``emit_snapshot`` joins row blocks: it holds
-    2.30 times the front's column bytes above what was held, against 6.05
+    2.30 times the front's column bytes (``.nbytes``, which counts the rows
+    that a zero-stride view stands for, so the ratio did not move when the
+    constant columns became views) above what was held, against 6.05
     times when every row was a Python object before the whole document was
     encoded.  ``parse_snapshot`` copies each component's samples into
     columns and drops them from the document: it holds 5.23 times the

@@ -447,9 +447,10 @@ def test_covering_radius_with_samples_on_cell_edges():
     decided, centres = _against_the_index(front, 0.1)
     assert 0 < decided < centres
     # a dead sample decides nothing: cell (0, 3) keeps only the far ones
-    front.alive[:] = np.resize(np.arange(len(pts)) != 0, front.alive.shape)
+    # (a torus front's alive column is a read-only view: assign new ones)
+    front.alive = np.resize(np.arange(len(pts)) != 0, front.alive.shape)
     assert _against_the_index(front, 0.1)[0] == decided - 1
-    front.alive[:] = True
+    front.alive = np.ones(front.alive.shape, dtype=bool)
     # the edge and seam samples alone decide no centre
     front.pos[:] = np.resize(pts[70:], front.pos.shape)
     assert _against_the_index(front, 0.1)[0] == 0
@@ -543,6 +544,30 @@ def test_tau_draws_no_segment_and_density_keys_each_front_once(monkeypatch):
     assert (est.tau, est.first_full_cover_time) == (6.0, 6.0)
     with pytest.raises(AssertionError, match="tau drew a segment"):
         density_report(front, 0.1)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1000])
+def test_own_cells_do_not_depend_on_the_block_size(rows, monkeypatch):
+    # a cube front with dead samples on six charts, a Klein front (glide
+    # wraps) and a disk front (clamped cells), each over several blocks:
+    # every output bit for bit, and the reports they feed
+    from wavefront import metrics
+
+    cases = [
+        (propagate(init_front(CubeSurface(1.0), CubePoint("U", 0.31, 0.47)), 2.0), 0.1),
+        (propagate(init_front(KleinBottle(), (0.2, 0.3)), 3.0), 0.05),
+        (propagate(init_front(DiskBilliard(1.0), (0.4, 0.1)), 3.0), 0.1),
+    ]
+    want = []
+    for front, eps in cases:
+        want.append((_own_cells(front, *_grid(front.surface, eps)[:3]), density_report(front, eps)))
+    monkeypatch.setattr(metrics, "OWN_CELL_ROWS", rows)
+    for (front, eps), (cells, report) in zip(cases, want):
+        assert front.sample_count > rows
+        got = _own_cells(front, *_grid(front.surface, eps)[:3])
+        for a, b in zip(got, cells):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert density_report(front, eps) == report
 
 
 def test_covering_radius_without_a_live_sample_builds_no_index(monkeypatch):

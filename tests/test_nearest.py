@@ -162,7 +162,7 @@ def test_empty_cloud_gives_inf():
     for k in (1, 9):  # no query points
         assert index.query_images(np.empty((k, 0, 2))).shape == (0,)
     front = propagate(init_front(Torus(1.0, 1.0), (0.2, 0.3)), 1.0)
-    front.alive[:] = False
+    front.alive = np.zeros(front.sample_count, dtype=bool)  # a new column: the old is read-only
     q = np.array([[0.5, 0.5], [0.1, 0.9]])
     assert np.all(np.isinf(_nearest(front, q, np.zeros(2, dtype=int))))
 

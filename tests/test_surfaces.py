@@ -835,6 +835,49 @@ def _klein_reduce_oracle(x_lift, y_lift):
     return x, y
 
 
+def _former_planar_evaluate(surface, source, thetas, t):
+    """The planar evaluation as it was written before it filled its columns
+    in place, every column a full array: the reference."""
+    x = source[0] + t * np.cos(thetas)
+    y = source[1] + t * np.sin(thetas)
+    if isinstance(surface, RectBilliard):
+        def fold(w, length):
+            r = np.mod(w, 2.0 * length)
+            return length - np.abs(r - length)
+
+        px, py = fold(x, surface.a), fold(y, surface.b)
+    elif surface.glide:
+        steps, py = np.divmod(y, surface.beta)
+        px = np.mod(np.where(steps % 2 == 1, surface.alpha - x, x), surface.alpha)
+    else:
+        px, py = np.mod(x, surface.alpha), np.mod(y, surface.beta)
+    n = thetas.shape[0]
+    return dict(thetas=thetas, pos=np.stack([px, py], axis=1), cover=np.stack([x, y], axis=1),
+                alive=np.ones(n, dtype=bool), death_time=np.full(n, np.inf),
+                refl=np.zeros(n, dtype=np.int64), group=np.zeros(n, dtype=np.uint8),
+                sheet=np.empty((n, 0), dtype=np.uint64), face=np.zeros(n, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("text", ["torus:1,1", "torus:2,0.5", "klein", "rect:1,0.4"])
+def test_planar_evaluate_matches_the_former_expressions_bitwise(text):
+    """Every column, bit for bit, dtype and shape included: directions with
+    +-0.0, quarter turns and angles outside [0, 2*pi], times from 0 to
+    6.7e11, and sources on the box's corner and far outside it."""
+    surface = parse_surface(text)
+    rng = np.random.default_rng(29)
+    thetas = np.concatenate([
+        rng.uniform(0.0, 2 * math.pi, 5000), rng.uniform(-40.0, 40.0, 500),
+        [0.0, -0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, 2 * math.pi, -math.pi],
+    ])
+    for source in ((0.37, 0.21), (0.0, 0.0), (1.0, 0.4), (-7.3e5, 2.1e6)):
+        for t in (0.0, 0.3, 7.5, 1e4, 6.7e11):
+            got = evaluate_batch(surface, source, thetas, t)
+            for name, col in _former_planar_evaluate(surface, source, thetas, t).items():
+                out = getattr(got, name)
+                assert out.dtype == col.dtype and out.shape == col.shape, (name, source, t)
+                assert out.tobytes() == col.tobytes(), (name, source, t)
+
+
 def _klein_wrap_cells_oracle(i, j, nx, ny):
     m = np.floor_divide(j, ny)
     i = np.where(m % 2 == 1, -1 - i, i)
