@@ -37,7 +37,9 @@ Every time series lists its times with ``time_grid`` and walks one front
 through them with ``fronts``, so the samples of one time seed the next.
 The walk measures each front as it is built and then keeps only what the
 next step reads of it, so a series holds one front plus the parent's
-directions, never two whole fronts.
+directions, never two whole fronts.  On the cube that includes where each
+ray's walk stopped, for up to ``RESUME_TIMES`` next times, so the next
+step resumes the rays instead of walking them again from the source.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .surfaces import (
+    RESUME_COLUMNS,
     TWO_PI,
     GeodesicBatch,
     NumericalFailureError,
@@ -66,6 +69,10 @@ THETA_MIN = 1e-12
 SAMPLE_BUDGET = 2**22
 # Most points one time grid may list.
 TIME_GRID_BUDGET = 10**6
+# Most later times one step of ``fronts`` keeps each cube ray's remaining
+# walk for: a series walks its rays from the source once every
+# RESUME_TIMES + 1 steps and resumes them at the others.
+RESUME_TIMES = 3
 
 
 @dataclass(frozen=True)
@@ -151,7 +158,9 @@ class Front(GeodesicBatch):
     included) are ordered by ``thetas`` and include dead directions; the
     components index into them.  Every front holds all of them, those read
     back from snapshots included.  Its arc is wider than ``THETA_MIN``,
-    however it was built.
+    however it was built.  ``later`` lists the times its ``walk`` column
+    keeps each ray's remaining walk for (none unless ``fronts`` built it
+    and another step follows; never in a snapshot).
     """
 
     surface: SurfaceModel
@@ -160,6 +169,7 @@ class Front(GeodesicBatch):
     arc: ArcInterval
     params: PropagationParams
     components: list
+    later: tuple = ()
 
     def __post_init__(self):
         if not self.arc.width > THETA_MIN:
@@ -173,6 +183,13 @@ class Front(GeodesicBatch):
     def dead_directions(self) -> list:
         idx = np.nonzero(~self.alive)[0]
         return [(float(self.thetas[i]), float(self.death_time[i])) for i in idx]
+
+    @property
+    def resume(self) -> dict:
+        """The columns a walk to ``later[0]`` resumes these rays from, in a
+        new dict that the walk empties as it reads it (``evaluate_batch``'s
+        ``start``); empty when the walk kept no later time."""
+        return {name: getattr(self, name) for name in RESUME_COLUMNS} if self.later else {}
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +287,14 @@ class _Rows:
         return getattr(self._batch, name)[self._index]
 
 
-def _refine(surface, source, tt, thetas, params):
+def _refine(surface, source, tt, thetas, params, later=(), start=None):
     """Evaluate directions ``thetas`` at ``tt`` and bisect their gaps until no
     adjacent pair needs bisection.
+
+    Every batch keeps the remaining walk of each ray for the times ``later``
+    (its ``walk`` column).  The first round resumes the rays of ``thetas``
+    from ``start`` where given, and empties it; the midpoints are walked from
+    the source (``evaluate_batch``).
 
     The pending gaps have two ends, ``lo`` and ``hi``.  In the first round
     they are rows of the batch, read by index, so the pair test gathers only
@@ -289,7 +311,7 @@ def _refine(surface, source, tt, thetas, params):
     evaluated here: a batch passed in would stay referenced by the caller,
     on Python 3.10 by its argument stack alone.)
     """
-    batch = evaluate_batch(surface, source, thetas, tt)
+    batch = evaluate_batch(surface, source, thetas, tt, later, start)
     pending = np.flatnonzero(_needs_bisection(surface, tt, batch, params))
     lo, hi = _Rows(batch, pending), _Rows(batch, pending + 1)
     parts = [dict(vars(batch))]
@@ -302,7 +324,7 @@ def _refine(surface, source, tt, thetas, params):
                 f"at t={float(tt)!r}"
             )
         count += mids.size
-        mid = evaluate_batch(surface, source, mids, tt)
+        mid = evaluate_batch(surface, source, mids, tt, later)
         parts.append(dict(vars(mid)))
         halves = np.column_stack((
             _pair_needs_bisection(surface, tt, params, lo, mid),
@@ -461,16 +483,26 @@ def _owning_parents(prev_thetas, parents, firsts) -> list:
     return [parents[k] if k >= 0 else None for k in below.tolist()]
 
 
-def propagate(front: Front, t_target: float) -> Front:
+def propagate(front: Front, t_target: float, later=()) -> Front:
     """Advance a front to a later time; returns a new Front.
 
-    Evaluation is stateless, so the front jumps straight to the target
-    time.  Nothing is lost in between: every corner passage since t = 0 is
-    recorded in the cumulative face-history sheets compared during
-    refinement, and each tear is timed by the death time of its bisection
-    witness (the exact moment that direction's ray hit the vertex), which
-    is sharper than any checkpoint spacing.  The flat surfaces have
-    direction-continuous flows and never split at all.
+    A direction's evaluation at a time does not depend on the checkpoints
+    before it, so the front jumps straight to the target time.  Nothing is
+    lost in between: every corner passage since t = 0 is recorded in the
+    cumulative face-history sheets compared during refinement, and each
+    tear is timed by the death time of its bisection witness (the exact
+    moment that direction's ray hit the vertex), which is sharper than any
+    checkpoint spacing.  The flat surfaces have direction-continuous flows
+    and never split at all.
+
+    A cube ray is walked from the source, unless ``front`` kept its
+    remaining walk for ``t_target`` and then ``later`` (``front.later``
+    begins with them): then each of ``front``'s directions resumes where
+    its walk to ``front.t`` stopped, and only the new midpoints are walked
+    from the source.  The bytes are the same either way.  The new front
+    keeps each ray's remaining walk for ``later`` (times after
+    ``t_target``), so that a step to ``later[0]`` resumes it in turn;
+    ``fronts`` passes the next times of its grid.  A plain call keeps none.
 
     Of ``front`` it reads only ``_PARENT_FIELDS``, which is all that
     ``fronts`` keeps of a measured front.
@@ -478,14 +510,17 @@ def propagate(front: Front, t_target: float) -> Front:
     if t_target < front.t:
         raise PreconditionError("cannot propagate backwards in time")
     surface, source, params = front.surface, front.source, front.params
-    tt = t_target
+    tt, later = t_target, tuple(later)
+    resume = front.later[:1 + len(later)] == (tt, *later)
 
-    batch = _refine(surface, source, tt, front.thetas, params)
+    batch = _refine(surface, source, tt, front.thetas, params, later,
+                    front.resume if resume else None)
     components = _assemble_components(
         surface, front.arc, tt, batch, params, front.thetas, front.components
     )
     return Front(surface=surface, source=source, t=tt, arc=front.arc, params=params,
-                 components=components, **vars(batch))
+                 components=components, later=later if batch.walk.shape[1] else (),
+                 **vars(batch))
 
 
 def time_grid(lo: float, hi: float, step: float) -> list:
@@ -500,24 +535,44 @@ def time_grid(lo: float, hi: float, step: float) -> list:
 
 # What ``propagate`` reads of the front it advances: all that ``fronts``
 # keeps of a front once it is measured.
-_PARENT_FIELDS = ("surface", "source", "t", "arc", "params", "thetas", "components")
+_PARENT_FIELDS = ("surface", "source", "t", "arc", "params", "thetas", "components",
+                  "later", "resume")
 
 
 def fronts(front: Front, times, measure):
     """Yield ``measure`` of ``front`` propagated to each of ``times`` in
     turn, step by step.
 
-    A walk holds one front: each is cut down to what ``propagate`` reads of
-    a parent (``_PARENT_FIELDS``: its directions, components, time, arc,
-    parameters, surface and source) once it is measured, before the next is
-    built.  So a caller that keeps only the measurements holds one front
-    plus the parent's directions, never two whole fronts.
+    A walk holds one front: ``front`` and each front after it are cut down
+    to what ``propagate`` reads of a parent (``_PARENT_FIELDS``: its
+    directions, components, time, arc, parameters, surface and source, and
+    the columns its rays resume from) before the next is built, each
+    measured front once it is measured.  So a caller that keeps only the
+    measurements holds one front plus the parent's directions, never two
+    whole fronts.  The resume columns are dropped as soon as the next
+    step's first round has read them.
+
+    Each step keeps each cube ray's remaining walk for up to
+    ``RESUME_TIMES`` next times of the grid, so the steps to them resume
+    the parent's rays instead of walking them again from the source.  Once
+    those times are used up, the next step walks from the source again.
+    The last front keeps none.
     """
-    for t in times:
-        front = propagate(front, t)
+    times, front = list(times), _parent(front)
+    for i, t in enumerate(times):
+        if front.later[:1] == (t,):
+            later = front.later[1:]
+        else:
+            later = tuple(times[i + 1:i + 1 + RESUME_TIMES])
+        front = propagate(front, t, later)
         value = measure(front)
-        front = SimpleNamespace(**{name: getattr(front, name) for name in _PARENT_FIELDS})
+        front = _parent(front)
         yield value
+
+
+def _parent(front) -> SimpleNamespace:
+    """What ``propagate`` reads of ``front`` (``_PARENT_FIELDS``)."""
+    return SimpleNamespace(**{name: getattr(front, name) for name in _PARENT_FIELDS})
 
 
 # ---------------------------------------------------------------------------

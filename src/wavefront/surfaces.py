@@ -167,11 +167,15 @@ class _Surface:
 
     # -- evaluation
 
-    def evaluate(self, source, thetas: np.ndarray, t: float) -> "GeodesicBatch":
+    def evaluate(self, source, thetas: np.ndarray, t: float,
+                 later=(), start=None) -> "GeodesicBatch":
         """Straight lines in the cover, reduced to the fundamental domain.
 
         ``cover`` and ``pos`` are written column by column where they are
         allocated, through one float temporary (``t * cos`` or ``t * sin``).
+        A flat flow keeps no walk to resume: ``later`` and ``start`` (see
+        ``evaluate_batch``) change nothing, and the ``walk`` column has
+        width 0.
         """
         n = thetas.shape[0]
         cover, pos, step = np.empty((n, 2)), np.empty((n, 2)), np.empty(n)
@@ -364,7 +368,7 @@ class DiskBilliard(_Surface):
     def _contains(self, x, y):
         return x * x + y * y <= self.radius**2 * (1.0 + 1e-12)
 
-    def evaluate(self, source, thetas, t):
+    def evaluate(self, source, thetas, t, later=(), start=None):
         """Closed-form circle billiard flow.
 
         The disk billiard is integrable: after the first rim hit, consecutive
@@ -509,8 +513,8 @@ class CubeSurface(_Surface):
             raise PreconditionError(f"unknown cube face {reprlib.repr(bad)}")
         return list(map(FACE_NAMES.index, face)), x, y
 
-    def evaluate(self, source, thetas, t):
-        return _eval_cube(self, source, thetas, t)
+    def evaluate(self, source, thetas, t, later=(), start=None):
+        return _eval_cube(self, source, thetas, t, later=later, start=start)
 
     def distances(self, pos, face, i, j):
         out, fi, fj = np.empty(len(i)), face[i], face[j]
@@ -813,6 +817,14 @@ def _build_group_table():
 
 
 _GROUP = _build_group_table()
+# ``[f0, g]``: the development rotation r of the ray from face f0 that
+# carries rotation g (g fixes the face f as well)
+_GROUP_ROT = np.zeros((6, 24), dtype=np.int64)
+_GROUP_ROT[np.arange(6)[:, None, None], _GROUP] = np.arange(4)
+
+# The columns of a batch that a walk resuming its rays reads
+# (``evaluate_batch``'s ``start``).
+RESUME_COLUMNS = ("walk", "face", "group", "sheet")
 
 _HASH_PRIME = np.uint64(1099511628211)
 _HASH_SEED = np.uint64(14695981039346656037)
@@ -837,6 +849,11 @@ class GeodesicBatch:
     rolling hash of the face sequence plus its length, shape (n, 2); on the
     other surfaces, which have one sheet, shape (n, 0).  Rays on a common
     sheet have directly comparable cover coordinates.
+    ``walk`` holds where each cube ray's walk stopped, for a later walk to
+    resume it from (see ``_eval_cube``): its state at the start of its last
+    face crossing and the time left there for each later time the walk
+    kept.  It has width 0 where the walk kept no later time, and on every
+    other surface.
 
     A column that repeats one value is held as a read-only zero-stride view
     of it (``np.broadcast_to``), with the dtype and shape of the full
@@ -856,6 +873,7 @@ class GeodesicBatch:
     group: np.ndarray
     sheet: np.ndarray
     face: np.ndarray
+    walk: np.ndarray
 
     def rows(self, index) -> GeodesicBatch:
         """Every column taken at ``index``, as a plain batch (also from a
@@ -876,6 +894,7 @@ def _empty_planar_batch(thetas, pos, cover, refl=None) -> GeodesicBatch:
         group=np.broadcast_to(np.uint8(0), (n,)),
         sheet=np.empty((n, 0), dtype=np.uint64),
         face=np.broadcast_to(np.uint8(0), (n,)),
+        walk=np.empty((n, 0)),
     )
 
 
@@ -888,7 +907,8 @@ def _fold(w: np.ndarray, length: float, out=None) -> np.ndarray:
     return np.subtract(length, r, out=r)
 
 
-def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t, on_cross=None):
+def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t, on_cross=None,
+               later=(), start=None):
     """Walk face crossings of the straight development, all rays at once.
 
     Each loop iteration advances every still-active ray across one face.
@@ -900,6 +920,23 @@ def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t, on_cross=None
     final values are written out when it ends, and the arrays are compacted
     in the iterations where some ray ended.  ``on_cross``, if given,
     receives the faces entered at each iteration, in ray order.
+
+    A walk can be resumed.  Its geometry never reads t; only the time left
+    does, t less each crossing length in turn, and that is monotone in t.
+    So walked to a later time, a ray repeats its walk up to the start of its
+    last iteration here, in the same state, and goes on from there; a ray
+    that died at a corner dies at the same crossing.  With ``later`` (times
+    after t; none at t = 0), the ``walk`` column keeps each ray's state at
+    the start of its last iteration: position, direction, time gone,
+    development translation, and the time left there for each of ``later``,
+    each taken down by every crossing as the time left for t is.  Its face,
+    rotation (by ``group``), face hash and crossing count are the batch's own
+    columns.  ``start`` holds the ``RESUME_COLUMNS`` of such a batch for
+    these rays, whose first later time is t and whose next ones begin with
+    ``later``; each ray resumes from that state, and the columns are popped
+    as they are read.  A fresh ray is a ray resumed from the source state,
+    so either way every output is bitwise that of a walk from the source.
+    Crossings are counted per ray, against ``EVENT_BUDGET``.
     """
     side = surface.side
     # a developed ray crosses at most sqrt(2)*t/side + 2 lines of the side lattice
@@ -914,34 +951,54 @@ def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t, on_cross=None
             f"(each iteration counted as {WALK_ITERATION_RAYS} more rays), "
             f"more than WALK_BUDGET={WALK_BUDGET}"
         )
+    later = tuple(later) if t > 0.0 else ()
 
-    # final values, per ray
+    # final values, per ray; end_hl holds a ray's crossing count at the start
+    # of this walk until it ends
     face0 = FACE_INDEX[source.face]
     end_pu = np.full(n, float(source.u))
     end_pv = np.full(n, float(source.v))
     end_face = np.full(n, face0, dtype=np.uint8)
     end_rot = np.zeros(n, dtype=np.int64)
-    end_tvu = np.zeros(n)
-    end_tvv = np.zeros(n)
     end_hh = (np.full(n, _HASH_SEED, dtype=np.uint64) * _HASH_PRIME) ^ np.uint64(face0 + 1)
     end_hl = np.ones(n, dtype=np.int64)
     alive = np.ones(n, dtype=bool)
     death = np.full(n, np.inf)
+    # the state to resume from: pu pv du dv tgone tvu tvv, then the time left
+    # for each later time; its tvu and tvv columns are the final ones
+    walk = np.empty((n, 7 + len(later)) if later else (n, 0))
+    end_tvu, end_tvv = (walk[:, 5], walk[:, 6]) if later else (np.zeros(n), np.zeros(n))
 
-    # working values, per active ray
-    m = n if t > 0.0 else 0
+    # working values, per active ray; rem[0] is the time left for t, the
+    # other rows the time left for each later time
+    if start is None:
+        m = n if t > 0.0 else 0
+        face = np.full(m, face0, dtype=np.int64)
+        pu = np.full(m, float(source.u))
+        pv = np.full(m, float(source.v))
+        du = np.cos(thetas[:m])
+        dv = np.sin(thetas[:m])
+        rot = np.zeros(m, dtype=np.int64)
+        tvu = np.zeros(m)
+        tvv = np.zeros(m)
+        tgone = np.zeros(m)
+        hh = end_hh[:m].copy()
+        rem = np.empty((1 + len(later), m))
+        rem.T[:] = (t, *later)
+    else:
+        m = n
+        state = start.pop("walk")
+        pu, pv, du, dv, tgone, tvu, tvv = (state[:, i].copy() for i in range(7))
+        rem = state[:, 7:8 + len(later)].T.copy()
+        del state
+        face = start.pop("face").astype(np.int64)
+        rot = _GROUP_ROT[face0].take(start.pop("group"))
+        sheet = start.pop("sheet")
+        hh = sheet[:, 0].copy()
+        end_hl = sheet[:, 1].astype(np.int64)
+        del sheet
+    top = int(end_hl.max(initial=1))
     ray = np.arange(m)
-    face = np.full(m, face0, dtype=np.int64)
-    pu = np.full(m, float(source.u))
-    pv = np.full(m, float(source.v))
-    du = np.cos(thetas[:m])
-    dv = np.sin(thetas[:m])
-    rot = np.zeros(m, dtype=np.int64)
-    tvu = np.zeros(m)
-    tvv = np.zeros(m)
-    trem = np.full(m, float(t))
-    tgone = np.zeros(m)
-    hh = end_hh[:m].copy()
     # crossing transitions by code 4 * face + edge; edges 0: u=0, 1: u=1, 2: v=0, 3: v=1
     step_face, step_rot = _NEXT_FACE.ravel(), _TRANS_ROT.ravel()
     step_cos, step_sin = _ROT2_COS.take(step_rot) * 1.0, _ROT2_SIN.take(step_rot) * 1.0
@@ -954,11 +1011,14 @@ def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t, on_cross=None
     rot_next, tvu_step, tvv_step = (
         a.ravel() for a in (rot_next, rc * shift_u - rs * shift_v, rs * shift_u + rc * shift_v))
 
-    events = 0
+    events = 0  # iterations of this walk
     with np.errstate(divide="ignore", invalid="ignore"):
         while ray.size:
             events += 1
-            if events > EVENT_BUDGET:
+            # a ray's crossings from the source: its count at the start of
+            # this walk (end_hl, at most top) and this walk's iterations
+            if events + top > EVENT_BUDGET + 1 and (
+                    end_hl.take(ray).max() + events > EVENT_BUDGET + 1):
                 raise NumericalFailureError(
                     f"cube tracing exceeded EVENT_BUDGET={EVENT_BUDGET} face crossings per ray"
                 )
@@ -971,22 +1031,29 @@ def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t, on_cross=None
             np.copyto(sv, np.inf, where=dv == 0)
             s = np.minimum(su, sv)
             cu = su <= sv
-            done = trem <= s
+            del su, sv
+            done = rem[0] <= s
             # exit point, with the crossed coordinate snapped onto the wall
             peu = np.where(cu, upos * side, pu + s * du)
             pev = np.where(cu, pv + s * dv, vpos * side)
             along = np.where(cu, pev, peu)
             hit_corner = ~done & ((along < delta) | (along > side - delta))
+            del along
             ended = done | hit_corner
             code = 4 * face + np.where(cu, upos, vpos + 2)
             e = np.flatnonzero(ended)
             if e.size:
-                k, fin, tr = ray.take(e), done.take(e), trem.take(e)
+                k, fin, tr = ray.take(e), done.take(e), rem[0].take(e)
+                if later:
+                    for i, a in enumerate((pu, pv, du, dv, tgone)):
+                        walk[k, i] = a.take(e)
+                    walk[k, 7:] = rem[1:, e].T
                 end_pu[k] = np.where(fin, pu.take(e) + tr * du.take(e), peu.take(e))
                 end_pv[k] = np.where(fin, pv.take(e) + tr * dv.take(e), pev.take(e))
                 end_face[k], end_rot[k] = face.take(e), rot.take(e)
                 end_tvu[k], end_tvv[k] = tvu.take(e), tvv.take(e)
-                end_hh[k], end_hl[k] = hh.take(e), events  # faces entered so far, the source's too
+                end_hh[k] = hh.take(e)
+                end_hl[k] += events - 1  # faces entered so far, the source's too
                 if not fin.all():
                     c = np.flatnonzero(hit_corner)
                     alive[ray.take(c)] = False
@@ -995,27 +1062,38 @@ def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t, on_cross=None
                 if not go.size:
                     break
                 ray, code, du, dv = (a.take(go) for a in (ray, code, du, dv))
-                rot, tvu, tvv, trem, tgone = (a.take(go) for a in (rot, tvu, tvv, trem, tgone))
+                rot, tvu, tvv, tgone = (a.take(go) for a in (rot, tvu, tvv, tgone))
                 hh, s, peu, pev = (a.take(go) for a in (hh, s, peu, pev))
+                rem = rem.take(go, axis=1)
             face = step_face.take(code)
             if on_cross is not None:
                 on_cross(face)
+            # each array is dropped at its last use, so that no temporary of
+            # one iteration is still held in the next
+            del pu, pv
             c, sn = step_cos.take(code), step_sin.take(code)
-            shu, shv = shift_u.take(code), shift_v.take(code)
-            pu = c * peu - sn * pev + shu
+            pu = c * peu
+            pu -= sn * pev
+            pu += shift_u.take(code)
             np.minimum(np.maximum(pu, 0.0, out=pu), side, out=pu)
-            pv = sn * peu + c * pev + shv
+            pv = sn * peu
+            pv += c * pev
+            pv += shift_v.take(code)
             np.minimum(np.maximum(pv, 0.0, out=pv), side, out=pv)
+            del peu, pev
             du, dv = c * du - sn * dv, sn * du + c * dv
+            del c, sn
             key = rot * 24
             key += code
             rot = rot_next.take(key)
             tvu -= tvu_step.take(key)
             tvv -= tvv_step.take(key)
+            del key
             hh *= _HASH_PRIME
             hh ^= step_hash.take(code)
             tgone += s
-            trem -= s
+            rem -= s
+            del s, code
 
     rc, rs = _ROT2_COS[end_rot], _ROT2_SIN[end_rot]
     cover = np.stack(
@@ -1033,6 +1111,7 @@ def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t, on_cross=None
         group=group,
         sheet=sheet,
         face=end_face,
+        walk=walk,
     )
 
 
@@ -1041,18 +1120,27 @@ def _require_time(t: float) -> None:
         raise PreconditionError("time must be finite and nonnegative")
 
 
-def evaluate_batch(surface: SurfaceModel, source, thetas, t: float) -> GeodesicBatch:
+def evaluate_batch(surface: SurfaceModel, source, thetas, t: float,
+                   later=(), start=None) -> GeodesicBatch:
     """Evaluate unit-speed geodesics from ``source`` for an array of angles.
 
     Pure in (source, thetas, t): identical inputs give bitwise identical
     outputs regardless of how directions are batched, which is what makes
     adaptive refinement reproducible.  A batch with a non-finite position
     (a disk radius so small that the tangent slide overflows) is refused.
+
+    A cube walk can be resumed at a later time instead of walked again from
+    the source (``_eval_cube``).  ``later`` lists the times after t for
+    which the batch's ``walk`` column keeps each ray's remaining walk;
+    ``start``, a dict of the ``RESUME_COLUMNS`` of an earlier batch of
+    these directions whose walk kept t and then ``later``, resumes each ray
+    where that walk stopped, and is emptied as it is read.  Neither changes
+    any other column.
     """
     thetas = np.ascontiguousarray(thetas, dtype=np.float64)
     _require_time(t)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned of
-        batch = surface.evaluate(source, thetas, t)
+        batch = surface.evaluate(source, thetas, t, later, start)
     if not np.isfinite(batch.pos).all():
         bad = np.flatnonzero(~np.isfinite(batch.pos).all(axis=1))[0]
         raise NumericalFailureError(

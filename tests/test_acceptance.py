@@ -9,7 +9,8 @@ test, never from the code under test.
 
 import math
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -307,15 +308,16 @@ _CUBE_TIMES = (0.5, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0)
 @pytest.fixture(scope="module")
 def cube_fronts():
     """Unit-cube fronts from the chart points (a, b) / den of _CUBE_SOURCES,
-    keyed (face, a, b, den, t), each source propagated once through _CUBE_TIMES
-    with the default parameters (about 1 s per source to t = 20)."""
-    fronts = {}
+    keyed (face, a, b, den, t), each source walked once through _CUBE_TIMES
+    by ``fronts`` with the default parameters, so that each step resumes
+    the rays of the last while their walk was kept."""
+    out = {}
     for face, a, b, den in _CUBE_SOURCES:
-        front = init_front(parse_surface("cube:1"), CubePoint(face, a / den, b / den))
-        for t in _CUBE_TIMES:
-            front = propagate(front, t)
-            fronts[face, a, b, den, t] = front
-    return fronts
+        source = CubePoint(face, a / den, b / den)
+        walk = fronts(init_front(parse_surface("cube:1"), source), _CUBE_TIMES, lambda f: f)
+        for t, front in zip(_CUBE_TIMES, walk):
+            out[face, a, b, den, t] = front
+    return out
 
 
 @pytest.mark.parametrize("face,a,b,den", _CUBE_SOURCES)
@@ -429,6 +431,48 @@ def test_torus_flat_step_memory():
         tracemalloc.stop()
     [(count, resident)] = sizes
     assert count == 523_777 and resident == 40 * count
+    assert peak < 1.5 * resident, peak / resident
+
+
+def test_cube_resumed_step_memory():
+    """The step that sets the cube-tear benchmark's peak: t = 15 to 20 in the
+    walk of ``density --surface cube:1 --p U/0.31/0.47 --t-grid 5:20:5``,
+    measured at eps = 0.05.  The t = 15 front keeps the remaining walk of
+    its 65,720 rays to t = 20, and the step resumes them.  ``fronts`` cuts
+    the front it is given down to a parent at once, and the walk frees the
+    parent's resume columns once its first round has read them.  The step
+    holds 1.18 times the new front's resident column bytes above what was
+    held (the t = 15 front, copied once tracing began, included).  It held
+    2.08 times with the resume columns kept through the step, and 3.32
+    times with every ray walked again from the source, the given front
+    held through the step and the walk's temporaries kept until rebound.
+    The bound is 1.5 times."""
+    series = fronts(init_front(parse_surface("cube:1"), CubePoint("U", 0.31, 0.47)),
+                    [5.0, 10.0, 15.0, 20.0], lambda front: front)
+    front = list(islice(series, 3))[-1]
+    assert front.later == (20.0,)
+    sizes = []
+
+    def measure(front):
+        columns = [getattr(front, f.name) for f in fields(GeodesicBatch)]
+        sizes.append((front.sample_count,
+                      sum(col.nbytes for col in columns if col.strides[:1] != (0,))))
+        return density_report(front, 0.05)
+
+    tracemalloc.start()
+    try:
+        # a traced copy that nothing but the walk holds
+        front = replace(front, **{f.name: getattr(front, f.name).copy()
+                                  for f in fields(GeodesicBatch)})
+        held = tracemalloc.get_traced_memory()[0]
+        walk = fronts(front, [20.0], measure)
+        del front
+        list(walk)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    [(count, resident)] = sizes
+    assert count == 89_907
     assert peak < 1.5 * resident, peak / resident
 
 

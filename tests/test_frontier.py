@@ -10,6 +10,7 @@ import gc
 import hashlib
 import math
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -294,9 +295,9 @@ def _refine_both(monkeypatch, surface, source, thetas, tt, params):
     for refine in (_refine, _refine_by_rounds):
         sizes = []
 
-        def counted(surface, source, thetas, t):
+        def counted(surface, source, thetas, t, *walk):
             sizes.append(thetas.size)
-            return evaluate_batch(surface, source, thetas, t)
+            return evaluate_batch(surface, source, thetas, t, *walk)
 
         monkeypatch.setattr(frontier, "evaluate_batch", counted)
         try:
@@ -423,29 +424,42 @@ def test_refine_matches_the_gather_merge_bitwise(surface, source, tt):
         assert (np.abs(np.diff(got.pos[:, 1])) > 0.5).any()
 
 
+def _columns(front):
+    """Every ``GeodesicBatch`` column of a front as (dtype, shape, bytes), but
+    ``walk``, the remaining walk that only ``fronts`` keeps."""
+    return {f.name: (col.dtype, col.shape, col.tobytes())
+            for f in fields(GeodesicBatch) if f.name != "walk"
+            for col in [getattr(front, f.name)]}
+
+
 @pytest.mark.parametrize("surface,source,times", [
     (Torus(1.0, 1.0), (0.2, 0.3), (1.0, 2.0, 3.0, 4.0)),
-    (CubeSurface(1.0), CubePoint("U", 0.5, 0.5), (0.5, 0.75, 1.0, 1.25, 1.5)),
+    (CubeSurface(1.0), CubePoint("U", 0.5, 0.5), (0.5, 0.75, 1.0, 1.25, 1.5, 1.75)),
 ])
 def test_walk_drops_each_front_once_measured(monkeypatch, surface, source, times):
     """``fronts`` keeps only what ``propagate`` reads of a measured front, so
     the next front is built and measured without it: it is gone before
     the next step evaluates a single direction, collected by reference
-    counting alone, with the cycle collector off.  The split times match
-    propagation step by step."""
-    refs = []
+    counting alone, with the cycle collector off.  Its fronts are those of
+    propagation step by step, every column bit for bit: on the cube each
+    step resumes its parent's rays while the parent kept their walk (for
+    up to ``RESUME_TIMES`` next times) and walks from the source once it
+    kept none.  A flat front keeps no walk."""
+    refs, resumed = [], []
 
     def dropped():
         return [ref() for ref in refs] == [None] * len(refs)
 
-    def evaluate(*args):
+    def evaluate(surface, source, thetas, t, later=(), start=None):
         assert dropped()
-        return evaluate_batch(*args)
+        if start is not None:
+            resumed.append(t)
+        return evaluate_batch(surface, source, thetas, t, later, start)
 
     def measure(front):
         assert dropped()
         refs.append(weakref.ref(front))
-        return _components_digest(front), front.sample_count
+        return _components_digest(front), _columns(front), front.later
 
     monkeypatch.setattr(frontier, "evaluate_batch", evaluate)
     gc.disable()
@@ -457,10 +471,17 @@ def test_walk_drops_each_front_once_measured(monkeypatch, surface, source, times
     front, want = init_front(surface, source), []
     for t in times:
         front = propagate(front, t)
-        want.append((_components_digest(front), front.sample_count))
-    assert got == want
+        want.append((_components_digest(front), _columns(front)))
+    assert [g[:2] for g in got] == want
+    later = [g[2] for g in got]
     if isinstance(surface, CubeSurface):
-        assert len(front.components) == 4 and max(c.split_time for c in front.components) > 0
+        assert frontier.RESUME_TIMES == 3
+        assert later == [times[1:4], times[2:4], times[3:4], (), times[5:], ()]
+        assert resumed == [times[1], times[2], times[3], times[5]]
+    else:
+        assert later == [()] * len(times) and resumed == []
+    if isinstance(surface, CubeSurface):  # 4 vertices at sqrt(1/2), 8 more at sqrt(5/2)
+        assert len(front.components) == 12 and max(c.split_time for c in front.components) > 1.5
 
 
 def test_batch_rows_take_every_column():
@@ -754,6 +775,7 @@ def _cross_sheet_pair(gap):
         group=np.zeros(2, dtype=np.int64),
         face=np.full(2, FACE_INDEX["U"]),
         sheet=np.array([[7, 1], [8, 1]], dtype=np.int64),
+        walk=np.empty((2, 0)),
     )
     arc = ArcInterval(0.0, 2.0)
     parent = FrontComponent(interval=arc, split_time=0.25, segments=((0, 2),))

@@ -491,9 +491,9 @@ def test_tau_checkpoints_are_the_t_grid(monkeypatch):
     seen = []
     real = frontier.propagate
 
-    def recording(front, t):
+    def recording(front, t, *later):
         seen.append(t)
-        return real(front, t)
+        return real(front, t, *later)
 
     monkeypatch.setattr(frontier, "propagate", recording)
     for t_max, dt in ((0.9, 0.3), (0.0999999999997, 0.1), (0.7, 0.1), (2.0, 0.25),

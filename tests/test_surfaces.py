@@ -18,6 +18,7 @@ from wavefront import (
     CubeSurface,
     DiskBilliard,
     KleinBottle,
+    NumericalFailureError,
     PreconditionError,
     RectBilliard,
     Torus,
@@ -29,6 +30,8 @@ from wavefront import (
     surface_distance,
     trace_cube_ray,
 )
+from wavefront import surfaces
+from wavefront.frontier import RESUME_TIMES
 from wavefront.surfaces import (
     _FACE_PATHS,
     _FACE_PATHS_TO,
@@ -43,6 +46,7 @@ from wavefront.surfaces import (
     CORNER_TOL,
     FACE_INDEX,
     FACE_NAMES,
+    RESUME_COLUMNS,
     GeodesicBatch,
     _eval_cube,
     cube_geodesic_distance,
@@ -395,6 +399,7 @@ def _eval_cube_by_gather(side, source, thetas, t, on_cross=None):
         group=_GROUP[FACE_INDEX[source.face], face, rot].astype(np.uint8),
         face=face.astype(np.uint8),
         sheet=np.stack([hh, hl.astype(np.uint64)], axis=1),
+        walk=np.empty((n, 0)),
     )
 
 
@@ -423,6 +428,77 @@ def test_cube_walk_matches_gather_scatter_walk(side, source, t):
         mine = getattr(got, name)
         assert mine.dtype == col.dtype and mine.shape == col.shape, name
         assert mine.tobytes() == col.tobytes(), name
+
+
+_RESUME_CASES = [
+    # theta = 0 ends exactly on the edge u = 1 at t = 0.5; the diagonal rays
+    # die at corners between 0.5 and 0.75, in a resumed walk
+    (1.0, CubePoint("U", 0.5, 0.5), (0.5, 0.75, 1.0, 1.25, 1.5, 6.0)),
+    (1.0, CubePoint("U", 0.31, 0.47), (5.0, 10.0, 15.0, 20.0)),
+    (2.5, CubePoint("D", 0.1, 2.3), (0.5, 3.0, 7.5, 8.0, 20.0)),
+    (0.3, CubePoint("F", 0.13, 0.17), (0.3, 0.6, 0.9, 2.0, 6.0, 6.0, 7.0)),
+]
+
+
+@pytest.mark.parametrize("side,source,times", _RESUME_CASES)
+def test_resumed_cube_walk_matches_gather_scatter_walk(side, source, times):
+    """Walks chained as ``fronts`` chains them, each keeping the remaining
+    walk for up to RESUME_TIMES next times and the next resuming from it,
+    give at every time the reference walk's columns from the source, bit
+    for bit, dead rays included.  Each keeps the ``walk`` column that a
+    walk from the source keeping the same times records, and empties the
+    columns it resumes from."""
+    thetas = np.concatenate([
+        np.linspace(0.0, 2.0 * math.pi, 1025),
+        np.arange(8) * (math.pi / 4),  # axis-parallel and diagonal rays
+        np.random.default_rng(11).uniform(0.0, 2.0 * math.pi, 200),
+    ])
+    surface, kept, resumed = CubeSurface(side), (), []
+    for i, t in enumerate(times):
+        start = None
+        if kept[:1] == (t,):
+            later, start = kept[1:], {name: getattr(batch, name) for name in RESUME_COLUMNS}
+        else:
+            later = tuple(times[i + 1:i + 1 + RESUME_TIMES])
+        resumed.append(start is not None)
+        batch = evaluate_batch(surface, source, thetas, t, later, start)
+        assert start is None or start == {}
+        want = _eval_cube_by_gather(side, source, thetas, t)
+        for name, col in vars(want).items():
+            if name != "walk":
+                mine = getattr(batch, name)
+                assert mine.dtype == col.dtype and mine.shape == col.shape, (t, name)
+                assert mine.tobytes() == col.tobytes(), (t, name)
+        fresh = evaluate_batch(surface, source, thetas, t, later).walk
+        assert batch.walk.shape == fresh.shape == (thetas.size, 7 + len(later) if later else 0)
+        assert batch.walk.tobytes() == fresh.tobytes(), t
+        kept = later
+    # a walk from the source whenever the kept times have run out
+    assert resumed == [i % (RESUME_TIMES + 1) > 0 for i in range(len(times))]
+    if source == CubePoint("U", 0.5, 0.5):
+        first = _eval_cube_by_gather(side, source, thetas[:1], 0.5)
+        assert first.pos.tolist() == [[1.0, 0.5]] and first.sheet[0, 1] == 1
+        assert not want.alive.all()
+
+
+def test_resumed_cube_walk_refuses_what_a_walk_from_the_source_refuses(monkeypatch):
+    """``EVENT_BUDGET`` counts each ray's crossings from the source, so a
+    resumed walk refuses exactly the budgets that a walk from the source
+    refuses."""
+    surface, source = CubeSurface(1.0), CubePoint("U", 0.31, 0.47)
+    thetas = np.linspace(0.0, 2.0 * math.pi, 257)
+    most = int(evaluate_batch(surface, source, thetas, 9.0).sheet[:, 1].max())
+    for budget, refused in ((most, False), (most - 1, True)):
+        monkeypatch.setattr(surfaces, "EVENT_BUDGET", budget)
+        for start in (None, "resume"):
+            if start:
+                kept = evaluate_batch(surface, source, thetas, 4.0, (9.0,))
+                start = {name: getattr(kept, name) for name in RESUME_COLUMNS}
+            if refused:
+                with pytest.raises(NumericalFailureError, match="EVENT_BUDGET"):
+                    evaluate_batch(surface, source, thetas, 9.0, (), start)
+            else:
+                evaluate_batch(surface, source, thetas, 9.0, (), start)
 
 
 @pytest.mark.parametrize("side,source", _WALK_CASES)
