@@ -83,6 +83,8 @@ class ArcInterval:
     theta_hi: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.theta_lo) and math.isfinite(self.theta_hi)):
+            raise PreconditionError(f"arc {self.theta_lo!r},{self.theta_hi!r} needs finite ends")
         if not self.theta_lo <= self.theta_hi:
             raise PreconditionError("arc needs theta_lo <= theta_hi")
         if self.theta_hi - self.theta_lo > TWO_PI + _FULL_TOL:

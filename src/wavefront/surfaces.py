@@ -399,7 +399,9 @@ class DiskBilliard(_Surface):
         safe_chord = np.where(tangent, 1.0, chord)
         n = np.floor(t1 / safe_chord)
         resid = t1 - n * safe_chord
-        phi = np.arccos(np.clip(ndot, 0.0, 1.0))
+        # math.acos per value: np.arccos's bits follow numpy's SIMD dispatch
+        phi = np.fromiter(map(math.acos, np.clip(ndot, 0.0, 1.0).tolist()), np.float64,
+                          ndot.size)
         step = np.where(ell >= 0.0, 1.0, -1.0) * (math.pi - 2.0 * phi)
         ang = n * step
         c = np.cos(ang)
@@ -828,6 +830,9 @@ RESUME_COLUMNS = ("walk", "face", "group", "sheet")
 
 _HASH_PRIME = np.uint64(1099511628211)
 _HASH_SEED = np.uint64(14695981039346656037)
+# by source face: the sheet of a ray yet to cross, its face hash and count 1
+_SOURCE_SHEET = np.stack([np.full(6, _HASH_SEED) * _HASH_PRIME ^ np.arange(1, 7, dtype=np.uint64),
+                          np.ones(6, dtype=np.uint64)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -934,9 +939,13 @@ def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t, on_cross=None
     columns.  ``start`` holds the ``RESUME_COLUMNS`` of such a batch for
     these rays, whose first later time is t and whose next ones begin with
     ``later``; each ray resumes from that state, and the columns are popped
-    as they are read.  A fresh ray is a ray resumed from the source state,
-    so either way every output is bitwise that of a walk from the source.
-    Crossings are counted per ray, against ``EVENT_BUDGET``.
+    as they are read.  Without ``start`` the walk builds the source state in
+    the same layout (the source position, direction (cos theta, sin theta),
+    nothing gone or translated, then t and ``later``; the source face,
+    rotation 0, and the source face's hash with a count of 1) and resumes
+    from it: every walk starts through one path, and at t = 0 each ray ends
+    in its first iteration.  Every output is bitwise that of a walk from
+    the source.  Crossings are counted per ray, against ``EVENT_BUDGET``.
     """
     side = surface.side
     # a developed ray crosses at most sqrt(2)*t/side + 2 lines of the side lattice
@@ -952,53 +961,40 @@ def _eval_cube(surface: CubeSurface, source: CubePoint, thetas, t, on_cross=None
             f"more than WALK_BUDGET={WALK_BUDGET}"
         )
     later = tuple(later) if t > 0.0 else ()
-
-    # final values, per ray; end_hl holds a ray's crossing count at the start
-    # of this walk until it ends
     face0 = FACE_INDEX[source.face]
-    end_pu = np.full(n, float(source.u))
-    end_pv = np.full(n, float(source.v))
-    end_face = np.full(n, face0, dtype=np.uint8)
-    end_rot = np.zeros(n, dtype=np.int64)
-    end_hh = (np.full(n, _HASH_SEED, dtype=np.uint64) * _HASH_PRIME) ^ np.uint64(face0 + 1)
-    end_hl = np.ones(n, dtype=np.int64)
+    if start is None:  # the source state, in the layout a walk keeps
+        state = np.zeros((n, 8 + len(later)))
+        state[:, 0], state[:, 1], state[:, 7:] = source.u, source.v, (t, *later)
+        state[:, 2], state[:, 3] = np.cos(thetas), np.sin(thetas)
+        start = {"walk": state, "face": np.full(n, face0, dtype=np.uint8),
+                 "group": np.zeros(n, dtype=np.uint8),
+                 "sheet": np.full((n, 2), _SOURCE_SHEET[face0])}
+
+    # working values, per active ray; rem[0] is the time left for t, the
+    # other rows the time left for each later time
+    state = start.pop("walk")
+    pu, pv, du, dv, tgone, tvu, tvv = (state[:, i].copy() for i in range(7))
+    rem = state[:, 7:8 + len(later)].T.copy()
+    del state
+    face = start.pop("face").astype(np.int64)
+    rot = _GROUP_ROT[face0].take(start.pop("group"))
+    sheet = start.pop("sheet")
+    hh = sheet[:, 0].copy()
+    end_hl = sheet[:, 1].astype(np.int64)
+    del sheet
+
+    # final values, each written as its ray ends; end_hl holds a ray's
+    # crossing count at the start of this walk until it ends
+    end_pu, end_pv = np.empty(n), np.empty(n)
+    end_face, end_rot, end_hh = (np.empty(n, dtype=d) for d in (np.uint8, np.int64, np.uint64))
     alive = np.ones(n, dtype=bool)
     death = np.full(n, np.inf)
     # the state to resume from: pu pv du dv tgone tvu tvv, then the time left
     # for each later time; its tvu and tvv columns are the final ones
     walk = np.empty((n, 7 + len(later)) if later else (n, 0))
-    end_tvu, end_tvv = (walk[:, 5], walk[:, 6]) if later else (np.zeros(n), np.zeros(n))
-
-    # working values, per active ray; rem[0] is the time left for t, the
-    # other rows the time left for each later time
-    if start is None:
-        m = n if t > 0.0 else 0
-        face = np.full(m, face0, dtype=np.int64)
-        pu = np.full(m, float(source.u))
-        pv = np.full(m, float(source.v))
-        du = np.cos(thetas[:m])
-        dv = np.sin(thetas[:m])
-        rot = np.zeros(m, dtype=np.int64)
-        tvu = np.zeros(m)
-        tvv = np.zeros(m)
-        tgone = np.zeros(m)
-        hh = end_hh[:m].copy()
-        rem = np.empty((1 + len(later), m))
-        rem.T[:] = (t, *later)
-    else:
-        m = n
-        state = start.pop("walk")
-        pu, pv, du, dv, tgone, tvu, tvv = (state[:, i].copy() for i in range(7))
-        rem = state[:, 7:8 + len(later)].T.copy()
-        del state
-        face = start.pop("face").astype(np.int64)
-        rot = _GROUP_ROT[face0].take(start.pop("group"))
-        sheet = start.pop("sheet")
-        hh = sheet[:, 0].copy()
-        end_hl = sheet[:, 1].astype(np.int64)
-        del sheet
+    end_tvu, end_tvv = (walk[:, 5], walk[:, 6]) if later else (np.empty(n), np.empty(n))
     top = int(end_hl.max(initial=1))
-    ray = np.arange(m)
+    ray = np.arange(n)
     # crossing transitions by code 4 * face + edge; edges 0: u=0, 1: u=1, 2: v=0, 3: v=1
     step_face, step_rot = _NEXT_FACE.ravel(), _TRANS_ROT.ravel()
     step_cos, step_sin = _ROT2_COS.take(step_rot) * 1.0, _ROT2_SIN.take(step_rot) * 1.0
@@ -1120,6 +1116,12 @@ def _require_time(t: float) -> None:
         raise PreconditionError("time must be finite and nonnegative")
 
 
+def _require_direction(theta: float) -> None:
+    # the closed interval, so that a full circle sampled inclusively stays in it
+    if not 0.0 <= theta <= TWO_PI:
+        raise PreconditionError("direction angle must lie in [0, 2*pi]")
+
+
 def evaluate_batch(surface: SurfaceModel, source, thetas, t: float,
                    later=(), start=None) -> GeodesicBatch:
     """Evaluate unit-speed geodesics from ``source`` for an array of angles.
@@ -1160,8 +1162,7 @@ def exp_point(surface: SurfaceModel, source, theta: float, t: float):
     ``theta`` is accepted on the closed interval [0, 2*pi] so that a full
     circle of directions, sampled inclusively, stays within the contract.
     """
-    if not 0.0 <= theta <= TWO_PI:
-        raise PreconditionError("direction angle must lie in [0, 2*pi]")
+    _require_direction(theta)
     source = surface.validate_point(source, forbid_vertex=True)
     batch = evaluate_batch(surface, source, np.array([theta]), t)
     point = surface.point_at(batch.pos, batch.face, 0)
@@ -1174,10 +1175,12 @@ def trace_cube_ray(side: float, source: CubePoint, theta: float, t: float):
     ``face_history`` is the ordered tuple of faces entered, starting with the
     source face.  ``group_elem`` indexes the rotation mapping the source face
     frame to the final face frame through the development (one of the 24
-    orientation-preserving cube rotations).
+    orientation-preserving cube rotations).  ``theta`` lies in [0, 2*pi], as
+    for ``exp_point``; any other direction is refused before the walk.
     """
     surface = CubeSurface(side)
     source = surface.validate_point(source, forbid_vertex=True)
+    _require_direction(theta)
     _require_time(t)
     history = [FACE_INDEX[source.face]]
     batch = _eval_cube(

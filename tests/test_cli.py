@@ -115,6 +115,7 @@ def test_verify_theorem1_failure_exit_code(monkeypatch, capsys):
 # lattice table with an explicit h, and density tables late enough that
 # each centre's nearest sample lies in its own eps cell (non-square torus
 # cells, the Klein bottle, the rectangle)
+_DISK_DENSITY = "density --surface disk:1 --p 0.4,0.1 --t-grid 5:20:5 --eps 0.05"
 _TABLES_PINNED = {
     "tau --surface torus:1,1 --p 0.2,0.3 --r 0.25 --t-max 20 --dt 0.5":
         "97c9705414155be7456a594d9215306297345d4f51c1093e19ac55c52b358933",
@@ -148,6 +149,9 @@ _TABLES_PINNED = {
     # the README grid; its projected covering radius is a nine-image query
     "verify-theorem1 --t-grid 10:1000:90":
         "3b5617b9b6794fb2d5cf07a3d18935b3774ed719925dd6a73a8a17bf58b918cb",
+    # disk rays of many bounces, whose phi once read numpy's SIMD arccos
+    _DISK_DENSITY:
+        "31279d977f6e5cb2b8d5d5f16fac72ffd96a540a2c1d72ddd7ab83868d372997",
 }
 
 
@@ -159,6 +163,19 @@ def test_table_bytes_pinned(capsysbinary):
         assert captured.err == b"", command
         digests[command] = hashlib.sha256(captured.out).hexdigest()
     assert digests == _TABLES_PINNED
+
+
+def test_disk_bytes_do_not_depend_on_simd_dispatch(capsysbinary):
+    # the same table in a process with every x86 dispatch target above the
+    # X86_V2 baseline disabled (the list must be comma-separated)
+    assert cli.run(_DISK_DENSITY.split()) == 0
+    here = capsysbinary.readouterr().out
+    env = dict(os.environ, PYTHONPATH=str(Path(wavefront.__file__).parents[1]),
+               NPY_DISABLE_CPU_FEATURES="X86_V3,X86_V4,AVX512_ICL,AVX512_SPR")
+    result = subprocess.run([sys.executable, "-m", "wavefront", *_DISK_DENSITY.split()],
+                            capture_output=True, env=env)
+    assert result.returncode == 0 and result.stderr == b""
+    assert result.stdout == here
 
 
 def test_simulate_then_render(tmp_path, capsys):
@@ -223,6 +240,8 @@ def test_simulate_arc_and_hmax_flags(tmp_path, capsys):
     assert doc["params"]["h_max"] == 0.01
 
 
+# a numpy warning would print lines of its own before the diagnostic
+@pytest.mark.filterwarnings("error")
 def test_invalid_arguments_exit_1(capsys):
     cases = [
         ["simulate", "--surface", "torus:1,1", "--p", "0,0"],  # missing --t
@@ -269,6 +288,11 @@ def test_invalid_arguments_exit_1(capsys):
           for grid in ("1:2", "a:b:c", "1:2:3:4")],
         *[(["simulate", "--surface", "torus:1,1", "--p", "0,0", "--t", "1", "--arc", arc],
            f"bad arc {arc!r}, expected LO,HI") for arc in ("1", "a,b", "0,1,2")],
+        # infinite arc ends: an arc of width nan, refused before any walk
+        *[(["simulate", "--surface", surface, "--p", p, "--t", "1", f"--arc={arc}"],
+           f"arc {arc} needs finite ends")
+          for surface, p in (("torus:1,1", "0.2,0.3"), ("cube:1", "U/0.5/0.5"))
+          for arc in ("-inf,-inf", "inf,inf")],
         # malformed points and surface parameters
         (["simulate", "--surface", "torus:1,1", "--p", "0.3", "--t", "1"],
          "planar points look like x,y, got '0.3'"),

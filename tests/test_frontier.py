@@ -49,6 +49,7 @@ from wavefront.frontier import (
     _Rows,
     _sheets_match,
     _unwitnessed_tears,
+    time_grid,
 )
 from wavefront.io import emit_snapshot, parse_snapshot
 from wavefront.surfaces import FACE_INDEX, GeodesicBatch, evaluate_batch
@@ -482,6 +483,22 @@ def test_walk_drops_each_front_once_measured(monkeypatch, surface, source, times
         assert later == [()] * len(times) and resumed == []
     if isinstance(surface, CubeSurface):  # 4 vertices at sqrt(1/2), 8 more at sqrt(5/2)
         assert len(front.components) == 12 and max(c.split_time for c in front.components) > 1.5
+
+
+def test_cube_series_from_time_zero_matches_propagation_step_by_step():
+    """A cube grid that starts at t = 0, as ``tau``'s does: the t = 0 step
+    keeps no walk, so the next step walks from the source, and every front
+    is that of propagation one step at a time, every column bit for bit."""
+    surface, source = CubeSurface(1.0), CubePoint("U", 0.31, 0.47)
+    times = tuple(time_grid(0.0, 3.0, 0.5))
+    got = list(frontier.fronts(init_front(surface, source), times,
+                               lambda f: (_components_digest(f), _columns(f), f.later)))
+    front, want = init_front(surface, source), []
+    for t in times:
+        front = propagate(front, t)
+        want.append((_components_digest(front), _columns(front)))
+    assert [g[:2] for g in got] == want
+    assert [g[2] for g in got] == [(), times[2:5], times[3:5], times[4:5], (), times[6:], ()]
 
 
 def test_batch_rows_take_every_column():

@@ -9,6 +9,7 @@ the disk.
 
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -499,6 +500,60 @@ def test_resumed_cube_walk_refuses_what_a_walk_from_the_source_refuses(monkeypat
                     evaluate_batch(surface, source, thetas, 9.0, (), start)
             else:
                 evaluate_batch(surface, source, thetas, 9.0, (), start)
+
+
+@pytest.mark.parametrize("side,source", [
+    (1.0, CubePoint("L", 0.0, 0.4)),  # u = 0
+    (2.5, CubePoint("F", 2.5, 1.1)),  # u = side
+    (0.3, CubePoint("R", 0.093, 0.3)),  # v = side
+    (1.0, CubePoint("U", -0.0, 0.3)),  # a -0 coordinate
+    (1.0, CubePoint("B", 0.6, -0.0)),
+])
+def test_cube_walk_at_time_zero_returns_the_source_state(side, source):
+    """At t = 0 every ray ends in the first iteration of its walk, from
+    the source state, and keeps no walk even when later times are asked
+    for: every column holds the source state's bits.  The position is the
+    source coordinate plus 0 times the direction's component, so a -0
+    coordinate stays -0 only where that component's sign bit is set; the
+    cover is +0 there."""
+    thetas = np.concatenate([np.linspace(0.0, 2.0 * math.pi, 257), np.arange(8) * (math.pi / 4)])
+    n, face0 = thetas.size, FACE_INDEX[source.face]
+    pos = np.full((n, 2), (source.u, source.v))
+    for axis, component in enumerate((np.cos(thetas), np.sin(thetas))):
+        if np.signbit(pos[0, axis]):
+            pos[:, axis] = np.where(np.signbit(component), -0.0, 0.0)
+    want = dict(
+        thetas=thetas, pos=pos, cover=pos + 0.0, alive=np.ones(n, dtype=bool),
+        death_time=np.full(n, np.inf), refl=np.zeros(n, dtype=np.int64),
+        group=np.zeros(n, dtype=np.uint8),
+        sheet=np.tile(np.array([(int(_HASH_SEED) * int(_HASH_PRIME) % 2**64) ^ (face0 + 1), 1],
+                               dtype=np.uint64), (n, 1)),
+        face=np.full(n, face0, dtype=np.uint8), walk=np.empty((n, 0)),
+    )
+    for later in ((), (0.5, 1.0)):
+        batch = evaluate_batch(CubeSurface(side), source, thetas, 0.0, later)
+        for name, col in want.items():
+            mine = getattr(batch, name)
+            assert mine.dtype == col.dtype and mine.shape == col.shape, name
+            assert mine.tobytes() == col.tobytes(), name
+
+
+@pytest.mark.filterwarnings("error")
+def test_cube_ray_direction_outside_the_closed_circle_refused_before_walking():
+    """A NaN or infinite direction would walk until ``EVENT_BUDGET``; like
+    ``exp_point``, ``trace_cube_ray`` refuses it, and any direction outside
+    [0, 2*pi], at once."""
+    cube, source = CubeSurface(1.0), CubePoint("U", 0.3, 0.4)
+    for theta in (math.nan, math.inf, -math.inf, -1e-300, 2.0 * math.pi + 1e-9):
+        for t in (0.0, 1.0):
+            start = time.perf_counter()
+            for call in (lambda: trace_cube_ray(1.0, source, theta, t),
+                         lambda: exp_point(cube, source, theta, t)):
+                with pytest.raises(PreconditionError, match=r"must lie in \[0, 2\*pi\]"):
+                    call()
+            assert time.perf_counter() - start < 1.0, (theta, t)
+    for theta in (0.0, 2.0 * math.pi):  # the closed interval's ends
+        assert trace_cube_ray(1.0, source, theta, 1.0)[3]
 
 
 @pytest.mark.parametrize("side,source", _WALK_CASES)
